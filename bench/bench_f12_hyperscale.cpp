@@ -33,7 +33,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <iostream>
 #include <memory>
@@ -48,12 +47,10 @@
 namespace {
 
 /**
- * Per-host idle governor: one self-rescheduling simulator event per host.
- * Each tick reads the host's granted utilization, reports the busy core
- * count to the idle hierarchy and asks for full descent of the rest; the
- * hierarchy clamps and gates. wouldChange() keeps no-op ticks from
- * journaling phantom transitions, so steady-state ticks cost a read and a
- * reschedule — which is exactly the load profile of a fleet of governors.
+ * Per-host idle governor: one self-rescheduling simulator event per host,
+ * each running Host::idleGovernorTick(). A tick that would change nothing
+ * commands nothing, so steady-state ticks cost a read and a reschedule —
+ * which is exactly the load profile of a fleet of governors.
  */
 class IdleGovernorRig
 {
@@ -87,22 +84,7 @@ class IdleGovernorRig
     void
     tick(vpm::dc::HostId h)
     {
-        vpm::dc::Host &host = cluster_.host(h);
-        if (vpm::power::IdleHierarchy *hier = host.idleHierarchy();
-            hier != nullptr && hier->active()) {
-            const int cores = hier->spec().coreCount;
-            const int busy = std::min(
-                cores, static_cast<int>(std::ceil(host.utilization() *
-                                                  cores)));
-            const int core_depth =
-                static_cast<int>(hier->spec().coreStates.size());
-            const int pkg_depth =
-                static_cast<int>(hier->spec().packageStates.size());
-            if (hier->wouldChange(busy, core_depth, pkg_depth)) {
-                hier->setBusyCores(busy);
-                hier->requestDepth(core_depth, pkg_depth);
-            }
-        }
+        cluster_.host(h).idleGovernorTick();
         simulator_.schedule(period_, [this, h] { tick(h); },
                             "idle-governor");
     }

@@ -5,6 +5,7 @@
 
 #include "power/breakeven.hpp"
 #include "power/idle_hierarchy.hpp"
+#include "simcore/byte_append.hpp"
 #include "simcore/logging.hpp"
 #include "telemetry/trace_context.hpp"
 
@@ -235,25 +236,20 @@ JointPolicyController::controlCycle()
 void
 JointPolicyController::serializeState(std::vector<std::uint8_t> &out) const
 {
-    const auto append = [&out](const void *data, std::size_t n) {
-        const auto *bytes = static_cast<const std::uint8_t *>(data);
-        out.insert(out.end(), bytes, bytes + n);
-    };
-    const auto appendU64 = [&append](std::uint64_t v) {
-        append(&v, sizeof(v));
-    };
-    appendU64(active_ ? 1 : 0);
-    appendU64(config_.controlSpeed ? 1 : 0);
-    appendU64(evaluationsSeen_);
-    appendU64(speedTransitions_);
-    appendU64(idleTransitions_);
-    appendU64(cycles_);
-    appendU64(rhoEwma_.size());
-    append(rhoEwma_.data(), rhoEwma_.size() * sizeof(double));
-    appendU64(demandWindow_.size());
+    using sim::appendBytes;
+    using sim::appendPod;
+    appendPod<std::uint64_t>(out, active_ ? 1 : 0);
+    appendPod<std::uint64_t>(out, config_.controlSpeed ? 1 : 0);
+    appendPod<std::uint64_t>(out, evaluationsSeen_);
+    appendPod<std::uint64_t>(out, speedTransitions_);
+    appendPod<std::uint64_t>(out, idleTransitions_);
+    appendPod<std::uint64_t>(out, cycles_);
+    appendPod<std::uint64_t>(out, rhoEwma_.size());
+    appendBytes(out, rhoEwma_.data(), rhoEwma_.size() * sizeof(double));
+    appendPod<std::uint64_t>(out, demandWindow_.size());
     for (const std::vector<double> &window : demandWindow_) {
-        appendU64(window.size());
-        append(window.data(), window.size() * sizeof(double));
+        appendPod<std::uint64_t>(out, window.size());
+        appendBytes(out, window.data(), window.size() * sizeof(double));
     }
 }
 

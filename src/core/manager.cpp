@@ -4,12 +4,38 @@
 #include <vector>
 
 #include "power/idle_hierarchy.hpp"
+#include "simcore/byte_append.hpp"
 #include "simcore/logging.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
 
 namespace vpm::mgmt {
+
+namespace {
+
+/** Heading for On: exiting, or still entering with a wake latched. */
+bool
+arriving(const power::PowerStateMachine &fsm)
+{
+    const power::PowerPhase phase = fsm.phase();
+    return phase == power::PowerPhase::Exiting ||
+           (phase == power::PowerPhase::Entering && fsm.wakePending());
+}
+
+/** A wake would bring the host back: asleep, or still entering without a
+ *  latched wake — and not crashed hardware under repair. */
+bool
+wakeable(const power::PowerStateMachine &fsm)
+{
+    if (fsm.wakeInhibited())
+        return false;
+    const power::PowerPhase phase = fsm.phase();
+    return phase == power::PowerPhase::Asleep ||
+           (phase == power::PowerPhase::Entering && !fsm.wakePending());
+}
+
+} // namespace
 
 VpmManager::VpmManager(sim::Simulator &simulator, dc::Cluster &cluster,
                        dc::MigrationEngine &migration,
@@ -139,11 +165,7 @@ VpmManager::hierarchicalCycle()
     if (!config_.powerManage)
         return;
 
-    double required =
-        aggregatePredictor_->predict() * (1.0 + config_.capacityBuffer);
-    if (provisioning_)
-        required += provisioning_->pendingDemandMhz();
-    required += spareFloorMhz();
+    const double required = requiredCapacityMhz() + spareFloorMhz();
     const double limit = config_.targetUtilization;
 
     // Committed = On capacity straight off the root row, plus arriving
@@ -156,11 +178,7 @@ VpmManager::hierarchicalCycle()
         for (std::size_t i = rack.begin; i < rack.end; ++i) {
             const dc::Host &host =
                 cluster_.host(static_cast<dc::HostId>(i));
-            const auto &fsm = host.powerFsm();
-            const power::PowerPhase phase = fsm.phase();
-            if (phase == power::PowerPhase::Exiting ||
-                (phase == power::PowerPhase::Entering &&
-                 fsm.wakePending()))
+            if (arriving(host.powerFsm()))
                 committed += host.cpuCapacityMhz();
         }
     }
@@ -201,38 +219,14 @@ VpmManager::wakeHierarchical(double required, double limit,
             if (required <= limit * committed)
                 return;
             const auto host_id = static_cast<dc::HostId>(i);
-            if (maintenance_.contains(host_id))
-                continue;
             dc::Host &host = cluster_.host(host_id);
-            const auto &fsm = host.powerFsm();
-            if (fsm.wakeInhibited())
+            if (maintenance_.contains(host_id) || !wakeable(host.powerFsm()))
                 continue;
-            const power::PowerPhase phase = fsm.phase();
-            const bool wakeable =
-                phase == power::PowerPhase::Asleep ||
-                (phase == power::PowerPhase::Entering &&
-                 !fsm.wakePending());
-            if (!wakeable)
-                continue;
-            if (config_.clusterPowerCapWatts > 0.0 &&
-                projectedPeakWatts(&host) > config_.clusterPowerCapWatts) {
-                ++stats_.wakesDeniedByCap;
+            const WakeResult result = wakeHost(host, "capacity-shortfall");
+            if (result == WakeResult::CapDenied)
                 return; // the cap binds; more wakes only project higher
-            }
-            const std::uint64_t decision = telemetry::newDecisionId();
-            telemetry::TraceScope scope(decision);
-            if (!cluster_.requestHostWake(host_id))
-                continue;
-            ++stats_.wakesIssued;
-            telemetry::global().journal().wakeDecision(
-                simulator_.now().micros(), host_id, "capacity-shortfall");
-            if (const auto it = sleepStartedAt_.find(host_id);
-                it != sleepStartedAt_.end()) {
-                const sim::SimTime observed = simulator_.now() - it->second;
-                expectedIdle_ = expectedIdle_ * 0.7 + observed * 0.3;
-                sleepStartedAt_.erase(it);
-            }
-            committed += host.cpuCapacityMhz();
+            if (result == WakeResult::Issued)
+                committed += host.cpuCapacityMhz();
         }
     }
 }
@@ -259,22 +253,8 @@ VpmManager::sleepHierarchical(double required, double limit,
                 limit * (committed - host.effectiveCpuCapacityMhz()))
                 return; // sleeping this host would dip below the margin
             const power::SleepStateSpec *state = chooseSleepState(host);
-            if (!state)
-                continue;
-            const std::uint64_t decision = telemetry::newDecisionId();
-            telemetry::TraceScope scope(decision);
-            if (power::IdleHierarchy *hier = host.idleHierarchy())
-                hier->descendFully();
-            if (!cluster_.requestHostSleep(host_id, state->name))
-                continue;
-            ++stats_.sleepsIssued;
-            telemetry::global().journal().sleepDecision(
-                simulator_.now().micros(), host_id, state->name,
-                expectedIdle_.toSeconds(),
-                host.powerFsm().spec().idlePowerWatts(),
-                state->sleepPowerWatts);
-            sleepStartedAt_[host_id] = simulator_.now();
-            committed -= host.effectiveCpuCapacityMhz();
+            if (state && sleepHost(host, *state))
+                committed -= host.effectiveCpuCapacityMhz();
         }
     }
 }
@@ -331,14 +311,8 @@ VpmManager::committedCapacityMhz() const
 {
     double total = 0.0;
     for (const auto &host_ptr : cluster_.hosts()) {
-        const power::PowerPhase phase = host_ptr->powerFsm().phase();
-        const bool arriving =
-            phase == power::PowerPhase::Exiting ||
-            (phase == power::PowerPhase::Entering &&
-             host_ptr->powerFsm().wakePending());
-        const bool on_and_staying =
-            phase == power::PowerPhase::On && hostUsable(*host_ptr);
-        if (on_and_staying || arriving)
+        const bool on_and_staying = host_ptr->isOn() && hostUsable(*host_ptr);
+        if (on_and_staying || arriving(host_ptr->powerFsm()))
             total += host_ptr->cpuCapacityMhz();
     }
     return total;
@@ -476,16 +450,8 @@ VpmManager::findWakeCandidate() const
     // Maintenance hosts are never woken on the manager's initiative.
     dc::Host *best = nullptr;
     for (const auto &host_ptr : cluster_.hosts()) {
-        if (maintenance_.contains(host_ptr->id()))
-            continue;
         const auto &fsm = host_ptr->powerFsm();
-        if (fsm.wakeInhibited())
-            continue; // crashed hardware under repair
-        const power::PowerPhase phase = fsm.phase();
-        const bool wakeable =
-            phase == power::PowerPhase::Asleep ||
-            (phase == power::PowerPhase::Entering && !fsm.wakePending());
-        if (!wakeable)
+        if (maintenance_.contains(host_ptr->id()) || !wakeable(fsm))
             continue;
         if (!best ||
             fsm.timeToAvailable() < best->powerFsm().timeToAvailable()) {
@@ -501,12 +467,7 @@ VpmManager::projectedPeakWatts(const dc::Host *extra) const
     double total = 0.0;
     for (const auto &host_ptr : cluster_.hosts()) {
         const auto &fsm = host_ptr->powerFsm();
-        const power::PowerPhase phase = fsm.phase();
-        const bool committed =
-            host_ptr.get() == extra || phase == power::PowerPhase::On ||
-            phase == power::PowerPhase::Exiting ||
-            (phase == power::PowerPhase::Entering && fsm.wakePending());
-        if (committed) {
+        if (host_ptr.get() == extra || fsm.isOn() || arriving(fsm)) {
             total += fsm.spec().peakPowerWatts();
         } else if (fsm.sleepState()) {
             total += fsm.sleepState()->sleepPowerWatts;
@@ -543,11 +504,23 @@ VpmManager::wakeOneHost(const char *reason)
     dc::Host *best = findWakeCandidate();
     if (!best)
         return false;
+    const WakeResult result = wakeHost(*best, reason);
+    if (result == WakeResult::Refused) {
+        // The hardware died between selection and command (or a similar
+        // race); skip this cycle rather than crash.
+        sim::warn("VpmManager: wake of '%s' refused", best->name().c_str());
+    }
+    return result == WakeResult::Issued;
+}
 
+VpmManager::WakeResult
+VpmManager::wakeHost(dc::Host &host, const char *reason)
+{
+    // The cap check comes first, so a denied wake mints no decision id.
     if (config_.clusterPowerCapWatts > 0.0 &&
-        projectedPeakWatts(best) > config_.clusterPowerCapWatts) {
+        projectedPeakWatts(&host) > config_.clusterPowerCapWatts) {
         ++stats_.wakesDeniedByCap;
-        return false;
+        return WakeResult::CapDenied;
     }
 
     // Every FSM transition and event this wake triggers — including a
@@ -555,24 +528,44 @@ VpmManager::wakeOneHost(const char *reason)
     // to this decision id.
     const std::uint64_t decision = telemetry::newDecisionId();
     telemetry::TraceScope scope(decision);
-
-    if (!cluster_.requestHostWake(best->id())) {
-        // The hardware died between selection and command (or a similar
-        // race); skip this cycle rather than crash.
-        sim::warn("VpmManager: wake of '%s' refused", best->name().c_str());
-        return false;
-    }
+    if (!cluster_.requestHostWake(host.id()))
+        return WakeResult::Refused;
     ++stats_.wakesIssued;
     telemetry::global().journal().wakeDecision(simulator_.now().micros(),
-                                               best->id(), reason);
+                                               host.id(), reason);
 
     // Update the idle-interval estimate from the completed sleep episode.
-    if (const auto it = sleepStartedAt_.find(best->id());
+    if (const auto it = sleepStartedAt_.find(host.id());
         it != sleepStartedAt_.end()) {
         const sim::SimTime observed = simulator_.now() - it->second;
         expectedIdle_ = expectedIdle_ * 0.7 + observed * 0.3;
         sleepStartedAt_.erase(it);
     }
+    return WakeResult::Issued;
+}
+
+bool
+VpmManager::sleepHost(dc::Host &host, const power::SleepStateSpec &state)
+{
+    // The entry transition (and its completion event) inherit this
+    // decision id; the power rates in the record let an analyzer compute
+    // the episode's energy saving without the host spec.
+    const std::uint64_t decision = telemetry::newDecisionId();
+    telemetry::TraceScope scope(decision);
+    // The S-states sit above the idle hierarchy: descend it fully first
+    // (the cluster refuses the sleep otherwise, and the joint policy may
+    // have lifted a parked host since it parked). The resulting
+    // idle_transition records carry this decision id.
+    if (power::IdleHierarchy *hier = host.idleHierarchy())
+        hier->descendFully();
+    if (!cluster_.requestHostSleep(host.id(), state.name))
+        return false;
+    ++stats_.sleepsIssued;
+    telemetry::global().journal().sleepDecision(
+        simulator_.now().micros(), host.id(), state.name,
+        expectedIdle_.toSeconds(), host.powerFsm().spec().idlePowerWatts(),
+        state.sleepPowerWatts);
+    sleepStartedAt_[host.id()] = simulator_.now();
     return true;
 }
 
@@ -883,30 +876,10 @@ VpmManager::completeDrains()
         }
 
         const power::SleepStateSpec *state = chooseSleepState(host);
-        if (!state) {
+        if (!state)
             cancelDrain(host_id);
-            continue;
-        }
-        // The entry transition (and its completion event) inherit this
-        // decision id; the power rates in the record let an analyzer
-        // compute the episode's energy saving without the host spec.
-        const std::uint64_t decision = telemetry::newDecisionId();
-        telemetry::TraceScope scope(decision);
-        // The S-states sit above the idle hierarchy: descend it fully
-        // first (the cluster refuses the sleep otherwise). The resulting
-        // idle_transition records carry this decision id.
-        if (power::IdleHierarchy *hier = host.idleHierarchy())
-            hier->descendFully();
-        if (cluster_.requestHostSleep(host_id, state->name)) {
-            ++stats_.sleepsIssued;
-            telemetry::global().journal().sleepDecision(
-                simulator_.now().micros(), host_id, state->name,
-                expectedIdle_.toSeconds(),
-                host.powerFsm().spec().idlePowerWatts(),
-                state->sleepPowerWatts);
-            sleepStartedAt_[host_id] = simulator_.now();
+        else if (sleepHost(host, *state))
             draining_.erase(host_id);
-        }
     }
 
     // Reserve overflow: the oldest parked hosts graduate to a real
@@ -925,24 +898,9 @@ VpmManager::completeDrains()
         dc::Host &host = cluster_.host(oldest);
         if (!host.isOn() || !host.empty())
             continue; // crashed or repurposed under us; nothing to sleep
-        const power::SleepStateSpec *state = chooseSleepState(host);
-        if (!state)
-            continue; // stays ordinary capacity
-        const std::uint64_t decision = telemetry::newDecisionId();
-        telemetry::TraceScope scope(decision);
-        // The joint policy may have lifted the parked host to a shallower
-        // state since it parked; re-descend so the sleep gate passes.
-        if (power::IdleHierarchy *hier = host.idleHierarchy())
-            hier->descendFully();
-        if (cluster_.requestHostSleep(oldest, state->name)) {
-            ++stats_.sleepsIssued;
-            telemetry::global().journal().sleepDecision(
-                simulator_.now().micros(), oldest, state->name,
-                expectedIdle_.toSeconds(),
-                host.powerFsm().spec().idlePowerWatts(),
-                state->sleepPowerWatts);
-            sleepStartedAt_[oldest] = simulator_.now();
-        }
+        // Without a worthwhile state the host stays ordinary capacity.
+        if (const power::SleepStateSpec *state = chooseSleepState(host))
+            sleepHost(host, *state);
     }
 }
 
@@ -997,53 +955,34 @@ VpmManager::cancelDrain(dc::HostId host)
 
 namespace {
 
-// Raw little-endian-free appends for the checkpoint capture: same
-// machine writes and compares, so native byte order is fine (the
-// vpm-ckpt-1 file as a whole is documented as host-endian).
-void
-appendRaw(std::vector<std::uint8_t> &out, const void *data, std::size_t n)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    out.insert(out.end(), bytes, bytes + n);
-}
-
-void
-appendU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    appendRaw(out, &v, sizeof(v));
-}
-
-void
-appendI64(std::vector<std::uint8_t> &out, std::int64_t v)
-{
-    appendRaw(out, &v, sizeof(v));
-}
+using sim::appendBytes;
+using sim::appendPod;
 
 void
 appendDoubles(std::vector<std::uint8_t> &out,
               const std::vector<double> &values)
 {
-    appendU64(out, values.size());
-    appendRaw(out, values.data(), values.size() * sizeof(double));
+    appendPod<std::uint64_t>(out, values.size());
+    appendBytes(out, values.data(), values.size() * sizeof(double));
 }
 
 void
 appendHostSet(std::vector<std::uint8_t> &out,
               const std::set<dc::HostId> &hosts)
 {
-    appendU64(out, hosts.size());
+    appendPod<std::uint64_t>(out, hosts.size());
     for (const dc::HostId h : hosts)
-        appendI64(out, h);
+        appendPod<std::int64_t>(out, h);
 }
 
 void
 appendHostTimeMap(std::vector<std::uint8_t> &out,
                   const std::map<dc::HostId, sim::SimTime> &entries)
 {
-    appendU64(out, entries.size());
+    appendPod<std::uint64_t>(out, entries.size());
     for (const auto &[host, when] : entries) {
-        appendI64(out, host);
-        appendI64(out, when.micros());
+        appendPod<std::int64_t>(out, host);
+        appendPod<std::int64_t>(out, when.micros());
     }
 }
 
@@ -1053,16 +992,16 @@ void
 VpmManager::serializeState(std::vector<std::uint8_t> &out) const
 {
     std::vector<double> scratch;
-    appendU64(out, vmPredictors_.size());
+    appendPod<std::uint64_t>(out, vmPredictors_.size());
     for (const auto &predictor : vmPredictors_) {
-        appendU64(out, predictor ? 1 : 0);
+        appendPod<std::uint64_t>(out, predictor ? 1 : 0);
         if (predictor) {
             scratch.clear();
             predictor->appendState(scratch);
             appendDoubles(out, scratch);
         }
     }
-    appendU64(out, aggregatePredictor_ ? 1 : 0);
+    appendPod<std::uint64_t>(out, aggregatePredictor_ ? 1 : 0);
     if (aggregatePredictor_) {
         scratch.clear();
         aggregatePredictor_->appendState(scratch);
@@ -1075,24 +1014,24 @@ VpmManager::serializeState(std::vector<std::uint8_t> &out) const
     appendHostTimeMap(out, parkedAt_);
     appendHostTimeMap(out, sleepStartedAt_);
 
-    appendI64(out, expectedIdle_.micros());
-    appendI64(out, surplusStreak_);
-    appendU64(out, evaluationsSeen_);
-    appendU64(out, evaluationsPerCycle_);
+    appendPod<std::int64_t>(out, expectedIdle_.micros());
+    appendPod<std::int64_t>(out, surplusStreak_);
+    appendPod<std::uint64_t>(out, evaluationsSeen_);
+    appendPod<std::uint64_t>(out, evaluationsPerCycle_);
 
-    appendU64(out, stats_.cycles);
-    appendU64(out, stats_.migrationsRequested);
-    appendU64(out, stats_.balanceMoves);
-    appendU64(out, stats_.evacuationsStarted);
-    appendU64(out, stats_.evacuationsAbandoned);
-    appendU64(out, stats_.drainsCancelled);
-    appendU64(out, stats_.sleepsIssued);
-    appendU64(out, stats_.wakesIssued);
-    appendU64(out, stats_.hostsParked);
-    appendU64(out, stats_.hostsUnparked);
-    appendU64(out, stats_.wakesDeniedByCap);
-    appendU64(out, stats_.shortfallCycles);
-    appendU64(out, stats_.haRestarts);
+    appendPod<std::uint64_t>(out, stats_.cycles);
+    appendPod<std::uint64_t>(out, stats_.migrationsRequested);
+    appendPod<std::uint64_t>(out, stats_.balanceMoves);
+    appendPod<std::uint64_t>(out, stats_.evacuationsStarted);
+    appendPod<std::uint64_t>(out, stats_.evacuationsAbandoned);
+    appendPod<std::uint64_t>(out, stats_.drainsCancelled);
+    appendPod<std::uint64_t>(out, stats_.sleepsIssued);
+    appendPod<std::uint64_t>(out, stats_.wakesIssued);
+    appendPod<std::uint64_t>(out, stats_.hostsParked);
+    appendPod<std::uint64_t>(out, stats_.hostsUnparked);
+    appendPod<std::uint64_t>(out, stats_.wakesDeniedByCap);
+    appendPod<std::uint64_t>(out, stats_.shortfallCycles);
+    appendPod<std::uint64_t>(out, stats_.haRestarts);
 }
 
 void

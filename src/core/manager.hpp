@@ -388,11 +388,34 @@ class VpmManager
     double projectedPeakWatts(const dc::Host *extra) const;
 
     /**
-     * Wake the most attractive sleeping host; false if none exists or
-     * the power cap denies it (counted in wakesDeniedByCap).
+     * Flat wake planner: reclaim a parked host, else wake the wakeable
+     * host with the fastest exit. False if none exists, the power cap
+     * denies it, or the hardware refuses (warned).
      * @param reason Why the wake was needed; journaled with the decision.
      */
     bool wakeOneHost(const char *reason);
+
+    /** Outcome of one wakeHost() command. */
+    enum class WakeResult
+    {
+        Issued,    ///< wake commanded and journaled
+        CapDenied, ///< the power cap denies it (counted in wakesDeniedByCap)
+        Refused,   ///< the cluster refused the command (e.g. it crashed)
+    };
+
+    /**
+     * The one wake actuator both planners call: power-cap admission, then
+     * a decision id, the wake command, the wake_decision record and the
+     * idle-interval estimate update from the finished sleep episode.
+     */
+    WakeResult wakeHost(dc::Host &host, const char *reason);
+
+    /**
+     * The one sleep actuator both planners call: a decision id, full
+     * idle-hierarchy descent, the sleep command, the sleep_decision record
+     * and the sleep-episode timestamp. False if the cluster refused.
+     */
+    bool sleepHost(dc::Host &host, const power::SleepStateSpec &state);
 
     void cancelDrain(dc::HostId host);
 

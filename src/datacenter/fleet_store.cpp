@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "power/power_state_machine.hpp"
+#include "simcore/byte_append.hpp"
 #include "simcore/logging.hpp"
 #include "workload/demand_trace.hpp"
 
@@ -194,20 +195,14 @@ FleetStore::refreshPlacedDemand(const VmId *ids, std::size_t n,
 void
 FleetStore::appendSnapshot(std::vector<std::uint8_t> &out) const
 {
-    const auto append = [&out](const void *data, std::size_t n) {
-        const auto *bytes = static_cast<const std::uint8_t *>(data);
-        out.insert(out.end(), bytes, bytes + n);
-    };
-    const auto appendU64 = [&append](std::uint64_t v) {
-        append(&v, sizeof(v));
-    };
-    const auto appendColumn = [&append](const auto &col, std::size_t n,
-                                        std::size_t elem) {
+    using sim::appendPod;
+    const auto appendColumn = [&out](const auto &col, std::size_t n,
+                                     std::size_t elem) {
         if (n > 0)
-            append(col.get(), n * elem);
+            sim::appendBytes(out, col.get(), n * elem);
     };
 
-    appendU64(vmCount_);
+    appendPod<std::uint64_t>(out, vmCount_);
     appendColumn(vmDemand_, vmCount_, sizeof(double));
     appendColumn(vmGranted_, vmCount_, sizeof(double));
     appendColumn(vmCpuMhz_, vmCount_, sizeof(double));
@@ -215,7 +210,7 @@ FleetStore::appendSnapshot(std::vector<std::uint8_t> &out) const
     appendColumn(vmHost_, vmCount_, sizeof(HostId));
     appendColumn(vmPointSpan_, vmCount_, sizeof(std::uint8_t));
 
-    appendU64(hostCount_);
+    appendPod<std::uint64_t>(out, hostCount_);
     appendColumn(hostCapMhz_, hostCount_, sizeof(double));
     appendColumn(hostFreqFraction_, hostCount_, sizeof(double));
     appendColumn(hostMigOverheadMhz_, hostCount_, sizeof(double));
@@ -224,22 +219,20 @@ FleetStore::appendSnapshot(std::vector<std::uint8_t> &out) const
     appendColumn(hostMemoryCache_, hostCount_, sizeof(double));
     appendColumn(hostHeldWatts_, hostCount_, sizeof(double));
     appendColumn(latencyFactor_, hostCount_, sizeof(double));
-    for (std::size_t i = 0; i < hostCount_; ++i) {
-        const std::uint8_t f =
-            hostFlags_[i].load(std::memory_order_relaxed);
-        append(&f, 1);
-    }
+    for (std::size_t i = 0; i < hostCount_; ++i)
+        out.push_back(hostFlags_[i].load(std::memory_order_relaxed));
     appendColumn(hostQueued_, hostCount_, sizeof(std::uint8_t));
     appendColumn(hostPhase_, hostCount_, sizeof(std::uint8_t));
     appendColumn(hostHasHierarchy_, hostCount_, sizeof(std::uint8_t));
 
-    appendU64(static_cast<std::uint64_t>(hostsOn_));
-    appendU64(static_cast<std::uint64_t>(hostsAsleep_));
-    appendU64(static_cast<std::uint64_t>(hostsTransitioning_));
+    appendPod<std::uint64_t>(out, hostsOn_);
+    appendPod<std::uint64_t>(out, hostsAsleep_);
+    appendPod<std::uint64_t>(out, hostsTransitioning_);
 
-    appendU64(allocQueue_.size());
+    appendPod<std::uint64_t>(out, allocQueue_.size());
     if (!allocQueue_.empty())
-        append(allocQueue_.data(), allocQueue_.size() * sizeof(HostId));
+        sim::appendBytes(out, allocQueue_.data(),
+                         allocQueue_.size() * sizeof(HostId));
 }
 
 void

@@ -1,6 +1,7 @@
 #include "datacenter/host.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "power/idle_hierarchy.hpp"
@@ -141,6 +142,23 @@ Host::attachIdleHierarchy(std::unique_ptr<power::IdleHierarchy> hierarchy)
     });
     if (!isOn())
         idleHierarchy_->pause();
+}
+
+void
+Host::idleGovernorTick()
+{
+    power::IdleHierarchy *hier = idleHierarchy_.get();
+    if (hier == nullptr || !hier->active())
+        return;
+    const int cores = hier->spec().coreCount;
+    const int busy = std::min(
+        cores, static_cast<int>(std::ceil(utilization() * cores)));
+    const int core_depth = static_cast<int>(hier->spec().coreStates.size());
+    const int pkg_depth = static_cast<int>(hier->spec().packageStates.size());
+    if (hier->wouldChange(busy, core_depth, pkg_depth)) {
+        hier->setBusyCores(busy);
+        hier->requestDepth(core_depth, pkg_depth);
+    }
 }
 
 void

@@ -120,6 +120,16 @@ class Host
     {
         return idleHierarchy_.get();
     }
+
+    /**
+     * One idle-governor tick, the OS tick of a per-host governor: report
+     * the busy cores implied by granted utilization to the attached
+     * hierarchy and ask for full descent of the rest (the hierarchy
+     * clamps and gates). No-op without an active hierarchy, and a tick
+     * that would change nothing commands nothing, so steady-state ticks
+     * journal no phantom transitions. Callers own the tick cadence.
+     */
+    void idleGovernorTick();
     ///@}
 
     /** @name DVFS (maintained by the frequency controller) */

@@ -4,26 +4,14 @@
 #include <cstring>
 #include <fstream>
 
+#include "simcore/byte_append.hpp"
+
 namespace vpm::replay {
 
 namespace {
 
 constexpr char kMagic[8] = {'v', 'p', 'm', 'c', 'k', 'p', '1', '\n'};
 constexpr std::uint32_t kVersion = 1;
-
-void
-appendRaw(std::vector<std::uint8_t> &out, const void *data, std::size_t n)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    out.insert(out.end(), bytes, bytes + n);
-}
-
-template <typename T>
-void
-appendScalar(std::vector<std::uint8_t> &out, T v)
-{
-    appendRaw(out, &v, sizeof(v));
-}
 
 template <typename T>
 bool
@@ -64,23 +52,23 @@ writeCheckpoint(const CheckpointData &ckpt, const std::string &path,
                 std::string *error)
 {
     std::vector<std::uint8_t> buf;
-    appendRaw(buf, kMagic, sizeof(kMagic));
-    appendScalar<std::uint32_t>(buf, kVersion);
-    appendScalar<std::uint32_t>(
+    sim::appendBytes(buf, kMagic, sizeof(kMagic));
+    sim::appendPod<std::uint32_t>(buf, kVersion);
+    sim::appendPod<std::uint32_t>(
         buf, static_cast<std::uint32_t>(ckpt.sections.size()));
-    appendScalar<std::int64_t>(buf, ckpt.timeUs);
-    appendScalar<std::uint64_t>(buf, ckpt.eventsProcessed);
-    appendScalar<std::uint32_t>(
+    sim::appendPod<std::int64_t>(buf, ckpt.timeUs);
+    sim::appendPod<std::uint64_t>(buf, ckpt.eventsProcessed);
+    sim::appendPod<std::uint32_t>(
         buf, static_cast<std::uint32_t>(ckpt.specJson.size()));
-    appendRaw(buf, ckpt.specJson.data(), ckpt.specJson.size());
+    sim::appendBytes(buf, ckpt.specJson.data(), ckpt.specJson.size());
     for (const auto &[name, bytes] : ckpt.sections) {
-        appendScalar<std::uint32_t>(
+        sim::appendPod<std::uint32_t>(
             buf, static_cast<std::uint32_t>(name.size()));
-        appendRaw(buf, name.data(), name.size());
-        appendScalar<std::uint64_t>(buf, bytes.size());
-        appendRaw(buf, bytes.data(), bytes.size());
+        sim::appendBytes(buf, name.data(), name.size());
+        sim::appendPod<std::uint64_t>(buf, bytes.size());
+        sim::appendBytes(buf, bytes.data(), bytes.size());
     }
-    appendScalar<std::uint64_t>(
+    sim::appendPod<std::uint64_t>(
         buf, fnv1a(buf.data(), buf.size()));
 
     const std::string tmp = path + ".tmp";

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -15,6 +15,7 @@
 #include "datacenter/migration.hpp"
 #include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
+#include "simcore/byte_append.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/ci.hpp"
@@ -143,48 +144,23 @@ validateSpec(const ReplaySpec &spec, std::string *error)
     return true;
 }
 
-/** @name Section byte-builders (little helpers shared by capture()) */
-///@{
-void
-putRaw(std::vector<std::uint8_t> &out, const void *data, std::size_t n)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    out.insert(out.end(), bytes, bytes + n);
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    putRaw(out, &v, sizeof(v));
-}
-
-void
-putI64(std::vector<std::uint8_t> &out, std::int64_t v)
-{
-    putRaw(out, &v, sizeof(v));
-}
-
-void
-putF64(std::vector<std::uint8_t> &out, double v)
-{
-    putRaw(out, &v, sizeof(v));
-}
+using sim::appendBytes;
+using sim::appendPod;
 
 void
 putAggregate(std::vector<std::uint8_t> &out, const dc::FleetAggregate &agg)
 {
-    putU64(out, agg.begin);
-    putU64(out, agg.end);
-    putF64(out, agg.demandMhz);
-    putF64(out, agg.onEffectiveCapMhz);
-    putF64(out, agg.cpuCapacityMhz);
-    putI64(out, agg.hostsOn);
-    putI64(out, agg.hostsAsleep);
-    putI64(out, agg.hostsTransitioning);
-    putI64(out, agg.emptyOn);
+    appendPod<std::uint64_t>(out, agg.begin);
+    appendPod<std::uint64_t>(out, agg.end);
+    appendPod<double>(out, agg.demandMhz);
+    appendPod<double>(out, agg.onEffectiveCapMhz);
+    appendPod<double>(out, agg.cpuCapacityMhz);
+    appendPod<std::int64_t>(out, agg.hostsOn);
+    appendPod<std::int64_t>(out, agg.hostsAsleep);
+    appendPod<std::int64_t>(out, agg.hostsTransitioning);
+    appendPod<std::int64_t>(out, agg.emptyOn);
     out.push_back(agg.changed ? 1 : 0);
 }
-///@}
 
 } // namespace
 
@@ -236,12 +212,35 @@ parseSpecJson(const std::string &text, ReplaySpec &out, std::string *error)
         return false;
     }
     ReplaySpec spec;
+    // Integer fields are range-checked before the cast: converting an
+    // out-of-range double ("hosts": 1e300, "window_bytes": -1) to an
+    // integer is undefined behaviour. The range is [lo, end).
+    const auto integral = [&](const char *key, double fallback, double lo,
+                              double end, double &value) {
+        value = telemetry::numberOr(doc.find(key), fallback);
+        if (value >= lo && value < end)
+            return true;
+        if (error != nullptr)
+            *error = std::string("replay spec: ") + key + " out of range";
+        return false;
+    };
+    constexpr double kIntLo = std::numeric_limits<int>::min();
+    constexpr double kIntEnd = std::numeric_limits<int>::max() + 1.0;
+    constexpr double kU64End = 0x1p64;
+    double hosts = 0.0, vms = 0.0, seed = 0.0, window_bytes = 0.0;
+    if (!integral("hosts", spec.hosts, kIntLo, kIntEnd, hosts) ||
+        !integral("vms", spec.vms, kIntLo, kIntEnd, vms) ||
+        !integral("seed", static_cast<double>(spec.seed), 0.0, kU64End,
+                  seed) ||
+        !integral("window_bytes", static_cast<double>(spec.windowBytes),
+                  0.0, kU64End, window_bytes))
+        return false;
+    spec.hosts = static_cast<int>(hosts);
+    spec.vms = static_cast<int>(vms);
+    spec.seed = static_cast<std::uint64_t>(seed);
+    spec.windowBytes = static_cast<std::uint64_t>(window_bytes);
     spec.name = telemetry::stringOr(doc.find("name"), spec.name);
     spec.tracePath = telemetry::stringOr(doc.find("trace_path"), "");
-    spec.hosts = static_cast<int>(
-        telemetry::numberOr(doc.find("hosts"), spec.hosts));
-    spec.vms =
-        static_cast<int>(telemetry::numberOr(doc.find("vms"), spec.vms));
     spec.vmCpuMhz = telemetry::numberOr(doc.find("vm_cpu_mhz"),
                                         spec.vmCpuMhz);
     spec.vmMemoryMb = telemetry::numberOr(doc.find("vm_memory_mb"),
@@ -259,12 +258,6 @@ parseSpecJson(const std::string &text, ReplaySpec &out, std::string *error)
                                               spec.loadedFraction);
     spec.hierarchical = telemetry::boolOr(doc.find("hierarchical"),
                                           spec.hierarchical);
-    spec.seed = static_cast<std::uint64_t>(
-        telemetry::numberOr(doc.find("seed"),
-                            static_cast<double>(spec.seed)));
-    spec.windowBytes = static_cast<std::uint64_t>(
-        telemetry::numberOr(doc.find("window_bytes"),
-                            static_cast<double>(spec.windowBytes)));
     spec.governorPeriodS = telemetry::numberOr(
         doc.find("governor_period_s"), spec.governorPeriodS);
     if (!validateSpec(spec, error))
@@ -427,22 +420,7 @@ ReplaySession::buildFleet(std::string *error)
 void
 ReplaySession::governorTick(dc::HostId h)
 {
-    dc::Host &host = cluster_->host(h);
-    if (power::IdleHierarchy *hier = host.idleHierarchy();
-        hier != nullptr && hier->active()) {
-        const int cores = hier->spec().coreCount;
-        const int busy = std::min(
-            cores,
-            static_cast<int>(std::ceil(host.utilization() * cores)));
-        const int core_depth =
-            static_cast<int>(hier->spec().coreStates.size());
-        const int pkg_depth =
-            static_cast<int>(hier->spec().packageStates.size());
-        if (hier->wouldChange(busy, core_depth, pkg_depth)) {
-            hier->setBusyCores(busy);
-            hier->requestDepth(core_depth, pkg_depth);
-        }
-    }
+    cluster_->host(h).idleGovernorTick();
     simulator_.schedule(sim::SimTime::seconds(spec_.governorPeriodS),
                         [this, h] { governorTick(h); }, "idle-governor");
 }
@@ -478,10 +456,10 @@ ReplaySession::capture()
     std::vector<std::uint8_t> tree;
     const dc::FleetTree &fleet_tree = manager_->fleetTree();
     if (fleet_tree.configured()) {
-        putU64(tree, fleet_tree.racks().size());
+        appendPod<std::uint64_t>(tree, fleet_tree.racks().size());
         for (const dc::FleetAggregate &agg : fleet_tree.racks())
             putAggregate(tree, agg);
-        putU64(tree, fleet_tree.pods().size());
+        appendPod<std::uint64_t>(tree, fleet_tree.pods().size());
         for (const dc::FleetAggregate &agg : fleet_tree.pods())
             putAggregate(tree, agg);
         putAggregate(tree, fleet_tree.root());
@@ -491,37 +469,37 @@ ReplaySession::capture()
     std::vector<std::uint8_t> events;
     {
         const auto pending = simulator_.pendingSnapshot();
-        putU64(events, pending.size());
+        appendPod<std::uint64_t>(events, pending.size());
         for (const auto &event : pending) {
-            putI64(events, event.when.micros());
-            putU64(events, event.seq);
-            putU64(events, event.label.size());
-            putRaw(events, event.label.data(), event.label.size());
+            appendPod<std::int64_t>(events, event.when.micros());
+            appendPod<std::uint64_t>(events, event.seq);
+            appendPod<std::uint64_t>(events, event.label.size());
+            appendBytes(events, event.label.data(), event.label.size());
         }
-        putI64(events, simulator_.now().micros());
-        putU64(events, simulator_.eventsProcessed());
+        appendPod<std::int64_t>(events, simulator_.now().micros());
+        appendPod<std::uint64_t>(events, simulator_.eventsProcessed());
     }
     ckpt.sections.emplace_back("events", std::move(events));
 
     std::vector<std::uint8_t> rng;
     for (const std::uint64_t word : rng_.state())
-        putU64(rng, word);
+        appendPod<std::uint64_t>(rng, word);
     rng.push_back(rng_.hasSpareNormal() ? 1 : 0);
-    putF64(rng, rng_.spareNormal());
+    appendPod<double>(rng, rng_.spareNormal());
     ckpt.sections.emplace_back("rng", std::move(rng));
 
     std::vector<std::uint8_t> policy;
     {
         std::vector<std::uint8_t> manager_state;
         manager_->serializeState(manager_state);
-        putU64(policy, manager_state.size());
-        putRaw(policy, manager_state.data(), manager_state.size());
+        appendPod<std::uint64_t>(policy, manager_state.size());
+        appendBytes(policy, manager_state.data(), manager_state.size());
         policy.push_back(joint_ ? 1 : 0);
         if (joint_) {
             std::vector<std::uint8_t> joint_state;
             joint_->serializeState(joint_state);
-            putU64(policy, joint_state.size());
-            putRaw(policy, joint_state.data(), joint_state.size());
+            appendPod<std::uint64_t>(policy, joint_state.size());
+            appendBytes(policy, joint_state.data(), joint_state.size());
         }
     }
     ckpt.sections.emplace_back("policy", std::move(policy));
@@ -530,11 +508,11 @@ ReplaySession::capture()
     {
         const telemetry::Telemetry &global = telemetry::global();
         telem.push_back(global.enabled() ? 1 : 0);
-        putU64(telem, global.journal().size());
-        putU64(telem, global.journal().recorded());
-        putU64(telem, global.journal().labelCount());
-        putU64(telem, global.timeseries().seriesCount());
-        putU64(telem, global.timeseries().memoryBytes());
+        appendPod<std::uint64_t>(telem, global.journal().size());
+        appendPod<std::uint64_t>(telem, global.journal().recorded());
+        appendPod<std::uint64_t>(telem, global.journal().labelCount());
+        appendPod<std::uint64_t>(telem, global.timeseries().seriesCount());
+        appendPod<std::uint64_t>(telem, global.timeseries().memoryBytes());
     }
     ckpt.sections.emplace_back("telemetry", std::move(telem));
     return ckpt;

@@ -7,7 +7,10 @@
 
 #include "core/manager.hpp"
 #include "core/policies.hpp"
+#include "core/scenario.hpp"
+#include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/demand_trace.hpp"
 
 namespace vpm::mgmt {
@@ -468,6 +471,112 @@ TEST_F(ManagerTest, HierarchicalModeMatchesCycleCadence)
     EXPECT_EQ(manager->stats().sleepsIssued, 0u);
     EXPECT_EQ(manager->stats().wakesIssued, 0u);
     EXPECT_EQ(cluster.hostsOn(), 4);
+}
+
+TEST_F(ManagerTest, HierarchicalPowerCapDeniesWakes)
+{
+    // The rig of HierarchicalModeSleepsEmptyAndWakesOnDemand: rack 1
+    // sleeps through the trough, and the step at t = 2 h wants it back.
+    for (int h = 0; h < 2; ++h) {
+        Vm &vm = cluster.addVm(makeSpec(
+            "vm" + std::to_string(h), 30000.0, 4096.0,
+            std::make_shared<workload::StepTrace>(
+                std::vector<workload::StepTrace::Step>{
+                    {SimTime(), 0.05}, {SimTime::hours(2.0), 0.85}})));
+        cluster.placeVm(vm.id(), h);
+    }
+    VpmConfig config;
+    config.hierarchical = true;
+    config.hostsPerRack = 2;
+    config.racksPerPod = 2;
+    config.sleepState = "S3";
+    // Nameplate peak is 255 W/host: the two loaded hosts fit, a third
+    // does not.
+    config.clusterPowerCapWatts = 2.2 * 255.0;
+    const auto manager = makeManager(config);
+
+    dcsim.runFor(SimTime::hours(3.0));
+    EXPECT_GT(manager->stats().sleepsIssued, 0u);
+    EXPECT_GT(manager->stats().wakesDeniedByCap, 0u);
+    EXPECT_EQ(manager->stats().wakesIssued, 0u);
+    EXPECT_EQ(cluster.hostsOn(), 2);
+}
+
+/** Telemetry-on fixture: the journal must hold a whole run unwrapped. */
+class DecisionAccountingTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        telemetry::TelemetryConfig config;
+        config.enabled = true;
+        config.journalCapacity = 1u << 18;
+        config.seriesRowsEnabled = false;
+        telemetry::global().configure(config);
+    }
+
+    void
+    TearDown() override
+    {
+        telemetry::global().configure(telemetry::TelemetryConfig{});
+    }
+
+    /** Run @p config and check every issued sleep and wake journaled
+     *  exactly one decision record. */
+    static ManagerStats
+    runAndCount(const ScenarioConfig &config)
+    {
+        const ScenarioResult result = runScenario(config);
+        const telemetry::EventJournal &journal =
+            telemetry::global().journal();
+        EXPECT_EQ(journal.recorded(), journal.size()) << "journal wrapped";
+        std::uint64_t sleeps = 0;
+        std::uint64_t wakes = 0;
+        for (const telemetry::JournalEvent &ev : journal.sortedEvents()) {
+            sleeps += ev.kind == telemetry::EventKind::SleepDecision;
+            wakes += ev.kind == telemetry::EventKind::WakeDecision;
+        }
+        EXPECT_EQ(sleeps, result.manager.sleepsIssued);
+        EXPECT_EQ(wakes, result.manager.wakesIssued);
+        return result.manager;
+    }
+
+    static ScenarioConfig
+    baseConfig()
+    {
+        ScenarioConfig config;
+        config.hostCount = 8;
+        config.vmCount = 40;
+        config.duration = SimTime::hours(24.0);
+        config.manager = makePolicy(PolicyKind::PmS3);
+        return config;
+    }
+};
+
+TEST_F(DecisionAccountingTest, FlatParkedReserveJournalsEverySleepAndWake)
+{
+    // Drains park first; the reserve's overflow sleeps; shortfalls unpark
+    // before they wake.
+    ScenarioConfig config = baseConfig();
+    config.manager.parkedReserve = 3;
+    config.idleHierarchy = power::modernIdleHierarchy();
+    const ManagerStats stats = runAndCount(config);
+    EXPECT_GT(stats.hostsParked, 0u);
+    EXPECT_GT(stats.hostsUnparked, 0u);
+    EXPECT_GT(stats.sleepsIssued, 0u);
+}
+
+TEST_F(DecisionAccountingTest, HierarchicalJournalsEverySleepAndWake)
+{
+    ScenarioConfig config = baseConfig();
+    config.manager.hierarchical = true;
+    config.manager.hostsPerRack = 4;
+    config.manager.racksPerPod = 2;
+    config.mix.loadScale = 1.2; // the day peak re-wakes the empty tail
+    const ManagerStats stats = runAndCount(config);
+    EXPECT_GT(stats.sleepsIssued, 0u);
+    EXPECT_GT(stats.wakesIssued, 0u);
 }
 
 TEST(ManagerConfigDeathTest, RejectsBadConfigs)

@@ -1,0 +1,160 @@
+/**
+ * @file
+ * Golden manager outcomes: a small runScenario matrix whose every
+ * ManagerStats counter and exact cluster energy are pinned.
+ *
+ * The matrix covers each wake/sleep path of VpmManager: S3, S5 and
+ * adaptive sleep, the parked reserve (park, unpark, overflow sleep),
+ * parking without host sleep, a binding power cap, hierarchical rack
+ * triage, and HA restart after host crashes with a spare floor. A
+ * refactor of those paths must leave every line byte-identical; a change
+ * meant to move policy outcomes re-records the table (the failure message
+ * prints the new lines).
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <functional>
+#include <string>
+
+#include "core/policies.hpp"
+#include "core/scenario.hpp"
+#include "power/idle_hierarchy.hpp"
+
+namespace vpm::mgmt {
+namespace {
+
+/** One line per run: every ManagerStats counter, then energy (%.17g). */
+std::string
+outcomeLine(const ScenarioResult &result)
+{
+    const ManagerStats &s = result.manager;
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "cycles=%llu migrations=%llu balance=%llu evacuations=%llu "
+        "abandoned=%llu cancelled=%llu sleeps=%llu wakes=%llu parked=%llu "
+        "unparked=%llu capDenied=%llu shortfall=%llu haRestarts=%llu "
+        "energyKwh=%.17g",
+        static_cast<unsigned long long>(s.cycles),
+        static_cast<unsigned long long>(s.migrationsRequested),
+        static_cast<unsigned long long>(s.balanceMoves),
+        static_cast<unsigned long long>(s.evacuationsStarted),
+        static_cast<unsigned long long>(s.evacuationsAbandoned),
+        static_cast<unsigned long long>(s.drainsCancelled),
+        static_cast<unsigned long long>(s.sleepsIssued),
+        static_cast<unsigned long long>(s.wakesIssued),
+        static_cast<unsigned long long>(s.hostsParked),
+        static_cast<unsigned long long>(s.hostsUnparked),
+        static_cast<unsigned long long>(s.wakesDeniedByCap),
+        static_cast<unsigned long long>(s.shortfallCycles),
+        static_cast<unsigned long long>(s.haRestarts),
+        result.metrics.energyKwh);
+    return buf;
+}
+
+struct GoldenCase
+{
+    const char *name;
+    std::function<void(ScenarioConfig &)> setup;
+    const char *expected;
+};
+
+TEST(ManagerGoldenTest, OutcomesMatchRecordedMatrix)
+{
+    const GoldenCase cases[] = {
+        {"pm-s3",
+         [](ScenarioConfig &c) { c.manager = makePolicy(PolicyKind::PmS3); },
+         "cycles=289 migrations=116 balance=63 evacuations=10 abandoned=0"
+         " cancelled=1 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=5 haRestarts=0 energyKwh=23.729885300887332"},
+        {"pm-s5",
+         [](ScenarioConfig &c) { c.manager = makePolicy(PolicyKind::PmS5); },
+         "cycles=289 migrations=97 balance=50 evacuations=9 abandoned=0"
+         " cancelled=0 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=4 haRestarts=0 energyKwh=25.335604302762796"},
+        {"pm-adaptive",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmAdaptive);
+         },
+         "cycles=289 migrations=116 balance=63 evacuations=10 abandoned=0"
+         " cancelled=1 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=5 haRestarts=0 energyKwh=23.532856411998441"},
+        {"parked-reserve",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.parkedReserve = 2;
+             c.idleHierarchy = power::modernIdleHierarchy();
+         },
+         "cycles=289 migrations=99 balance=52 evacuations=9 abandoned=0"
+         " cancelled=0 sleeps=4 wakes=1 parked=9 unparked=3 capDenied=0"
+         " shortfall=4 haRestarts=0 energyKwh=24.334685691566339"},
+        {"park-only",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.hostSleep = false;
+             c.idleHierarchy = power::modernIdleHierarchy();
+         },
+         "cycles=289 migrations=99 balance=52 evacuations=9 abandoned=0"
+         " cancelled=0 sleeps=0 wakes=0 parked=9 unparked=4 capDenied=0"
+         " shortfall=4 haRestarts=0 energyKwh=25.569601711473975"},
+        {"power-cap",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.clusterPowerCapWatts = 1200.0;
+         },
+         "cycles=289 migrations=71 balance=41 evacuations=6 abandoned=0"
+         " cancelled=0 sleeps=6 wakes=1 parked=0 unparked=0 capDenied=130"
+         " shortfall=131 haRestarts=0 energyKwh=21.270999854129503"},
+        {"hierarchical",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.hierarchical = true;
+             c.manager.hostsPerRack = 4;
+             c.manager.racksPerPod = 2;
+             c.mix.loadScale = 1.2; // the day peak re-wakes the empty tail
+         },
+         "cycles=289 migrations=0 balance=0 evacuations=0 abandoned=0"
+         " cancelled=0 sleeps=4 wakes=2 parked=0 unparked=0 capDenied=0"
+         " shortfall=2 haRestarts=0 energyKwh=30.913928011326245"},
+        {"hierarchical-cap",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.hierarchical = true;
+             c.manager.hostsPerRack = 4;
+             c.manager.racksPerPod = 2;
+             c.mix.loadScale = 1.2;
+             c.manager.clusterPowerCapWatts = 1700.0;
+         },
+         "cycles=289 migrations=0 balance=0 evacuations=0 abandoned=0"
+         " cancelled=0 sleeps=2 wakes=0 parked=0 unparked=0 capDenied=29"
+         " shortfall=29 haRestarts=0 energyKwh=30.567355233548465"},
+        {"crash-ha",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.haRestart = true;
+             c.manager.spareHostsFloor = 1;
+             dc::FailureConfig failures;
+             failures.meanTimeToFailure = sim::SimTime::hours(40.0);
+             failures.meanTimeToRepair = sim::SimTime::minutes(45.0);
+             c.failures = failures;
+         },
+         "cycles=289 migrations=100 balance=57 evacuations=11 abandoned=0"
+         " cancelled=0 sleeps=11 wakes=6 parked=0 unparked=0 capDenied=0"
+         " shortfall=6 haRestarts=9 energyKwh=27.148420082826242"},
+    };
+
+    for (const GoldenCase &golden : cases) {
+        ScenarioConfig config;
+        config.hostCount = 8;
+        config.vmCount = 40;
+        config.duration = sim::SimTime::hours(24.0);
+        golden.setup(config);
+        EXPECT_EQ(outcomeLine(runScenario(config)), golden.expected)
+            << "case " << golden.name;
+    }
+}
+
+} // namespace
+} // namespace vpm::mgmt

@@ -109,6 +109,18 @@ TEST(ReplaySpecTest, ParseRejectsGarbageAndWrongSchema)
     EXPECT_FALSE(parseSpecJson("{\"schema\": \"something-else\"}", out,
                                &error));
     EXPECT_FALSE(error.empty());
+
+    // Integer fields out of their type's range are rejected before the
+    // cast (converting them would be undefined behaviour).
+    const auto spec_with = [](const std::string &field) {
+        return "{\"schema\": \"vpm-replay-spec-1\", \"trace_path\": "
+               "\"t.vpmtrc\", " + field + "}";
+    };
+    EXPECT_FALSE(parseSpecJson(spec_with("\"hosts\": 1e300"), out, &error));
+    EXPECT_EQ(error, "replay spec: hosts out of range");
+    EXPECT_FALSE(
+        parseSpecJson(spec_with("\"window_bytes\": -1"), out, &error));
+    EXPECT_EQ(error, "replay spec: window_bytes out of range");
 }
 
 TEST(ReplaySessionTest, PausedRunIsByteIdenticalToUnpausedRun)
