@@ -15,8 +15,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "core/placement.hpp"
@@ -42,6 +44,27 @@ microEventQueue(int n)
     }
     while (!queue.empty())
         benchmark::DoNotOptimize(queue.pop().when);
+}
+
+/**
+ * @p n self-rescheduling events on a 300 s period at whole-second
+ * offsets, popped and re-armed until each has fired @p rounds times: the
+ * same-instant cohorts that per-host idle governors put in the queue,
+ * where the random-time micro above gives every event its own instant.
+ */
+void
+microEventQueueCohort(int n, int rounds)
+{
+    const sim::SimTime period = sim::SimTime::seconds(300.0);
+    sim::EventQueue queue;
+    for (int i = 0; i < n; ++i)
+        queue.schedule(sim::SimTime::seconds(i % 300), [] {});
+    for (std::int64_t fired = 0;
+         fired < static_cast<std::int64_t>(n) * rounds; ++fired) {
+        sim::EventQueue::Fired event = queue.pop();
+        benchmark::DoNotOptimize(event.when);
+        queue.schedule(event.when + period, std::move(event.callback));
+    }
 }
 
 void
@@ -110,6 +133,17 @@ BM_EventQueueScheduleAndPop(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384);
 
 void
+BM_EventQueuePeriodicCohort(benchmark::State &state)
+{
+    const auto n = static_cast<int>(state.range(0));
+    constexpr int rounds = 4;
+    for (auto _ : state)
+        microEventQueueCohort(n, rounds);
+    state.SetItemsProcessed(state.iterations() * n * rounds);
+}
+BENCHMARK(BM_EventQueuePeriodicCohort)->Arg(1024)->Arg(16384);
+
+void
 BM_SimulatorEventDispatch(benchmark::State &state)
 {
     for (auto _ : state)
@@ -162,6 +196,10 @@ runBody(const bench::BenchArgs &args)
     {
         PROF_ZONE("m1.event_queue");
         microEventQueue(16384 * scale);
+    }
+    {
+        PROF_ZONE("m1.event_queue_cohort");
+        microEventQueueCohort(16384 * scale, 4);
     }
     {
         PROF_ZONE("m1.dispatch");

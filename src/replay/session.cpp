@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -116,6 +117,26 @@ validateSpec(const ReplaySpec &spec, std::string *error)
         return fail("vms must be >= 0 (0 = one VM per trace series)");
     if (!(spec.vmCpuMhz > 0.0) || !(spec.vmMemoryMb > 0.0))
         return fail("vm_cpu_mhz and vm_memory_mb must be positive");
+    // Every time field becomes integer SimTime microseconds; casting a
+    // value that is not finite or exceeds INT64_MAX us is undefined
+    // behaviour, so reject it before any SimTime is built (the negated
+    // compare also catches NaN and infinities).
+    const struct
+    {
+        const char *field;
+        double value;
+        double secondsPerUnit;
+    } times[] = {{"duration_hours", spec.durationHours, 3600.0},
+                 {"eval_interval_s", spec.evalIntervalS, 1.0},
+                 {"manager_period_min", spec.managerPeriodMin, 60.0},
+                 {"exit_latency_s", spec.exitLatencyS, 1.0},
+                 {"governor_period_s", spec.governorPeriodS, 1.0}};
+    for (const auto &t : times) {
+        const double us = std::fabs(t.value) * t.secondsPerUnit *
+                          static_cast<double>(sim::SimTime::ticksPerSecond);
+        if (!(us < 0x1p63))
+            return fail(std::string(t.field) + " out of range");
+    }
     if (!(spec.durationHours > 0.0))
         return fail("duration_hours must be positive");
     if (!(spec.evalIntervalS > 0.0))

@@ -1,5 +1,6 @@
 #include "simcore/event_queue.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -23,19 +24,77 @@ EventQueue::decodeLive(EventId id) const
 }
 
 void
-EventQueue::releaseSlot(std::uint32_t slot)
+EventQueue::retire(Slot &slot)
 {
-    Slot &s = slots_[slot];
-    s.live = false;
-    ++s.gen;
+    slot.live = false;
+    ++slot.gen;
     // Drop captured resources now (matches the old map-erase semantics:
     // cancelling an event releases whatever its closure kept alive). clear()
     // keeps the label's capacity for the next tenant.
-    s.callback = nullptr;
-    s.label.clear();
-    s.context = {};
-    freeSlots_.push_back(slot);
+    slot.callback = nullptr;
+    slot.label.clear();
+    slot.context = {};
     --liveCount_;
+}
+
+void
+EventQueue::pushRun(const Run &run)
+{
+    std::size_t i = runs_.size();
+    runs_.push_back(run);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (!before(run, runs_[parent]))
+            break;
+        runs_[i] = runs_[parent];
+        i = parent;
+    }
+    runs_[i] = run;
+}
+
+void
+EventQueue::popRun() const
+{
+    const Run last = runs_.back();
+    runs_.pop_back();
+    const std::size_t n = runs_.size();
+    if (n == 0)
+        return;
+    std::size_t i = 0;
+    for (;;) {
+        const std::size_t first = 4 * i + 1;
+        if (first >= n)
+            break;
+        const std::size_t end = std::min(first + 4, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < end; ++c)
+            if (before(runs_[c], runs_[best]))
+                best = c;
+        if (!before(runs_[best], last))
+            break;
+        runs_[i] = runs_[best];
+        i = best;
+    }
+    runs_[i] = last;
+}
+
+void
+EventQueue::unlinkHead() const
+{
+    Run &top = runs_.front();
+    const std::uint32_t slot = top.head;
+    const std::uint32_t next = slots_[slot].next;
+    freeSlots_.push_back(slot);
+    if (next != noSlot) {
+        top.head = next;
+        ++top.seq;
+        return;
+    }
+    // The run is empty. If it was the one schedule() appends to, the
+    // next event at its instant must open a fresh run.
+    if (slot == tail_)
+        tail_ = noSlot;
+    popRun();
 }
 
 EventId
@@ -67,21 +126,29 @@ EventQueue::schedule(SimTime when, EventCallback callback, std::string label)
     s.callback = std::move(callback);
     s.label = std::move(label);
     s.context = telemetry::currentContext();
+    s.next = noSlot;
     s.live = true;
     ++liveCount_;
 
-    heap_.push(HeapEntry{when, nextSeq_++, slot, s.gen});
+    if (tail_ != noSlot && when == tailWhen_) {
+        slots_[tail_].next = slot;
+    } else {
+        pushRun(Run{when, nextSeq_, slot});
+        tailWhen_ = when;
+    }
+    tail_ = slot;
+    ++nextSeq_;
     return encodeId(slot, s.gen);
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
-    // Lazy deletion: free the slot; the heap entry's stale generation makes
-    // it skippable on pop.
+    // Lazy unlinking: the bumped generation kills the id now; the slot
+    // stays in its run until the run's head passes it.
     if (decodeLive(id) == nullptr)
         return false;
-    releaseSlot(static_cast<std::uint32_t>((id & 0xffffffffull) - 1));
+    retire(slots_[static_cast<std::uint32_t>((id & 0xffffffffull) - 1)]);
     return true;
 }
 
@@ -94,68 +161,73 @@ EventQueue::pending(EventId id) const
 void
 EventQueue::skipDead() const
 {
-    while (!heap_.empty()) {
-        const HeapEntry &top = heap_.top();
-        const Slot &s = slots_[top.slot];
-        if (s.live && s.gen == top.gen)
-            break;
-        heap_.pop();
-    }
+    while (!runs_.empty() && !slots_[runs_.front().head].live)
+        unlinkHead();
 }
 
 SimTime
 EventQueue::nextTime() const
 {
     skipDead();
-    if (heap_.empty())
+    if (runs_.empty())
         panic("EventQueue::nextTime called on empty queue");
-    return heap_.top().when;
+    return runs_.front().when;
 }
 
 EventQueue::Fired
 EventQueue::pop()
 {
     skipDead();
-    if (heap_.empty())
+    if (runs_.empty())
         panic("EventQueue::pop called on empty queue");
 
-    const HeapEntry entry = heap_.top();
-    heap_.pop();
-
-    Slot &s = slots_[entry.slot];
-    Fired fired{encodeId(entry.slot, entry.gen), entry.when,
-                std::move(s.callback), std::move(s.label), s.context};
-    releaseSlot(entry.slot);
+    const Run &top = runs_.front();
+    const std::uint32_t slot = top.head;
+    Slot &s = slots_[slot];
+    Fired fired{encodeId(slot, s.gen), top.when, std::move(s.callback),
+                std::move(s.label), s.context};
+    retire(s);
+    unlinkHead();
     return fired;
 }
 
 void
 EventQueue::clear()
 {
-    // Recycle every live slot (bumping generations) rather than destroying
-    // the arena: ids handed out before clear() must stay dead forever, and a
-    // fresh arena would restart generations and could re-mint them.
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot)
-        if (slots_[slot].live)
-            releaseSlot(slot);
-    heap_ = {};
+    // Recycle every linked slot (bumping the live ones' generations) rather
+    // than destroying the arena: ids handed out before clear() must stay
+    // dead forever, and a fresh arena would restart generations and could
+    // re-mint them.
+    for (const Run &run : runs_) {
+        for (std::uint32_t slot = run.head; slot != noSlot;
+             slot = slots_[slot].next) {
+            if (slots_[slot].live)
+                retire(slots_[slot]);
+            freeSlots_.push_back(slot);
+        }
+    }
+    runs_.clear();
+    tail_ = noSlot;
 }
 
 std::vector<EventQueue::PendingEvent>
 EventQueue::pendingSnapshot() const
 {
-    // Draining a copy of the min-heap yields (when, seq) ascending — the
-    // exact firing order — while dead entries are filtered by the same
-    // generation compare pop() uses.
+    // Runs sorted by key, each walked in list order, yield (when, seq)
+    // ascending — the exact firing order — with cancelled slots filtered
+    // by the same liveness test pop() uses.
+    std::vector<Run> order = runs_;
+    std::sort(order.begin(), order.end(), before);
     std::vector<PendingEvent> out;
     out.reserve(liveCount_);
-    std::priority_queue<HeapEntry> copy = heap_;
-    while (!copy.empty()) {
-        const HeapEntry entry = copy.top();
-        copy.pop();
-        const Slot &slot = slots_[entry.slot];
-        if (slot.live && slot.gen == entry.gen)
-            out.push_back({entry.when, entry.seq, slot.label});
+    for (const Run &run : order) {
+        std::uint64_t seq = run.seq;
+        for (std::uint32_t slot = run.head; slot != noSlot;
+             slot = slots_[slot].next, ++seq) {
+            const Slot &s = slots_[slot];
+            if (s.live)
+                out.push_back({run.when, seq, s.label});
+        }
     }
     return out;
 }

@@ -2,11 +2,25 @@
  * @file
  * Pending-event set for the discrete-event engine.
  *
- * The queue is a min-heap on (time, sequence number): events at equal times
- * fire in the order they were scheduled, which makes simulations
- * deterministic. Cancellation is lazy — a cancelled entry stays in the heap
- * but is skipped on pop — which keeps both schedule() and cancel() O(log n)
- * amortized without an indexed heap.
+ * Events fire in (time, sequence number) order: events at equal times fire
+ * in the order they were scheduled, which makes simulations deterministic.
+ *
+ * The queue keeps *runs*, not single events. A run is the list of pending
+ * events at one instant, in scheduling order, linked through Slot::next;
+ * the runs sit in a 4-ary min-heap keyed by (time, sequence number of the
+ * run's head event). schedule() appends to the run opened most recently
+ * when its time matches and opens a new run otherwise. Once a newer run
+ * is opened an older one never grows again, so every sequence number in a
+ * run is below every one in any later-opened run, and ordering the runs at
+ * one instant by their head's sequence number orders all their events. The
+ * per-host governors tick on whole-second offsets, so a run holds hundreds
+ * of events and most pops are O(1); events at distinct times each get a
+ * one-event run and a plain heap.
+ *
+ * Cancellation is lazy: cancel() invalidates the id and drops the closure
+ * at once, but the slot stays linked into its run and returns to the free
+ * list only when the run's head passes it, so appending behind a
+ * cancelled tail keeps working and no list is ever searched.
  *
  * Event records live in a slot arena rather than a hash map: an EventId
  * encodes {slot, generation}, so cancel/pending are a bounds check plus a
@@ -21,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -40,7 +53,8 @@ inline constexpr EventId invalidEventId = 0;
 using EventCallback = std::function<void()>;
 
 /**
- * Time-ordered set of pending events with O(log n) insert and cancel.
+ * Time-ordered set of pending events: O(1) cancel, and insert/pop that
+ * cost O(1) inside a run plus O(log r) over the r pending runs.
  *
  * Not a general priority queue: times must be non-negative, and the caller
  * (normally Simulator) is responsible for never scheduling into the past.
@@ -118,40 +132,44 @@ class EventQueue
      * serializable, so replay checkpoints capture this metadata and prove
      * queue equality after deterministic re-execution instead of trying
      * to persist the closures themselves (DESIGN.md "Replay &
-     * checkpointing"). O(n log n); read-only.
+     * checkpointing"). O(n + r log r) for r runs; read-only.
      */
     std::vector<PendingEvent> pendingSnapshot() const;
 
   private:
-    struct HeapEntry
+    /** Slot index meaning "end of run". */
+    static constexpr std::uint32_t noSlot = 0xffffffffu;
+
+    /**
+     * Heap entry of one run: its instant, its head slot and the head's
+     * seq. A run only takes appends while it is the run opened most
+     * recently, so its events were scheduled back to back and their seqs
+     * are consecutive: the slot k links past the head has seq + k. Moving
+     * the head on bumps seq without breaking the heap order, because a
+     * run at the same instant sorts before this one only if all its seqs
+     * are lower.
+     */
+    struct Run
     {
         SimTime when;
         std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t gen;
-
-        // std::priority_queue is a max-heap; invert so earliest pops first.
-        bool
-        operator<(const HeapEntry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return seq > other.seq;
-        }
+        std::uint32_t head;
     };
 
     /**
-     * One arena slot. Recycling bumps gen, which simultaneously invalidates
-     * stale EventIds and stale heap entries pointing at the slot. The
-     * callback/label keep their heap storage across reuse, so a steady-state
-     * schedule/fire cycle allocates nothing (small captures sit in
-     * std::function's inline buffer, labels in the string's reused capacity).
+     * One arena slot. Recycling bumps gen, which invalidates stale
+     * EventIds pointing at the slot. The callback/label keep their heap
+     * storage across reuse, so a steady-state schedule/fire cycle
+     * allocates nothing (small captures sit in std::function's inline
+     * buffer, labels in the string's reused capacity). A slot is free,
+     * linked into a run and live, or linked and cancelled (!live).
      */
     struct Slot
     {
         EventCallback callback;
         std::string label;
         telemetry::TraceContext context;
+        std::uint32_t next = noSlot;
         std::uint32_t gen = 0;
         bool live = false;
     };
@@ -171,15 +189,36 @@ class EventQueue
     /** The Slot for id, or nullptr if id is stale, fired, or malformed. */
     const Slot *decodeLive(EventId id) const;
 
-    /** Release a slot back to the free list, dropping owned resources. */
-    void releaseSlot(std::uint32_t slot);
+    /** Make a live slot dead: bump gen, drop its owned resources. The
+     *  slot stays linked until unlinkHead() passes it. */
+    void retire(Slot &slot);
 
-    /** Pop cancelled entries off the heap top so top() is live. */
+    /** Unlink the head of the top run and free its slot, dropping the
+     *  run from the heap when it empties. */
+    void unlinkHead() const;
+
+    /** Unlink cancelled slots at the top so runs_.front().head is live. */
     void skipDead() const;
 
-    mutable std::priority_queue<HeapEntry> heap_;
+    /** Heap order: (when, seq) ascending. */
+    static bool
+    before(const Run &a, const Run &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+
+    void pushRun(const Run &run);
+    void popRun() const;
+
+    // Dead slots are unlinked lazily, also from the const nextTime(), so
+    // the run heap, the free list and the open tail are mutable.
+    mutable std::vector<Run> runs_; // 4-ary min-heap under before()
     std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    mutable std::vector<std::uint32_t> freeSlots_;
+    /** Tail slot of the run opened most recently while it is still
+     *  queued (noSlot once it empties), and that run's instant. */
+    mutable std::uint32_t tail_ = noSlot;
+    SimTime tailWhen_;
     std::size_t liveCount_ = 0;
     std::uint64_t nextSeq_ = 0;
 };

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hpp"
+#include "simcore/random.hpp"
 
 namespace vpm::sim {
 namespace {
@@ -184,6 +189,235 @@ TEST(EventQueueTest, ManyCancellationsDoNotCorruptOrder)
     ASSERT_EQ(order.size(), 25u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], static_cast<int>(2 * i));
+}
+
+/** Drain the queue, returning the labels in firing order. */
+std::vector<std::string>
+drainLabels(EventQueue &queue)
+{
+    std::vector<std::string> labels;
+    while (!queue.empty())
+        labels.push_back(queue.pop().label);
+    return labels;
+}
+
+TEST(EventQueueRunsTest, LaterRunAtSameInstantFiresAfterEarlierOne)
+{
+    // A@t, B@u, C@t: B opens a run between them, so C opens a second run
+    // at t, which must still fire right after A (seq order within t).
+    for (const double u : {2.0, 0.5}) {
+        EventQueue queue;
+        queue.schedule(SimTime::seconds(1.0), [] {}, "A");
+        queue.schedule(SimTime::seconds(u), [] {}, "B");
+        queue.schedule(SimTime::seconds(1.0), [] {}, "C");
+        const auto snapshot = queue.pendingSnapshot();
+        ASSERT_EQ(snapshot.size(), 3u);
+        const std::vector<std::string> expected =
+            u > 1.0 ? std::vector<std::string>{"A", "C", "B"}
+                    : std::vector<std::string>{"B", "A", "C"};
+        for (std::size_t i = 0; i < snapshot.size(); ++i)
+            EXPECT_EQ(snapshot[i].label, expected[i]);
+        EXPECT_EQ(drainLabels(queue), expected);
+    }
+}
+
+TEST(EventQueueRunsTest, ZeroDelaySchedulesFireAfterTheDrainingInstant)
+{
+    // Events scheduled at the current instant while it drains fire after
+    // everything already queued there, whether they join the draining run
+    // or open a new one after it emptied.
+    EventQueue queue;
+    for (const char *label : {"a", "b", "c"})
+        queue.schedule(SimTime::seconds(1.0), [] {}, label);
+    queue.schedule(SimTime::seconds(2.0), [] {}, "later");
+    EXPECT_EQ(queue.pop().label, "a");
+    queue.schedule(SimTime::seconds(1.0), [] {}, "d"); // new run at 1 s
+    EXPECT_EQ(queue.pop().label, "b");
+    EXPECT_EQ(queue.pop().label, "c");
+    queue.schedule(SimTime::seconds(1.0), [] {}, "e"); // appends to d's run
+    EXPECT_EQ(queue.pop().label, "d");
+    EXPECT_EQ(queue.pop().label, "e");
+    queue.schedule(SimTime::seconds(1.0), [] {}, "f"); // d's run is gone
+    EXPECT_EQ(drainLabels(queue), (std::vector<std::string>{"f", "later"}));
+}
+
+TEST(EventQueueRunsTest, CancelHeadMiddleTailThenAppend)
+{
+    EventQueue queue;
+    std::vector<EventId> ids;
+    for (const char *label : {"0", "1", "2", "3", "4"})
+        ids.push_back(queue.schedule(SimTime::seconds(1.0), [] {}, label));
+    EXPECT_TRUE(queue.cancel(ids[0])); // head
+    EXPECT_TRUE(queue.cancel(ids[2])); // middle
+    EXPECT_TRUE(queue.cancel(ids[4])); // tail
+    // Appending behind the cancelled tail keeps the run intact.
+    const EventId appended =
+        queue.schedule(SimTime::seconds(1.0), [] {}, "5");
+    EXPECT_EQ(queue.size(), 3u);
+    EXPECT_EQ(queue.nextTime(), SimTime::seconds(1.0));
+    std::set<EventId> seen(ids.begin(), ids.end());
+    EXPECT_TRUE(seen.insert(appended).second);
+    EXPECT_EQ(drainLabels(queue), (std::vector<std::string>{"1", "3", "5"}));
+
+    // A run whose every event is cancelled still takes appends.
+    const EventId only = queue.schedule(SimTime::seconds(3.0), [] {}, "x");
+    EXPECT_TRUE(queue.cancel(only));
+    EXPECT_TRUE(queue.empty());
+    queue.schedule(SimTime::seconds(3.0), [] {}, "y");
+    EXPECT_EQ(drainLabels(queue), (std::vector<std::string>{"y"}));
+}
+
+TEST(EventQueueRunsTest, ClearWithCancelledSlotsStillLinked)
+{
+    EventQueue queue;
+    std::set<EventId> seen;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 6; ++i) {
+        const EventId id = queue.schedule(SimTime::seconds(i % 2), [] {},
+                                          std::to_string(i));
+        seen.insert(id);
+        ids.push_back(id);
+    }
+    queue.cancel(ids[1]);
+    queue.cancel(ids[2]);
+    queue.clear();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_TRUE(queue.pendingSnapshot().empty());
+    for (const EventId id : ids)
+        EXPECT_FALSE(queue.pending(id));
+
+    // Every slot came back, cancelled ones included: refilling reuses the
+    // same slots (an id's low half is its slot + 1) under fresh ids, and an
+    // instant used before clear() opens a new run.
+    std::set<EventId> old_slots, new_slots;
+    for (const EventId id : ids)
+        old_slots.insert(id & 0xffffffffu);
+    for (int i = 0; i < 6; ++i) {
+        const EventId id = queue.schedule(SimTime::seconds(1.0), [] {},
+                                          "n" + std::to_string(i));
+        EXPECT_TRUE(seen.insert(id).second) << "id re-minted after clear";
+        new_slots.insert(id & 0xffffffffu);
+    }
+    EXPECT_EQ(new_slots, old_slots);
+    EXPECT_EQ(drainLabels(queue),
+              (std::vector<std::string>{"n0", "n1", "n2", "n3", "n4", "n5"}));
+}
+
+/**
+ * Reference model: the pending set as (when us, seq) keys. The queue's
+ * seq counts every schedule() call, across clear(), from 0.
+ */
+struct QueueModel
+{
+    std::set<std::pair<std::int64_t, std::uint64_t>> keys;
+    std::map<EventId, std::pair<std::int64_t, std::uint64_t>> byId;
+    std::map<std::uint64_t, EventId> idBySeq;
+    std::uint64_t nextSeq = 0;
+};
+
+void
+checkSnapshot(const EventQueue &queue, const QueueModel &model)
+{
+    const auto snapshot = queue.pendingSnapshot();
+    ASSERT_EQ(snapshot.size(), model.keys.size());
+    auto key = model.keys.begin();
+    for (const EventQueue::PendingEvent &event : snapshot) {
+        EXPECT_EQ(event.when.micros(), key->first);
+        EXPECT_EQ(event.seq, key->second);
+        EXPECT_EQ(event.label, std::to_string(key->second));
+        ++key;
+    }
+}
+
+void
+runInterleaving(std::uint64_t seed)
+{
+    Rng rng(seed);
+    EventQueue queue;
+    QueueModel model;
+    std::set<EventId> issued;
+    std::vector<EventId> handles; // includes fired and cancelled ones
+    std::int64_t now = 0;
+    // Whole-second delays make runs collide at one instant; the odd
+    // microsecond offset makes one-event runs at distinct times.
+    const std::int64_t delays_s[] = {0, 0, 1, 1, 2, 3, 7};
+
+    for (int step = 0; step < 4000; ++step) {
+        const double r = rng.uniform01();
+        if (r < 0.45) {
+            std::int64_t when =
+                now + delays_s[rng.uniformInt(0, 6)] * 1'000'000;
+            if (rng.uniform01() < 0.2)
+                when += rng.uniformInt(1, 999);
+            const std::uint64_t seq = model.nextSeq++;
+            const EventId id = queue.schedule(SimTime::micros(when), [] {},
+                                              std::to_string(seq));
+            ASSERT_TRUE(issued.insert(id).second) << "duplicate id";
+            ASSERT_NE(id, invalidEventId);
+            handles.push_back(id);
+            model.keys.insert({when, seq});
+            model.byId[id] = {when, seq};
+            model.idBySeq[seq] = id;
+        } else if (r < 0.62) {
+            if (handles.empty())
+                continue;
+            const EventId id = handles[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(handles.size()) -
+                                      1))];
+            const auto it = model.byId.find(id);
+            const bool expected = it != model.byId.end();
+            ASSERT_EQ(queue.pending(id), expected);
+            ASSERT_EQ(queue.cancel(id), expected);
+            if (expected) {
+                model.keys.erase(it->second);
+                model.idBySeq.erase(it->second.second);
+                model.byId.erase(it);
+            }
+        } else if (r < 0.995) {
+            if (model.keys.empty())
+                continue;
+            const auto key = *model.keys.begin();
+            ASSERT_EQ(queue.nextTime().micros(), key.first);
+            EventQueue::Fired fired = queue.pop();
+            ASSERT_EQ(fired.when.micros(), key.first);
+            ASSERT_EQ(fired.id, model.idBySeq.at(key.second));
+            ASSERT_EQ(fired.label, std::to_string(key.second));
+            ASSERT_FALSE(queue.pending(fired.id));
+            fired.callback();
+            now = key.first;
+            model.keys.erase(model.keys.begin());
+            model.byId.erase(fired.id);
+            model.idBySeq.erase(key.second);
+        } else {
+            queue.clear();
+            model.keys.clear();
+            model.byId.clear();
+            model.idBySeq.clear();
+        }
+        ASSERT_EQ(queue.size(), model.keys.size());
+        ASSERT_EQ(queue.empty(), model.keys.empty());
+        if (step % 16 == 0)
+            checkSnapshot(queue, model);
+    }
+    checkSnapshot(queue, model);
+    while (!model.keys.empty()) {
+        const auto key = *model.keys.begin();
+        const EventQueue::Fired fired = queue.pop();
+        ASSERT_EQ(fired.when.micros(), key.first);
+        ASSERT_EQ(fired.id, model.idBySeq.at(key.second));
+        model.keys.erase(model.keys.begin());
+    }
+    EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueRunsTest, RandomInterleavingsMatchReferenceModel)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        runInterleaving(seed);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 } // namespace

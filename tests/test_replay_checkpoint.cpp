@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -121,6 +122,38 @@ TEST(ReplaySpecTest, ParseRejectsGarbageAndWrongSchema)
     EXPECT_FALSE(
         parseSpecJson(spec_with("\"window_bytes\": -1"), out, &error));
     EXPECT_EQ(error, "replay spec: window_bytes out of range");
+
+    // Time fields whose microseconds overflow SimTime's int64 are rejected
+    // before SimTime::seconds/hours casts them.
+    for (const char *field : {"duration_hours", "eval_interval_s",
+                              "manager_period_min", "exit_latency_s",
+                              "governor_period_s"}) {
+        error.clear();
+        EXPECT_FALSE(parseSpecJson(
+            spec_with("\"" + std::string(field) + "\": 1e300"), out, &error));
+        EXPECT_EQ(error, "replay spec: " + std::string(field) +
+                             " out of range");
+    }
+    // 1e13 s is 1e19 us, past INT64_MAX (~9.22e18).
+    EXPECT_FALSE(parseSpecJson(spec_with("\"governor_period_s\": 1e13"),
+                               out, &error));
+    EXPECT_EQ(error, "replay spec: governor_period_s out of range");
+    // JSON has no Infinity literal; the parser refuses it outright.
+    error.clear();
+    EXPECT_FALSE(parseSpecJson(spec_with("\"eval_interval_s\": Infinity"),
+                               out, &error));
+    EXPECT_FALSE(error.empty());
+    // Spec flags parse with strtod, which does accept "inf" and "nan";
+    // validation still refuses them before any SimTime is built.
+    ReplaySpec spec;
+    spec.tracePath = "t.vpmtrc";
+    spec.evalIntervalS = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(ReplaySession::create(spec, &error), nullptr);
+    EXPECT_EQ(error, "replay spec: eval_interval_s out of range");
+    spec.evalIntervalS = 300.0;
+    spec.durationHours = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(ReplaySession::create(spec, &error), nullptr);
+    EXPECT_EQ(error, "replay spec: duration_hours out of range");
 }
 
 TEST(ReplaySessionTest, PausedRunIsByteIdenticalToUnpausedRun)
