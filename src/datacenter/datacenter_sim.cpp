@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "datacenter/sample_pass.hpp"
 #include "power/idle_hierarchy.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/thread_pool.hpp"
@@ -34,14 +35,6 @@ constexpr std::size_t kVmShardGrain = 64;
  * overhead negligible at millions of VMs.
  */
 constexpr std::size_t kVmRefreshShardGrain = 4096;
-
-/** Utilization cap of the M/M/1-style latency model (keeps 1/(1-rho)
- *  finite); a host that cannot run its VMs is treated as pinned here. */
-constexpr double kUtilizationCap = 0.95;
-
-/** Latency factor of a fully starved VM — the model's ceiling, and the
- *  value substituted when a VM carries a stale/out-of-range host id. */
-constexpr double kStarvedLatencyFactor = 1.0 / (1.0 - kUtilizationCap);
 
 } // namespace
 
@@ -308,12 +301,14 @@ DatacenterSim::evaluate()
     // Host pass, sharded over host-id ranges. Everything here is a pure
     // per-host computation — the dirty-gated allocation and the latency
     // factor — so shards share nothing and the results are bit-identical
-    // to the sequential sweep in any order. The common clean-host case
-    // reads only store columns (one flag byte, the phase byte, the
-    // memoized granted sum); the Host object is dereferenced only for
-    // dirty hosts and hierarchy-equipped hosts.
+    // to the sequential sweep in any order. A host whose allocation is
+    // valid reads only store columns (the flag byte, the phase byte, the
+    // memoized granted sum, the wake-latency mirror); the Host object is
+    // dereferenced only to reallocate alloc-dirty hosts and to recompute
+    // a dirty granted sum.
     {
         PROF_ZONE("dcsim.evaluate.hostpass");
+        const double interval_s = config_.evaluationInterval.toSeconds();
         pool.parallelFor(
             hosts.size(), kHostShardGrain,
             [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -359,13 +354,9 @@ DatacenterSim::evaluate()
                         // C-state exit adds a latency term: demand arriving
                         // this interval waits on the deepest resident exit
                         // before the cores can serve it, amortized over the
-                        // interval. Pure read of a cached field — shard-safe.
-                        if (fleet.hostHasHierarchy(h)) {
-                            const power::IdleHierarchy *hier =
-                                hosts[i]->idleHierarchy();
-                            factor += hier->wakeLatency().toSeconds() /
-                                      config_.evaluationInterval.toSeconds();
-                        }
+                        // interval. The mirror reads 0 without a hierarchy,
+                        // and factor + 0.0 is exactly factor.
+                        factor += fleet.hostWakeLatencyS(h) / interval_s;
                     }
                     fleet.setLatencyFactor(h, factor);
                     if (flags & FleetStore::kFactorDirty)
@@ -403,8 +394,10 @@ DatacenterSim::evaluate()
         // Single shard: record straight into the persistent accumulators,
         // the exact code path (and FP summation order) of the historical
         // sequential implementation.
-        sampleVms(0, placed.size(), now, journal_on, sla_, latencyWeighted_,
-                  latencyHist_, nullptr, ts_on ? &seqSeriesRec_ : nullptr);
+        sampleVmRange(fleet, placedIds_.data(), placedIds_.size(), now_us,
+                      {sla_, latencyWeighted_, latencyHist_, nullptr,
+                       journal_on, ts_on ? &seqSeriesRec_ : nullptr,
+                       tsViolSat_});
         if (ts_on)
             tstore.mergeRecorder(seqSeriesRec_, now.micros());
         return;
@@ -416,9 +409,11 @@ DatacenterSim::evaluate()
         placed.size(), kVmShardGrain,
         [&](std::size_t shard, std::size_t begin, std::size_t end) {
             ShardSample &acc = shardSamples_[shard];
-            sampleVms(begin, end, now, journal_on, acc.sla,
-                      acc.latencyWeighted, acc.latencyHist, &acc.stage,
-                      ts_on ? &acc.seriesRec : nullptr);
+            sampleVmRange(fleet, placedIds_.data() + begin, end - begin,
+                          now_us,
+                          {acc.sla, acc.latencyWeighted, acc.latencyHist,
+                           &acc.stage, journal_on,
+                           ts_on ? &acc.seriesRec : nullptr, tsViolSat_});
         });
     for (std::size_t shard = 0; shard < shards; ++shard)
         journal.flush(shardSamples_[shard].stage);
@@ -448,60 +443,6 @@ DatacenterSim::collectShardSamples()
         acc.latencyWeighted.reset();
         latencyHist_.merge(acc.latencyHist);
         acc.latencyHist.reset();
-    }
-}
-
-void
-DatacenterSim::sampleVms(std::size_t begin, std::size_t end,
-                         sim::SimTime now, bool journal_on,
-                         stats::SlaTracker &sla,
-                         stats::Summary &latency_weighted,
-                         stats::Histogram &latency_hist,
-                         telemetry::JournalStage *stage,
-                         telemetry::SeriesRecorder *series_rec)
-{
-    // Store-direct: reads only the demand/granted/host columns plus the
-    // latency-factor scratch — no Vm object is touched.
-    const FleetStore &fleet = cluster_.fleet();
-    const double *latency_factor = fleet.latencyFactorData();
-    const std::size_t host_count = fleet.hostCount();
-    for (std::size_t v = begin; v < end; ++v) {
-        const VmId vm_id = placedIds_[v];
-        const double demand = fleet.vmDemandMhz(vm_id);
-        const double granted = fleet.vmGrantedMhz(vm_id);
-        sla.record(demand, granted);
-
-        // Journal each sample that falls below the SLA threshold, and fold
-        // its satisfaction into the violation series (whose per-bucket
-        // `count` channel is the violation rate the watchdog watches).
-        if (demand > 0.0) {
-            const double sat = granted / demand;
-            if (sat < config_.slaThreshold) {
-                if (series_rec)
-                    series_rec->record(tsViolSat_, sat);
-                if (journal_on) {
-                    if (stage)
-                        stage->slaViolation(now.micros(), vm_id, sat,
-                                            demand);
-                    else
-                        telemetry::global().journal().slaViolation(
-                            now.micros(), vm_id, sat, demand);
-                }
-            }
-        }
-
-        // Response-time inflation of the VM's host, M/M/1-style. Starved
-        // VMs (host off, or rho pinned at the cap) land at the ceiling —
-        // as does a VM carrying a stale host id (e.g. its host was just
-        // removed), which used to index the factor array out of bounds.
-        const HostId host_id = fleet.vmHost(vm_id);
-        const auto host_index = static_cast<std::size_t>(host_id);
-        const double factor = host_id >= 0 && host_index < host_count
-                                  ? latency_factor[host_index]
-                                  : kStarvedLatencyFactor;
-        latency_hist.add(factor);
-        if (demand > 0.0)
-            latency_weighted.add(factor);
     }
 }
 

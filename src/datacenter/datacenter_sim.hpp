@@ -139,19 +139,6 @@ class DatacenterSim
     void allocateHost(Host &host);
 
     /**
-     * Record the SLA/latency samples of placed VMs [begin, end) into the
-     * given accumulators. With @p stage non-null, SLA-violation events are
-     * staged instead of journaled directly (the parallel path); null means
-     * "record straight into the global journal" (the single-shard path).
-     */
-    void sampleVms(std::size_t begin, std::size_t end, sim::SimTime now,
-                   bool journal_on, stats::SlaTracker &sla,
-                   stats::Summary &latency_weighted,
-                   stats::Histogram &latency_hist,
-                   telemetry::JournalStage *stage,
-                   telemetry::SeriesRecorder *series_rec);
-
-    /**
      * The placed VMs in VM-id order. The set only changes when the
      * cluster's placement epoch moves (place, retire, membership), so the
      * list is rebuilt exactly then; moves keep a VM placed and need no

@@ -66,6 +66,7 @@ FleetStore::growHosts(std::size_t n)
     growColumn(hostMemoryCache_, hostCount_, cap, 0.0);
     growColumn(hostHeldWatts_, hostCount_, cap, 0.0);
     growColumn(latencyFactor_, hostCount_, cap, 0.0);
+    growColumn(hostWakeLatencyS_, hostCount_, cap, 0.0);
     // Born kFactorDirty as well: the latency factor column holds garbage
     // until the first evaluate pass writes it, and only that write may
     // clear the bit — which is what makes the pass's skip-if-clean gate

@@ -215,6 +215,23 @@ class FleetStore
     {
         hostHasHierarchy_[idx(h)] = has ? 1 : 0;
     }
+
+    /**
+     * Mirror of IdleHierarchy::wakeLatency() in seconds; 0 for hosts
+     * without a hierarchy. Only Host::attachIdleHierarchy writes it: it
+     * seeds the row and installs the hook that
+     * IdleHierarchy::refreshDerived() calls after every change of the
+     * latency. The evaluate() host pass reads it here instead of chasing
+     * Host -> IdleHierarchy. Derived state: left out of appendSnapshot().
+     */
+    double hostWakeLatencyS(HostId h) const
+    {
+        return hostWakeLatencyS_[idx(h)];
+    }
+    void setHostWakeLatencyS(HostId h, double seconds)
+    {
+        hostWakeLatencyS_[idx(h)] = seconds;
+    }
     ///@}
 
     /** @name Power-phase byte + O(1) fleet counts
@@ -324,7 +341,9 @@ class FleetStore
      * identical bytes. The atomic flag bytes are read relaxed — callers
      * capture between evaluation passes, when no shard workers run. The
      * trace pointers are excluded (addresses are not reproducible);
-     * per-VM trace identity is carried by the replay spec instead.
+     * per-VM trace identity is carried by the replay spec instead. The
+     * wake-latency mirror is left out too: it is derived from the
+     * hierarchies, and a restore re-executes the run, which rebuilds it.
      */
     void appendSnapshot(std::vector<std::uint8_t> &out) const;
 
@@ -337,6 +356,7 @@ class FleetStore
     {
         return hostDemandCache_.get();
     }
+    const HostId *vmHostData() const { return vmHost_.get(); }
     const double *latencyFactorData() const { return latencyFactor_.get(); }
     ///@}
 
@@ -385,6 +405,7 @@ class FleetStore
     std::unique_ptr<double[]> hostMemoryCache_;
     std::unique_ptr<double[]> hostHeldWatts_;
     std::unique_ptr<double[]> latencyFactor_;
+    std::unique_ptr<double[]> hostWakeLatencyS_;
     std::unique_ptr<std::atomic<std::uint8_t>[]> hostFlags_;
     std::unique_ptr<std::uint8_t[]> hostQueued_;
     std::unique_ptr<std::uint8_t[]> hostPhase_;

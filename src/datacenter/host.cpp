@@ -119,17 +119,25 @@ Host::attachIdleHierarchy(std::unique_ptr<power::IdleHierarchy> hierarchy)
     idleHierarchy_ = std::move(hierarchy);
     store_->setHostHasHierarchy(id_, true);
 
+    // The store mirrors the wake latency for the evaluate host pass.
     // Transition energy is an impulse on the meter; any residency change
     // also moves the On draw, so re-hold.
-    idleHierarchy_->setTransitionCallback([this](double joules) {
-        meter_.addEnergyJoules(joules);
-        updatePowerDraw();
-        // Depth changes move wakeLatency(), a latency-factor input the
-        // evaluate pass otherwise has no way to see (busy-count and
-        // pause/resume changes all ride host events that mark the flags
-        // themselves).
-        store_->markHostFactorDirty(id_);
-    });
+    store_->setHostWakeLatencyS(id_,
+                                idleHierarchy_->wakeLatency().toSeconds());
+    idleHierarchy_->setUpdateHook(
+        [this](const power::IdleHierarchy::Update &update) {
+            store_->setHostWakeLatencyS(id_,
+                                        update.wakeLatency.toSeconds());
+            if (!update.transitioned)
+                return;
+            meter_.addEnergyJoules(update.joules);
+            updatePowerDraw();
+            // Depth changes move the wake latency, a latency-factor input
+            // the evaluate pass otherwise has no way to see (busy-count
+            // and pause/resume changes all ride host events that mark the
+            // flags themselves).
+            store_->markHostFactorDirty(id_);
+        });
     idleHierarchy_->setTelemetryTrack(id_);
 
     // The hierarchy lives under the FSM: leaving On pauses it (forced

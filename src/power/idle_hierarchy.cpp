@@ -151,24 +151,19 @@ IdleHierarchy::gatedPackageDepth(int wanted, int busy, int core_depth) const
 }
 
 void
-IdleHierarchy::refreshDerived()
+IdleHierarchy::refreshDerived(bool transitioned, double joules)
 {
-    if (!active_) {
-        savingsWatts_ = 0.0;
-        wakeLatency_ = sim::SimTime();
-        return;
-    }
     const int idle = spec_.coreCount - busyCores_;
     double savings = 0.0;
     sim::SimTime wake;
-    if (coreDepth_ > 0 && idle > 0) {
+    if (active_ && coreDepth_ > 0 && idle > 0) {
         const IdleStateSpec &state =
             spec_.coreStates[static_cast<std::size_t>(coreDepth_ - 1)];
         savings += static_cast<double>(idle) *
                    (spec_.corePowerC0Watts - state.powerWatts);
         wake = std::max(wake, state.exitLatency);
     }
-    if (packageDepth_ > 0) {
+    if (active_ && packageDepth_ > 0) {
         const IdleStateSpec &state =
             spec_.packageStates[static_cast<std::size_t>(packageDepth_ - 1)];
         savings += spec_.uncorePowerC0Watts - state.powerWatts;
@@ -178,6 +173,8 @@ IdleHierarchy::refreshDerived()
     }
     savingsWatts_ = savings;
     wakeLatency_ = wake;
+    if (onUpdate_)
+        onUpdate_(Update{wake, transitioned, joules});
 }
 
 void
@@ -291,13 +288,10 @@ IdleHierarchy::applyTarget(int busy, int core_depth, int pkg_depth,
     busyCores_ = busy;
     coreDepth_ = d1;
     packageDepth_ = pkg_depth;
-    refreshDerived();
-
-    if ((core_changed || pkg_changed)) {
+    const bool transitioned = core_changed || pkg_changed;
+    if (transitioned)
         transitionJoules_ += joules;
-        if (onTransition_)
-            onTransition_(joules);
-    }
+    refreshDerived(transitioned, joules);
 }
 
 void
@@ -345,7 +339,7 @@ IdleHierarchy::pause()
     // no transition energy is billed here — only the residency closes.
     applyTarget(0, 0, 0, false);
     active_ = false;
-    refreshDerived();
+    refreshDerived(false, 0.0);
 }
 
 void
@@ -358,7 +352,7 @@ IdleHierarchy::resume()
     lastAccrual_ = now;
     coreSpanStart_ = now;
     packageSpanStart_ = now;
-    refreshDerived();
+    refreshDerived(false, 0.0);
 }
 
 bool
@@ -407,9 +401,9 @@ IdleHierarchy::finish(sim::SimTime t)
 }
 
 void
-IdleHierarchy::setTransitionCallback(std::function<void(double)> cb)
+IdleHierarchy::setUpdateHook(std::function<void(const Update &)> hook)
 {
-    onTransition_ = std::move(cb);
+    onUpdate_ = std::move(hook);
 }
 
 } // namespace vpm::power

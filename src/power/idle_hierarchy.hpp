@@ -22,8 +22,9 @@
  *
  * Threading contract (PR 5 determinism): all mutating calls happen on the
  * main thread (policy control cycles, FSM observers). The sharded
- * evaluation passes only read powerSavingsWatts()/wakeLatency(), which are
- * plain field reads — no label interning, no journaling from shard bodies.
+ * evaluation passes only read powerSavingsWatts(), a plain field read, and
+ * the wake latency as the update hook mirrored it into the fleet store —
+ * no label interning, no journaling from shard bodies.
  */
 
 #ifndef VPM_POWER_IDLE_HIERARCHY_HPP
@@ -240,9 +241,27 @@ class IdleHierarchy
     void finish(sim::SimTime t);
     ///@}
 
-    /** Charge sink for transition energy impulses (the owning host wires
-     *  this to its meter + power re-hold). Called after every change. */
-    void setTransitionCallback(std::function<void(double joules)> cb);
+    /** What the owner's hook hears after each refresh of the derived
+     *  state (see setUpdateHook()). */
+    struct Update
+    {
+        /** wakeLatency() as of this refresh. */
+        sim::SimTime wakeLatency;
+        /** A command moved at least one level. */
+        bool transitioned = false;
+        /** Transition energy of that move, joules: 0 without a move, and
+         *  for the forced exits of pause(). */
+        double joules = 0.0;
+    };
+
+    /**
+     * The owner's one hook: the host wires it to its meter (the energy
+     * impulse), its power re-hold and its FleetStore rows. It runs at the
+     * end of every refresh of savings and wake latency — after every
+     * command, pause() and resume() — so a mirror of wakeLatency() kept
+     * by the hook is never stale.
+     */
+    void setUpdateHook(std::function<void(const Update &)> hook);
 
     /** Journal this hierarchy's idle_transition records under the given
      *  host track id (same id space as the power FSM's track). */
@@ -258,7 +277,9 @@ class IdleHierarchy
      *  residency. */
     int gatedPackageDepth(int wanted, int busy, int core_depth) const;
 
-    void refreshDerived();
+    /** Recompute savings and wake latency, then call the update hook
+     *  with them and the given transition (the one writer of both). */
+    void refreshDerived(bool transitioned, double joules);
     void accrueResidency(sim::SimTime now);
     const std::string &coreStateName(int depth) const;
     const std::string &packageStateName(int depth) const;
@@ -286,7 +307,7 @@ class IdleHierarchy
     sim::SimTime coreSpanStart_;
     sim::SimTime packageSpanStart_;
 
-    std::function<void(double)> onTransition_;
+    std::function<void(const Update &)> onUpdate_;
     std::int32_t track_ = -1;
 
     static const std::string kC0;

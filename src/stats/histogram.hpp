@@ -46,6 +46,58 @@ class Histogram
     }
 
     /**
+     * Batch entry point: the counters held in locals across a whole range
+     * of samples and written back once by commit(); the buckets are
+     * reached through a pointer held in the batch. add() is add()'s exact
+     * bucketing. The histogram must not be touched until commit().
+     */
+    class Batch
+    {
+      public:
+        explicit Batch(Histogram &target)
+            : target_(target), lo_(target.lo_), hi_(target.hi_),
+              width_(target.width_), counts_(target.counts_.data()),
+              last_(target.counts_.size() - 1), count_(target.count_),
+              underflow_(target.underflow_), overflow_(target.overflow_)
+        {
+        }
+
+        /** Record @p copies samples of value @p x. */
+        void add(double x, std::uint64_t copies = 1)
+        {
+            count_ += copies;
+            if (x < lo_) {
+                underflow_ += copies;
+                return;
+            }
+            if (x >= hi_) {
+                overflow_ += copies;
+                return;
+            }
+            const auto index = static_cast<std::size_t>((x - lo_) / width_);
+            counts_[std::min(index, last_)] += copies;
+        }
+
+        void commit()
+        {
+            target_.count_ = count_;
+            target_.underflow_ = underflow_;
+            target_.overflow_ = overflow_;
+        }
+
+      private:
+        Histogram &target_;
+        double lo_;
+        double hi_;
+        double width_;
+        std::uint64_t *counts_;
+        std::size_t last_;
+        std::uint64_t count_;
+        std::uint64_t underflow_;
+        std::uint64_t overflow_;
+    };
+
+    /**
      * Add another histogram's counts into this one. Both must have been
      * constructed with identical (lo, hi, buckets) — anything else is a
      * vpm bug and panics. Counts are integers, so merging is exact and

@@ -21,7 +21,9 @@ SlaTracker::merge(const SlaTracker &other)
     totalRequested_ += other.totalRequested_;
     totalGranted_ += other.totalGranted_;
     violations_ += other.violations_;
-    ratios_.merge(other.ratios_);
+    samples_ += other.samples_;
+    ratioSum_ += other.ratioSum_;
+    minRatio_ = std::min(minRatio_, other.minRatio_);
     ratioHist_.merge(other.ratioHist_);
 }
 
@@ -31,7 +33,9 @@ SlaTracker::reset()
     totalRequested_ = 0.0;
     totalGranted_ = 0.0;
     violations_ = 0;
-    ratios_.reset();
+    samples_ = 0;
+    ratioSum_ = 0.0;
+    minRatio_ = std::numeric_limits<double>::infinity();
     ratioHist_.reset();
 }
 
@@ -46,10 +50,10 @@ SlaTracker::satisfaction() const
 double
 SlaTracker::violationFraction() const
 {
-    if (ratios_.count() == 0)
+    if (samples_ == 0)
         return 0.0;
     return static_cast<double>(violations_) /
-           static_cast<double>(ratios_.count());
+           static_cast<double>(samples_);
 }
 
 double
@@ -61,9 +65,9 @@ SlaTracker::performancePercentile(double fraction) const
 double
 SlaTracker::worstPerformance() const
 {
-    if (ratios_.count() == 0)
+    if (samples_ == 0)
         return 1.0;
-    return ratios_.min();
+    return minRatio_;
 }
 
 } // namespace vpm::stats

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "datacenter/datacenter_sim.hpp"
+#include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
 #include "workload/demand_trace.hpp"
 
@@ -289,6 +293,127 @@ TEST(DatacenterSimConfigDeathTest, RejectsBadInterval)
     bad.evaluationInterval = SimTime();
     EXPECT_EXIT(DatacenterSim(simulator, cluster, engine, bad),
                 ::testing::ExitedWithCode(1), "positive");
+}
+
+
+TEST(WakeLatencyMirrorTest, ColumnMatchesHierarchyAfterEveryEvaluation)
+{
+    // The store's wake-latency column is a cache of each hierarchy's
+    // wakeLatency(), which the evaluate host pass reads in its place.
+    // Audit it after every evaluation of a run whose hierarchies descend
+    // under a governor, pause and resume with the server, and live on
+    // hosts added after the store's first growth (16 rows) and during
+    // the run.
+    sim::Simulator simulator;
+    Cluster cluster(simulator);
+    MigrationEngine engine(simulator, cluster);
+    const power::HostPowerSpec power_spec = power::enterpriseBlade2013();
+    const power::IdleHierarchySpec hier_spec = power::modernIdleHierarchy();
+
+    std::vector<HostId> governed;
+    const auto govern = [&](HostId h) {
+        // Self-rescheduling per-host idle governor, 60 s period.
+        struct Tick
+        {
+            Cluster &cluster;
+            sim::Simulator &simulator;
+            HostId h;
+            void operator()() const
+            {
+                cluster.host(h).idleGovernorTick();
+                simulator.schedule(SimTime::seconds(60.0), Tick{*this},
+                                   "test.governor");
+            }
+        };
+        simulator.schedule(SimTime::seconds(static_cast<double>(h % 60)),
+                           Tick{cluster, simulator, h}, "test.governor");
+        governed.push_back(h);
+    };
+    const auto add_hosts = [&](int count) {
+        for (int i = 0; i < count; ++i) {
+            Host &host = cluster.addHost(HostConfig{}, power_spec);
+            host.attachIdleHierarchy(
+                std::make_unique<power::IdleHierarchy>(simulator, hier_spec));
+            govern(host.id());
+        }
+    };
+    const auto add_vm = [&](HostId h) {
+        // Busy cores move every 10 minutes, so the governor re-targets.
+        const double phase = static_cast<double>(h % 4);
+        std::vector<workload::StepTrace::Step> steps;
+        for (int k = 0; k < 24; ++k) {
+            const double levels[] = {0.05, 0.6, 0.0, 0.3};
+            steps.push_back({SimTime::minutes(10.0 * k + phase),
+                             levels[(k + h) % 4]});
+        }
+        Vm &vm = cluster.addVm(makeSpec(
+            "vm" + std::to_string(h), 32000.0, 4096.0,
+            std::make_shared<workload::StepTrace>(std::move(steps))));
+        cluster.placeVm(vm.id(), h);
+    };
+
+    add_hosts(20);
+    cluster.addHost(HostConfig{}, power_spec); // no hierarchy: reads 0
+    for (HostId h = 0; h < 10; ++h)
+        add_vm(h);
+
+    DatacenterSim dcsim(simulator, cluster, engine, DatacenterConfig{});
+    int audits = 0;
+    int deep_reads = 0;
+    dcsim.addEvaluationHook([&] {
+        const FleetStore &fleet = cluster.fleet();
+        for (const auto &host : cluster.hosts()) {
+            const power::IdleHierarchy *hier = host->idleHierarchy();
+            const double want =
+                hier != nullptr ? hier->wakeLatency().toSeconds() : 0.0;
+            ASSERT_EQ(fleet.hostWakeLatencyS(host->id()), want)
+                << "host " << host->id() << " at "
+                << simulator.now().toSeconds() << " s";
+            if (want > 0.0)
+                ++deep_reads;
+        }
+        ++audits;
+    });
+
+    // Sleep/wake excursions: every 7 minutes, put the empty hosts that
+    // have fully descended to S3 and wake the ones asleep.
+    int sleeps = 0;
+    int wakes = 0;
+    std::function<void()> excursion = [&] {
+        for (const HostId h : governed) {
+            Host &host = cluster.host(h);
+            if (!host.vms().empty())
+                continue;
+            if (host.powerFsm().phase() == power::PowerPhase::Asleep) {
+                wakes += cluster.requestHostWake(h) ? 1 : 0;
+            } else if (host.isOn() &&
+                       host.idleHierarchy()->fullyDescended()) {
+                sleeps += cluster.requestHostSleep(h, "S3") ? 1 : 0;
+            }
+        }
+        simulator.schedule(SimTime::minutes(7.0), excursion,
+                           "test.excursion");
+    };
+    simulator.schedule(SimTime::minutes(3.0), excursion, "test.excursion");
+
+    // Mid-run growth: 20 more hierarchy hosts take the store from 32 to
+    // 64 rows; half of them get work.
+    simulator.schedule(
+        SimTime::minutes(30.0),
+        [&] {
+            add_hosts(20);
+            for (HostId h = 21; h < 31; ++h)
+                add_vm(h);
+        },
+        "test.grow");
+
+    dcsim.runFor(SimTime::hours(2.0));
+
+    EXPECT_EQ(cluster.hostCount(), 41u);
+    EXPECT_GE(audits, 120);
+    EXPECT_GT(deep_reads, 0);
+    EXPECT_GT(sleeps, 0);
+    EXPECT_GT(wakes, 0);
 }
 
 } // namespace

@@ -190,9 +190,14 @@ TEST_P(IdleHierarchyFuzzTest, RandomCommandStreamKeepsInvariants)
     power::IdleHierarchy hier(simulator, spec);
 
     double charged = 0.0;
-    hier.setTransitionCallback([&](double joules) {
-        ASSERT_GE(joules, 0.0);
-        charged += joules;
+    SimTime published; // what an owner's mirror of wakeLatency() holds
+    hier.setUpdateHook([&](const power::IdleHierarchy::Update &update) {
+        ASSERT_GE(update.joules, 0.0);
+        if (!update.transitioned) {
+            ASSERT_EQ(update.joules, 0.0);
+        }
+        charged += update.joules;
+        published = update.wakeLatency;
     });
 
     const int core_max = static_cast<int>(spec.coreStates.size());
@@ -263,6 +268,7 @@ TEST_P(IdleHierarchyFuzzTest, RandomCommandStreamKeepsInvariants)
             }
         }
         ASSERT_EQ(hier.wakeLatency(), expected);
+        ASSERT_EQ(published, expected);
 
         // Savings bounded by the full-descent delta, zero while paused.
         ASSERT_GE(hier.powerSavingsWatts(), 0.0);

@@ -158,7 +158,9 @@ TEST(IdleHierarchyTest, TransitionCallbackSeesEveryChargedJoule)
     sim::Simulator simulator;
     IdleHierarchy hier(simulator, tinySpec());
     double charged = 0.0;
-    hier.setTransitionCallback([&](double joules) { charged += joules; });
+    hier.setUpdateHook([&](const IdleHierarchy::Update &update) {
+        charged += update.joules;
+    });
 
     hier.requestDepth(1, 0);
     hier.requestDepth(2, 1);

@@ -229,6 +229,45 @@ TEST(SlaTrackerDeathTest, RejectsInvalidSamples)
     EXPECT_DEATH(sla.record(10.0, 20.0), "exceeds");
 }
 
+TEST(SlaTrackerDeathTest, BatchKeepsRecordChecks)
+{
+    SlaTracker sla;
+    EXPECT_DEATH(
+        {
+            SlaTracker::Batch batch(sla);
+            batch.record(-1.0, 0.0);
+        },
+        "negative");
+    EXPECT_DEATH(
+        {
+            SlaTracker::Batch batch(sla);
+            batch.record(10.0, 20.0);
+        },
+        "exceeds");
+}
+
+TEST(SlaTrackerTest, BatchOfFullGrantsMatchesRecord)
+{
+    // Only ratios of exactly 1 (full grants, zero demand): the batch bins
+    // them and folds them into the minimum once, at commit().
+    SlaTracker batched(1.0);
+    SlaTracker reference(1.0);
+    SlaTracker::Batch batch(batched);
+    for (int i = 0; i < 50; ++i) {
+        const double demand = i % 5 == 0 ? 0.0 : 10.0 * i;
+        EXPECT_EQ(batch.record(demand, demand), 1.0);
+        reference.record(demand, demand);
+    }
+    batch.commit();
+    EXPECT_EQ(batched.samples(), reference.samples());
+    EXPECT_EQ(batched.violations(), 0u);
+    EXPECT_EQ(batched.worstPerformance(), reference.worstPerformance());
+    EXPECT_EQ(batched.meanPerformance(), reference.meanPerformance());
+    EXPECT_EQ(batched.satisfaction(), reference.satisfaction());
+    EXPECT_EQ(batched.ratioHistogram().buckets(),
+              reference.ratioHistogram().buckets());
+}
+
 TEST(SlaTrackerTest, ShardOrderMergeMatchesSequentialRecording)
 {
     // The exact reduction the parallel sampling pass performs: samples
