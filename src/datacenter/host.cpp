@@ -12,7 +12,7 @@ namespace vpm::dc {
 
 Host::Host(sim::Simulator &simulator, HostId id, std::string name,
            const HostConfig &config, const power::HostPowerSpec &power_spec)
-    : simulator_(simulator), id_(id), store_(nullptr),
+    : id_(id), store_(nullptr), simulator_(simulator),
       name_(std::move(name)), config_(config), fsm_(simulator, power_spec),
       meter_(simulator.now(), power_spec.idlePowerWatts())
 {
@@ -25,7 +25,7 @@ Host::Host(sim::Simulator &simulator, HostId id, std::string name,
 Host::Host(sim::Simulator &simulator, HostId id, std::string name,
            const HostConfig &config, const power::HostPowerSpec &power_spec,
            FleetStore &store)
-    : simulator_(simulator), id_(id), store_(&store),
+    : id_(id), store_(&store), simulator_(simulator),
       name_(std::move(name)), config_(config), fsm_(simulator, power_spec),
       meter_(simulator.now(), power_spec.idlePowerWatts())
 {
@@ -226,14 +226,12 @@ Host::vmDemandMhz() const
 }
 
 double
-Host::grantedMhz() const
+Host::recomputeGrantedMhz() const
 {
-    if (store_->hostFlags(id_) & FleetStore::kGrantedDirty) {
-        double total = 0.0;
-        for (const Vm *vm : vms_)
-            total += vm->grantedMhz();
-        store_->setHostGrantedCacheClean(id_, total);
-    }
+    double total = 0.0;
+    for (const Vm *vm : vms_)
+        total += vm->grantedMhz();
+    store_->setHostGrantedCacheClean(id_, total);
     return store_->hostGrantedCacheMhz(id_);
 }
 
@@ -263,15 +261,6 @@ Host::addMigrationOverheadMhz(double mhz)
     // Overhead competes with VM grants for capacity.
     store_->markHost(id_, FleetStore::kAllocDirty);
     store_->queueAllocDirty(id_);
-}
-
-double
-Host::utilization() const
-{
-    if (!isOn())
-        return 0.0;
-    const double busy = grantedMhz() + migrationOverheadMhz();
-    return std::clamp(busy / effectiveCpuCapacityMhz(), 0.0, 1.0);
 }
 
 double

@@ -21,6 +21,7 @@
 #ifndef VPM_DATACENTER_HOST_HPP
 #define VPM_DATACENTER_HOST_HPP
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,8 +88,10 @@ class Host
     power::PowerStateMachine &powerFsm() { return fsm_; }
     const power::PowerStateMachine &powerFsm() const { return fsm_; }
 
-    /** true iff the host can run VMs right now. */
-    bool isOn() const { return fsm_.isOn(); }
+    /** true iff the host can run VMs right now: the store's phase byte,
+     *  which this host's first FSM observer keeps equal to
+     *  powerFsm().isOn(). */
+    bool isOn() const { return store_->hostIsOn(id_); }
 
     /** Lifetime energy, integrated exactly. */
     const power::EnergyMeter &meter() const { return meter_; }
@@ -175,8 +178,14 @@ class Host
     /** Sum of resident VMs' current demand, in MHz (excludes overhead). */
     double vmDemandMhz() const;
 
-    /** Sum of resident VMs' granted CPU, in MHz. */
-    double grantedMhz() const;
+    /** Sum of resident VMs' granted CPU, in MHz: the store's cached
+     *  aggregate, recomputed only while kGrantedDirty is set. */
+    double grantedMhz() const
+    {
+        if (store_->hostFlags(id_) & FleetStore::kGrantedDirty)
+            return recomputeGrantedMhz();
+        return store_->hostGrantedCacheMhz(id_);
+    }
 
     /** Sum of resident VMs' memory, in MB. */
     double committedMemoryMb() const;
@@ -201,9 +210,16 @@ class Host
 
     /**
      * Utilization used for the power curve: (granted + migration overhead)
-     * / capacity, clamped to [0, 1]. Zero when the host is not On.
+     * / capacity, clamped to [0, 1]. Zero when the host is not On. Reads
+     * only store columns (phase, flags, granted, overhead, capacity).
      */
-    double utilization() const;
+    double utilization() const
+    {
+        if (!isOn())
+            return 0.0;
+        const double busy = grantedMhz() + migrationOverheadMhz();
+        return std::clamp(busy / effectiveCpuCapacityMhz(), 0.0, 1.0);
+    }
 
     /** Demand-based utilization (requested / capacity), for the manager. */
     double demandUtilization() const;
@@ -251,6 +267,10 @@ class Host
   private:
     void init(const power::HostPowerSpec &power_spec);
 
+    /** grantedMhz()'s dirty branch: re-sum the resident VMs' grants into
+     *  the store (marking it clean) and return the sum. */
+    double recomputeGrantedMhz() const;
+
     /** A VM arrived or departed: every cached aggregate is stale. */
     void markMembershipChanged()
     {
@@ -258,14 +278,16 @@ class Host
         store_->queueAllocDirty(id_);
     }
 
-    sim::Simulator &simulator_;
+    // The idle governor's tick reads only these three (the rest of its
+    // state is in store columns), so they lead the object: one cache line.
     HostId id_;
     FleetStore *store_;
+    std::unique_ptr<power::IdleHierarchy> idleHierarchy_;
+    sim::Simulator &simulator_;
     std::string name_;
     HostConfig config_;
     power::PowerStateMachine fsm_;
     power::EnergyMeter meter_;
-    std::unique_ptr<power::IdleHierarchy> idleHierarchy_;
     std::unique_ptr<FleetStore> ownedStore_; ///< standalone ctor only
     std::vector<Vm *> vms_;
     std::vector<VmId> vmIds_; ///< parallel to vms_

@@ -29,10 +29,8 @@ EventQueue::retire(Slot &slot)
     slot.live = false;
     ++slot.gen;
     // Drop captured resources now (matches the old map-erase semantics:
-    // cancelling an event releases whatever its closure kept alive). clear()
-    // keeps the label's capacity for the next tenant.
+    // cancelling an event releases whatever its closure kept alive).
     slot.callback = nullptr;
-    slot.label.clear();
     slot.context = {};
     --liveCount_;
 }
@@ -98,17 +96,16 @@ EventQueue::unlinkHead() const
 }
 
 EventId
-EventQueue::schedule(SimTime when, EventCallback callback, std::string label)
+EventQueue::schedule(SimTime when, EventCallback callback, EventLabel label)
 {
     // No PROF_ZONE here: the owning Simulator wraps push/pop in zones
     // with shared clock reads (see Simulator::dispatchOne), keeping the
     // profiled per-event cost down at fleet-scale event rates.
     if (!callback)
-        panic("EventQueue::schedule: null callback (label '%s')",
-              label.c_str());
+        panic("EventQueue::schedule: null callback (label '%s')", label);
     if (when < SimTime())
         panic("EventQueue::schedule: negative time %lld us (label '%s')",
-              static_cast<long long>(when.micros()), label.c_str());
+              static_cast<long long>(when.micros()), label);
 
     std::uint32_t slot;
     if (!freeSlots_.empty()) {
@@ -124,7 +121,7 @@ EventQueue::schedule(SimTime when, EventCallback callback, std::string label)
     }
     Slot &s = slots_[slot];
     s.callback = std::move(callback);
-    s.label = std::move(label);
+    s.label = label;
     s.context = telemetry::currentContext();
     s.next = noSlot;
     s.live = true;
@@ -185,7 +182,7 @@ EventQueue::pop()
     const std::uint32_t slot = top.head;
     Slot &s = slots_[slot];
     Fired fired{encodeId(slot, s.gen), top.when, std::move(s.callback),
-                std::move(s.label), s.context};
+                s.label, s.context};
     retire(s);
     unlinkHead();
     return fired;

@@ -24,8 +24,9 @@
  *
  * Event records live in a slot arena rather than a hash map: an EventId
  * encodes {slot, generation}, so cancel/pending are a bounds check plus a
- * generation compare, and a recycled slot reuses its label string's and
- * callback's storage instead of hitting the allocator per event. At the
+ * generation compare, and a recycled slot reuses its callback's storage
+ * instead of hitting the allocator per event. Labels are string literals
+ * held by pointer, so neither schedule() nor pop() copies any text. At the
  * fleet-scale benchmarks the simulator is queue-bound, so these per-event
  * constants are what cap events/sec.
  */
@@ -53,6 +54,13 @@ inline constexpr EventId invalidEventId = 0;
 using EventCallback = std::function<void()>;
 
 /**
+ * Human-readable tag of an event for tracing, profiling and checkpoints.
+ * Must point at storage that outlives the event — in practice a string
+ * literal; "" means unlabeled.
+ */
+using EventLabel = const char *;
+
+/**
  * Time-ordered set of pending events: O(1) cancel, and insert/pop that
  * cost O(1) inside a run plus O(log r) over the r pending runs.
  *
@@ -68,7 +76,7 @@ class EventQueue
         EventId id;
         SimTime when;
         EventCallback callback;
-        std::string label;
+        EventLabel label;
 
         /** Causal context captured at schedule() time; the dispatcher
          *  reinstalls it around the callback so children inherit it. */
@@ -87,11 +95,11 @@ class EventQueue
      *
      * @param when Absolute firing time.
      * @param callback Work to run; must be non-null.
-     * @param label Optional human-readable tag for tracing.
+     * @param label Optional tag for tracing (see EventLabel).
      * @return A handle usable with cancel().
      */
     EventId schedule(SimTime when, EventCallback callback,
-                     std::string label = {});
+                     EventLabel label = "");
 
     /**
      * Cancel a pending event.
@@ -118,7 +126,8 @@ class EventQueue
     /** Drop all pending events. */
     void clear();
 
-    /** Metadata of one live pending event (see pendingSnapshot()). */
+    /** Metadata of one live pending event (see pendingSnapshot()); the
+     *  label is copied out as text, which is what a checkpoint stores. */
     struct PendingEvent
     {
         SimTime when;
@@ -158,16 +167,15 @@ class EventQueue
 
     /**
      * One arena slot. Recycling bumps gen, which invalidates stale
-     * EventIds pointing at the slot. The callback/label keep their heap
-     * storage across reuse, so a steady-state schedule/fire cycle
-     * allocates nothing (small captures sit in std::function's inline
-     * buffer, labels in the string's reused capacity). A slot is free,
-     * linked into a run and live, or linked and cancelled (!live).
+     * EventIds pointing at the slot. A steady-state schedule/fire cycle
+     * allocates nothing: small captures sit in std::function's inline
+     * buffer and the label is a pointer. A slot is free, linked into a
+     * run and live, or linked and cancelled (!live).
      */
     struct Slot
     {
         EventCallback callback;
-        std::string label;
+        EventLabel label = "";
         telemetry::TraceContext context;
         std::uint32_t next = noSlot;
         std::uint32_t gen = 0;

@@ -16,26 +16,25 @@ Simulator::Simulator()
 }
 
 EventId
-Simulator::schedule(SimTime delay, EventCallback callback, std::string label)
+Simulator::schedule(SimTime delay, EventCallback callback, EventLabel label)
 {
     if (delay < SimTime())
         panic("Simulator::schedule: negative delay %lld us (label '%s')",
-              static_cast<long long>(delay.micros()), label.c_str());
+              static_cast<long long>(delay.micros()), label);
     PROF_ZONE("sim.queue.push");
-    return queue_.schedule(now_ + delay, std::move(callback),
-                           std::move(label));
+    return queue_.schedule(now_ + delay, std::move(callback), label);
 }
 
 EventId
-Simulator::scheduleAt(SimTime when, EventCallback callback, std::string label)
+Simulator::scheduleAt(SimTime when, EventCallback callback, EventLabel label)
 {
     if (when < now_)
         panic("Simulator::scheduleAt: time %lld us is in the past "
               "(now %lld us, label '%s')",
               static_cast<long long>(when.micros()),
-              static_cast<long long>(now_.micros()), label.c_str());
+              static_cast<long long>(now_.micros()), label);
     PROF_ZONE("sim.queue.push");
-    return queue_.schedule(when, std::move(callback), std::move(label));
+    return queue_.schedule(when, std::move(callback), label);
 }
 
 void
@@ -45,7 +44,7 @@ Simulator::dispatchOne()
         EventQueue::Fired fired = queue_.pop();
         if (fired.when < now_)
             panic("Simulator: event '%s' would move the clock backwards "
-                  "(%lld us < %lld us)", fired.label.c_str(),
+                  "(%lld us < %lld us)", fired.label,
                   static_cast<long long>(fired.when.micros()),
                   static_cast<long long>(now_.micros()));
         now_ = fired.when;
@@ -72,7 +71,7 @@ Simulator::dispatchOne()
     prof.leaveAt(pop_zone, t0, t1);
     if (fired.when < now_)
         panic("Simulator: event '%s' would move the clock backwards "
-              "(%lld us < %lld us)", fired.label.c_str(),
+              "(%lld us < %lld us)", fired.label,
               static_cast<long long>(fired.when.micros()),
               static_cast<long long>(now_.micros()));
     now_ = fired.when;
@@ -85,8 +84,7 @@ Simulator::dispatchOne()
     const std::uint64_t t2 = telemetry::Profiler::nowNs();
     // Per-event-label wall-clock timing: which event *type* burns the
     // time, complementing the hierarchical zones inside the callback.
-    prof.recordDispatch(fired.label.empty() ? "(unlabeled)" : fired.label,
-                        t2 - t1);
+    prof.recordDispatch(fired.label, t2 - t1);
     prof.leaveAt(dispatch_zone, t0, t2);
 }
 

@@ -12,7 +12,7 @@
 #define VPM_SIMCORE_SIMULATOR_HPP
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
 #include "simcore/event_queue.hpp"
 #include "simcore/sim_time.hpp"
@@ -45,14 +45,14 @@ class Simulator
      *
      * @param delay Offset from the current time; must be >= 0.
      * @param callback Work to run.
-     * @param label Optional tag for tracing/debugging.
+     * @param label Optional tag for tracing/debugging (see EventLabel).
      */
     EventId schedule(SimTime delay, EventCallback callback,
-                     std::string label = {});
+                     EventLabel label = "");
 
     /** Schedule a callback at an absolute time; must be >= now(). */
     EventId scheduleAt(SimTime when, EventCallback callback,
-                       std::string label = {});
+                       EventLabel label = "");
 
     /** Cancel a pending event; see EventQueue::cancel. */
     bool cancel(EventId id) { return queue_.cancel(id); }

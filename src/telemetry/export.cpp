@@ -255,6 +255,23 @@ writeChromeTrace(const Telemetry &telemetry, std::ostream &out)
             emit(line.str());
             break;
           }
+          case EventKind::IdleTransition: {
+            // Like PowerTransition: the record ends the group's stay in
+            // the from-state, rendered as a span on the host's track.
+            const auto dur_us =
+                static_cast<std::int64_t>(ev.b * 1e6 + 0.5);
+            line << "{\"ph\":\"X\",\"cat\":\"idle\",\"name\":\""
+                 << jsonEscape(journal.label(ev.labelA)) << ' '
+                 << jsonEscape(journal.label(ev.labelB))
+                 << "\",\"pid\":" << kPidHosts << ",\"tid\":" << ev.track
+                 << ",\"ts\":" << ev.timeUs - dur_us << ",\"dur\":" << dur_us
+                 << ",\"args\":{\"to\":\""
+                 << jsonEscape(journal.label(ev.labelC))
+                 << "\",\"cores\":" << fmtDouble(ev.a)
+                 << ",\"joules\":" << fmtDouble(ev.c) << "}}";
+            emit(line.str());
+            break;
+          }
           case EventKind::MigrationStart:
             open_migrations[ev.track] = ev;
             break;

@@ -119,17 +119,32 @@ Profiler::leaveAt(std::uint32_t node, std::uint64_t start_ns,
 }
 
 void
-Profiler::recordDispatch(const std::string &label, std::uint64_t ns)
+Profiler::recordDispatch(const char *label, std::uint64_t ns)
 {
+    if (*label == '\0')
+        label = "(unlabeled)";
+    // Event labels are string literals: the pointer identifies the row in
+    // the steady state, so the character compare runs only for a label
+    // seen first through another pointer (another translation unit's copy
+    // of the same literal), which then takes over the row's key.
     DispatchStats *stats = nullptr;
-    for (auto &[key, index] : dispatchIndex_) {
-        if (key == label) {
-            stats = &dispatch_[index];
+    for (std::size_t i = 0; i < dispatchKeys_.size(); ++i) {
+        if (dispatchKeys_[i] == label) {
+            stats = &dispatch_[i];
             break;
         }
     }
     if (stats == nullptr) {
-        dispatchIndex_.emplace_back(label, dispatch_.size());
+        for (std::size_t i = 0; i < dispatch_.size(); ++i) {
+            if (dispatch_[i].label == label) {
+                dispatchKeys_[i] = label;
+                stats = &dispatch_[i];
+                break;
+            }
+        }
+    }
+    if (stats == nullptr) {
+        dispatchKeys_.push_back(label);
         dispatch_.emplace_back();
         stats = &dispatch_.back();
         stats->label = label;
@@ -182,7 +197,7 @@ Profiler::reset()
             resetState(*state);
     }
     dispatch_.clear();
-    dispatchIndex_.clear();
+    dispatchKeys_.clear();
 }
 
 void

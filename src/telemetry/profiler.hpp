@@ -177,9 +177,11 @@ class Profiler
     void leaveAt(std::uint32_t node, std::uint64_t start_ns,
                  std::uint64_t now_ns);
 
-    /** Record one event dispatch of @p label taking @p ns wall-clock.
-     *  Main-thread only (fed by Simulator::dispatchOne). */
-    void recordDispatch(const std::string &label, std::uint64_t ns);
+    /** Record one event dispatch of @p label taking @p ns wall-clock;
+     *  "" reports as "(unlabeled)". Rows are keyed by text, found by
+     *  pointer first (event labels are literals). Main-thread only (fed
+     *  by Simulator::dispatchOne). */
+    void recordDispatch(const char *label, std::uint64_t ns);
     ///@}
 
     /** Monotonic wall-clock nanoseconds (steady_clock). */
@@ -278,10 +280,11 @@ class Profiler
     mutable std::mutex statesMutex_;
     std::vector<std::unique_ptr<ThreadState>> workerStates_;
 
+    // Labels are few (tens), so linear scans suffice.
     std::vector<DispatchStats> dispatch_;
-    // label -> index into dispatch_; kept as a sorted flat vector would be
-    // overkill: labels are few (tens), so a small open map suffices.
-    std::vector<std::pair<std::string, std::size_t>> dispatchIndex_;
+    /** Parallel to dispatch_: the literal pointer that last matched each
+     *  row, recordDispatch()'s fast path. */
+    std::vector<const char *> dispatchKeys_;
 };
 
 /** RAII zone timer; use through PROF_ZONE rather than directly. */

@@ -1,53 +1,22 @@
 #include "telemetry/trace_context.hpp"
 
+#include <atomic>
+
 namespace vpm::telemetry {
 
 namespace {
 
-// Single-threaded by design (see header); plain globals keep the common
-// path — a schedule() capturing the context — down to two loads.
-TraceContext g_current;
-std::uint64_t g_nextDecisionId = 1;
+// Process-global and never reset, so ids stay unique across the
+// back-to-back runs of one process (see header); atomic because a sweep's
+// cell threads mint ids concurrently.
+std::atomic<std::uint64_t> g_nextDecisionId{1};
 
 } // namespace
-
-TraceContext
-currentContext()
-{
-    return g_current;
-}
-
-void
-setCurrentContext(TraceContext context)
-{
-    g_current = context;
-}
 
 std::uint64_t
 newDecisionId()
 {
-    return g_nextDecisionId++;
-}
-
-TraceScope::TraceScope(TraceContext context) : previous_(g_current)
-{
-    g_current = context;
-}
-
-TraceScope::TraceScope(std::uint64_t cause)
-    : TraceScope(TraceContext{cause, 0})
-{
-}
-
-void
-TraceScope::setCauseSeq(std::uint64_t seq)
-{
-    g_current.causeSeq = seq;
-}
-
-TraceScope::~TraceScope()
-{
-    g_current = previous_;
+    return g_nextDecisionId.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace vpm::telemetry

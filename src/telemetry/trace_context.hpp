@@ -2,14 +2,17 @@
  * @file
  * Causal trace context: which decision an emission is happening "because of".
  *
- * The simulator is single-threaded, so causality is ambient: whatever
+ * A simulation runs on one thread, so causality is ambient: whatever
  * decision id is installed while code runs is the cause of everything that
- * code emits or schedules. `EventQueue::schedule()` captures the current
- * context into the scheduled event and `Simulator::dispatchOne()` reinstalls
- * it around the callback, so context flows through arbitrarily deep event
- * chains (entry -> latched wake -> exit -> retry) without any plumbing in
- * the domain code. `EventJournal::record()` stamps the current context onto
- * every record, which is how journal rows gain their `cause` field for free.
+ * code emits or schedules. The context is per thread, because a sweep runs
+ * several simulations at once on its cell threads and a shared one would
+ * let their scopes restore each other's contexts.
+ * `EventQueue::schedule()` captures the current context into the scheduled
+ * event and `Simulator::dispatchOne()` reinstalls it around the callback,
+ * so context flows through arbitrarily deep event chains (entry -> latched
+ * wake -> exit -> retry) without any plumbing in the domain code.
+ * `EventJournal::record()` stamps the current context onto every record,
+ * which is how journal rows gain their `cause` field for free.
  *
  * Decision ids are minted by the management layer (one per sleep / wake /
  * migration-batch decision) from a process-global counter that is never
@@ -35,11 +38,26 @@ struct TraceContext
     std::uint64_t causeSeq = 0;
 };
 
+namespace detail {
+/** The installed context. Inline and constant-initialized, so the hot
+ *  path — a schedule() capturing the context, a dispatch reinstalling
+ *  it — is plain thread-local loads and stores with no call. */
+inline thread_local TraceContext currentTraceContext;
+} // namespace detail
+
 /** The context installed right now ({0, 0} outside any scope). */
-TraceContext currentContext();
+inline TraceContext
+currentContext()
+{
+    return detail::currentTraceContext;
+}
 
 /** Replace the current context (prefer TraceScope, which restores). */
-void setCurrentContext(TraceContext context);
+inline void
+setCurrentContext(TraceContext context)
+{
+    detail::currentTraceContext = context;
+}
 
 /** Mint a fresh decision id (monotonic from 1, never reset). */
 std::uint64_t newDecisionId();
@@ -52,10 +70,17 @@ std::uint64_t newDecisionId();
 class TraceScope
 {
   public:
-    explicit TraceScope(TraceContext context);
+    explicit TraceScope(TraceContext context)
+        : previous_(detail::currentTraceContext)
+    {
+        detail::currentTraceContext = context;
+    }
 
     /** Convenience: install {cause, 0}. */
-    explicit TraceScope(std::uint64_t cause);
+    explicit TraceScope(std::uint64_t cause)
+        : TraceScope(TraceContext{cause, 0})
+    {
+    }
 
     TraceScope(const TraceScope &) = delete;
     TraceScope &operator=(const TraceScope &) = delete;
@@ -65,9 +90,12 @@ class TraceScope
      * context (the decision row can only be journaled after the scope is
      * open, because the row itself must carry the decision id).
      */
-    void setCauseSeq(std::uint64_t seq);
+    void setCauseSeq(std::uint64_t seq)
+    {
+        detail::currentTraceContext.causeSeq = seq;
+    }
 
-    ~TraceScope();
+    ~TraceScope() { detail::currentTraceContext = previous_; }
 
   private:
     TraceContext previous_;

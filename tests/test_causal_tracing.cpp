@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datacenter/cluster.hpp"
@@ -50,6 +53,55 @@ TEST(TraceContextTest, SetCauseSeqUpdatesAmbientContext)
     scope.setCauseSeq(42);
     EXPECT_EQ(telemetry::currentContext().cause, 5u);
     EXPECT_EQ(telemetry::currentContext().causeSeq, 42u);
+}
+
+TEST(TraceContextTest, ScopesOnConcurrentThreadsDoNotInterfere)
+{
+    // A sweep runs several simulations at once. Interleave two threads'
+    // scopes non-LIFO (A opens, B opens, A closes, B closes): each thread
+    // must see only its own context, and nothing may leak past them.
+    std::mutex mutex;
+    std::condition_variable cv;
+    int step = 0;
+    const auto advance_after = [&](int wait_for) {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return step == wait_for; });
+    };
+    const auto advance_to = [&](int next) {
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            step = next;
+        }
+        cv.notify_all();
+    };
+    std::uint64_t a_inside = 0, a_after = 1, b_inside = 0, b_after = 1;
+    std::thread a([&] {
+        {
+            telemetry::TraceScope scope(7);
+            advance_to(1);
+            advance_after(2);
+            a_inside = telemetry::currentContext().cause;
+        }
+        a_after = telemetry::currentContext().cause;
+        advance_to(3);
+    });
+    std::thread b([&] {
+        advance_after(1);
+        {
+            telemetry::TraceScope scope(9);
+            advance_to(2);
+            advance_after(3);
+            b_inside = telemetry::currentContext().cause;
+        }
+        b_after = telemetry::currentContext().cause;
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(a_inside, 7u);
+    EXPECT_EQ(a_after, 0u);
+    EXPECT_EQ(b_inside, 9u);
+    EXPECT_EQ(b_after, 0u);
+    EXPECT_EQ(telemetry::currentContext().cause, 0u);
 }
 
 TEST(CausalTracingTest, SimulatorPropagatesContextAcrossSchedules)

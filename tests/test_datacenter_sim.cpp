@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "datacenter/datacenter_sim.hpp"
 #include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
+#include "simcore/random.hpp"
 #include "workload/demand_trace.hpp"
 
 namespace vpm::dc {
@@ -414,6 +417,112 @@ TEST(WakeLatencyMirrorTest, ColumnMatchesHierarchyAfterEveryEvaluation)
     EXPECT_GT(deep_reads, 0);
     EXPECT_GT(sleeps, 0);
     EXPECT_GT(wakes, 0);
+}
+
+TEST(HostPhaseMirrorTest, IsOnAndUtilizationMatchTheFsmAfterEveryTransition)
+{
+    // Host::isOn() reads the store's phase byte, which the host's first
+    // FSM observer keeps in step, and utilization() reads only store
+    // columns. Audit both against the FSM and a recompute from the VM
+    // grants after every phase change (from an observer registered after
+    // the host's own) and every simulated second, through S3 entry,
+    // asleep, wake, exit, a wake latched mid-entry and a failed wake's
+    // retry, on loaded hosts with migration overhead and a lowered
+    // frequency.
+    sim::Simulator simulator;
+    Cluster cluster(simulator);
+    MigrationEngine engine(simulator, cluster);
+    const power::HostPowerSpec power_spec = power::enterpriseBlade2013();
+    for (int i = 0; i < 4; ++i)
+        cluster.addHost(HostConfig{}, power_spec);
+    for (HostId h = 0; h < 2; ++h) {
+        for (int k = 0; k < 3; ++k) {
+            Vm &vm = cluster.addVm(makeSpec(
+                "vm" + std::to_string(h) + "_" + std::to_string(k), 16000.0,
+                4096.0, std::make_shared<workload::ConstantTrace>(0.7)));
+            cluster.placeVm(vm.id(), h);
+        }
+    }
+
+    int audits = 0;
+    const auto audit = [&](const char *when) {
+        for (const auto &host : cluster.hosts()) {
+            const power::PowerStateMachine &fsm = host->powerFsm();
+            ASSERT_EQ(host->isOn(), fsm.isOn())
+                << "host " << host->id() << " " << when << " at "
+                << simulator.now().toSeconds() << " s";
+            double want = 0.0;
+            if (fsm.isOn()) {
+                double granted = 0.0;
+                for (const Vm *vm : host->vms())
+                    granted += vm->grantedMhz();
+                const double busy = granted + host->migrationOverheadMhz();
+                want = std::clamp(busy / (host->cpuCapacityMhz() *
+                                          host->frequencyFraction()),
+                                  0.0, 1.0);
+            }
+            ASSERT_EQ(host->utilization(), want)
+                << "host " << host->id() << " " << when << " at "
+                << simulator.now().toSeconds() << " s";
+        }
+        ++audits;
+    };
+
+    std::map<power::PowerPhase, int> entered;
+    int latched = 0;
+    for (const auto &host : cluster.hosts()) {
+        const power::PowerStateMachine *fsm = &host->powerFsm();
+        host->powerFsm().addObserver(
+            [&, fsm](power::PowerPhase, power::PowerPhase to) {
+                ++entered[to];
+                if (to == power::PowerPhase::Asleep && fsm->wakePending())
+                    ++latched;
+                audit("after a transition");
+            });
+    }
+    std::function<void()> tick = [&] {
+        audit("on the second");
+        simulator.schedule(SimTime::seconds(1.0), tick, "test.audit");
+    };
+    simulator.schedule(SimTime(), tick, "test.audit");
+
+    sim::Rng rng(7);
+    const auto at = [&](double s, std::function<void()> action) {
+        simulator.scheduleAt(SimTime::seconds(s), std::move(action),
+                             "test.step");
+    };
+    // Enterprise blade S3: 7 s entry, 15 s exit.
+    at(10.0, [&] {
+        cluster.host(0).addMigrationOverheadMhz(3000.0);
+        cluster.host(1).setFrequencyFraction(0.8);
+    });
+    at(20.0, [&] { EXPECT_TRUE(cluster.requestHostSleep(2, "S3")); });
+    at(60.0, [&] { EXPECT_TRUE(cluster.requestHostWake(2)); });
+    at(100.0, [&] { EXPECT_TRUE(cluster.requestHostSleep(3, "S3")); });
+    at(103.0, [&] { EXPECT_TRUE(cluster.requestHostWake(3)); }); // latched
+    at(200.0, [&] {
+        cluster.host(2).powerFsm().setWakeFailure(1.0, &rng);
+        EXPECT_TRUE(cluster.requestHostSleep(2, "S3"));
+    });
+    at(250.0, [&] { EXPECT_TRUE(cluster.requestHostWake(2)); });
+    // The 265 s exit fails and retries; let the retry succeed.
+    at(270.0,
+       [&] { cluster.host(2).powerFsm().setWakeFailure(0.0, nullptr); });
+    at(300.0, [&] { cluster.host(0).addMigrationOverheadMhz(-3000.0); });
+
+    DatacenterSim dcsim(simulator, cluster, engine, DatacenterConfig{});
+    dcsim.runFor(SimTime::minutes(10.0));
+
+    EXPECT_EQ(entered[power::PowerPhase::Entering], 3);
+    EXPECT_EQ(entered[power::PowerPhase::Asleep], 3);
+    EXPECT_EQ(entered[power::PowerPhase::Exiting], 3);
+    EXPECT_EQ(entered[power::PowerPhase::On], 3);
+    EXPECT_EQ(latched, 1);
+    EXPECT_EQ(cluster.host(2).powerFsm().wakeRetryCount(), 1u);
+    EXPECT_GE(audits, 600);
+    for (const auto &host : cluster.hosts())
+        EXPECT_TRUE(host->isOn());
+    EXPECT_GT(cluster.host(0).utilization(), 0.0);
 }
 
 } // namespace

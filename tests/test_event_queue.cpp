@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -11,6 +14,8 @@
 
 #include "simcore/event_queue.hpp"
 #include "simcore/random.hpp"
+#include "simcore/simulator.hpp"
+#include "telemetry/profiler.hpp"
 
 namespace vpm::sim {
 namespace {
@@ -95,7 +100,97 @@ TEST(EventQueueTest, PopReturnsLabelAndTime)
     queue.schedule(SimTime::seconds(2.0), [] {}, "my-event");
     const EventQueue::Fired fired = queue.pop();
     EXPECT_EQ(fired.when, SimTime::seconds(2.0));
-    EXPECT_EQ(fired.label, "my-event");
+    EXPECT_STREQ(fired.label, "my-event");
+}
+
+TEST(EventQueueTest, CapturesAreReleasedWhenTheEventFires)
+{
+    // The slot gives up its closure on pop, so a capture dies with the
+    // Fired record: before the next event runs, not when the slot is
+    // reused.
+    Simulator simulator;
+    auto token = std::make_shared<int>(7);
+    const std::weak_ptr<int> weak = token;
+    simulator.schedule(SimTime::seconds(1.0),
+                       [token = std::move(token)] { EXPECT_EQ(*token, 7); },
+                       "holder");
+    bool checked = false;
+    simulator.schedule(SimTime::seconds(2.0), [&] {
+        EXPECT_TRUE(weak.expired());
+        checked = true;
+    });
+    simulator.run();
+    EXPECT_TRUE(checked);
+}
+
+TEST(EventQueueTest, CapturesAreReleasedOnCancel)
+{
+    EventQueue queue;
+    auto token = std::make_shared<int>(7);
+    const std::weak_ptr<int> weak = token;
+    const EventId id = queue.schedule(
+        SimTime::seconds(1.0), [token = std::move(token)] {}, "held");
+    queue.schedule(SimTime::seconds(1.0), [] {}, "behind");
+    EXPECT_FALSE(weak.expired());
+    EXPECT_TRUE(queue.cancel(id));
+    // Released at once, although the slot stays linked into its run.
+    EXPECT_TRUE(weak.expired());
+    EXPECT_STREQ(queue.pop().label, "behind");
+}
+
+TEST(EventQueueTest, SnapshotCopiesLabelText)
+{
+    EventQueue queue;
+    queue.schedule(SimTime::seconds(2.0), [] {}, "idle-governor");
+    queue.schedule(SimTime::seconds(1.0), [] {}, "dcsim.evaluate");
+    queue.schedule(SimTime::seconds(1.0), [] {});
+    const auto snapshot = queue.pendingSnapshot();
+    ASSERT_EQ(snapshot.size(), 3u);
+    EXPECT_EQ(snapshot[0].label, "dcsim.evaluate");
+    EXPECT_EQ(snapshot[1].label, "");
+    EXPECT_EQ(snapshot[2].label, "idle-governor");
+}
+
+TEST(EventQueueTest, ProfiledDispatchLabelsAndTimesEvents)
+{
+    using telemetry::DispatchStats;
+    using telemetry::Profiler;
+    Profiler &prof = Profiler::instance();
+    prof.reset();
+    prof.setEnabled(true);
+    Simulator simulator;
+    int fired = 0;
+    for (int i = 0; i < 3; ++i) {
+        simulator.schedule(SimTime::seconds(i), [&] {
+            ++fired;
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(50);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+        }, "profiled.tick");
+    }
+    simulator.schedule(SimTime::seconds(5.0), [&] { ++fired; });
+    simulator.run();
+    prof.setEnabled(false);
+
+    EXPECT_EQ(fired, 4);
+    EXPECT_EQ(simulator.eventsProcessed(), 4u);
+    const std::vector<DispatchStats> stats = prof.dispatchStats();
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_EQ(stats[0].label, "profiled.tick");
+    EXPECT_EQ(stats[0].count, 3u);
+    EXPECT_GE(stats[0].totalNs, 3u * 50'000u);
+    EXPECT_EQ(stats[1].label, "(unlabeled)");
+    EXPECT_EQ(stats[1].count, 1u);
+    bool dispatch_zone = false;
+    for (const telemetry::ZoneNode &node : prof.nodes()) {
+        if (node.name == "sim.dispatch") {
+            dispatch_zone = true;
+            EXPECT_EQ(node.calls, 4u);
+        }
+    }
+    EXPECT_TRUE(dispatch_zone);
+    prof.reset();
 }
 
 TEST(EventQueueTest, ClearDropsEverything)
@@ -230,13 +325,13 @@ TEST(EventQueueRunsTest, ZeroDelaySchedulesFireAfterTheDrainingInstant)
     for (const char *label : {"a", "b", "c"})
         queue.schedule(SimTime::seconds(1.0), [] {}, label);
     queue.schedule(SimTime::seconds(2.0), [] {}, "later");
-    EXPECT_EQ(queue.pop().label, "a");
+    EXPECT_STREQ(queue.pop().label, "a");
     queue.schedule(SimTime::seconds(1.0), [] {}, "d"); // new run at 1 s
-    EXPECT_EQ(queue.pop().label, "b");
-    EXPECT_EQ(queue.pop().label, "c");
+    EXPECT_STREQ(queue.pop().label, "b");
+    EXPECT_STREQ(queue.pop().label, "c");
     queue.schedule(SimTime::seconds(1.0), [] {}, "e"); // appends to d's run
-    EXPECT_EQ(queue.pop().label, "d");
-    EXPECT_EQ(queue.pop().label, "e");
+    EXPECT_STREQ(queue.pop().label, "d");
+    EXPECT_STREQ(queue.pop().label, "e");
     queue.schedule(SimTime::seconds(1.0), [] {}, "f"); // d's run is gone
     EXPECT_EQ(drainLabels(queue), (std::vector<std::string>{"f", "later"}));
 }
@@ -269,12 +364,15 @@ TEST(EventQueueRunsTest, CancelHeadMiddleTailThenAppend)
 
 TEST(EventQueueRunsTest, ClearWithCancelledSlotsStillLinked)
 {
+    // Labels are held by pointer: run-time ones live here, past the queue.
+    std::deque<std::string> labels;
     EventQueue queue;
     std::set<EventId> seen;
     std::vector<EventId> ids;
     for (int i = 0; i < 6; ++i) {
+        labels.push_back(std::to_string(i));
         const EventId id = queue.schedule(SimTime::seconds(i % 2), [] {},
-                                          std::to_string(i));
+                                          labels.back().c_str());
         seen.insert(id);
         ids.push_back(id);
     }
@@ -293,8 +391,9 @@ TEST(EventQueueRunsTest, ClearWithCancelledSlotsStillLinked)
     for (const EventId id : ids)
         old_slots.insert(id & 0xffffffffu);
     for (int i = 0; i < 6; ++i) {
+        labels.push_back("n" + std::to_string(i));
         const EventId id = queue.schedule(SimTime::seconds(1.0), [] {},
-                                          "n" + std::to_string(i));
+                                          labels.back().c_str());
         EXPECT_TRUE(seen.insert(id).second) << "id re-minted after clear";
         new_slots.insert(id & 0xffffffffu);
     }
@@ -333,6 +432,7 @@ void
 runInterleaving(std::uint64_t seed)
 {
     Rng rng(seed);
+    std::deque<std::string> labels; // outlives the queue (see above)
     EventQueue queue;
     QueueModel model;
     std::set<EventId> issued;
@@ -350,8 +450,9 @@ runInterleaving(std::uint64_t seed)
             if (rng.uniform01() < 0.2)
                 when += rng.uniformInt(1, 999);
             const std::uint64_t seq = model.nextSeq++;
+            labels.push_back(std::to_string(seq));
             const EventId id = queue.schedule(SimTime::micros(when), [] {},
-                                              std::to_string(seq));
+                                              labels.back().c_str());
             ASSERT_TRUE(issued.insert(id).second) << "duplicate id";
             ASSERT_NE(id, invalidEventId);
             handles.push_back(id);

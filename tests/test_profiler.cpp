@@ -179,6 +179,29 @@ TEST_F(ProfilerTest, DispatchStatsAggregateByLabel)
     EXPECT_GT(stats[0].percentileUs(0.99), 64.0 - 1.0);
 }
 
+TEST_F(ProfilerTest, DispatchRowsAreKeyedByTextNotPointer)
+{
+    // Two buffers with the same text, as two translation units' copies of
+    // one literal would be: one row, whichever pointer arrives.
+    const char first[] = "same.label";
+    const std::string second = "same.label";
+    ASSERT_NE(static_cast<const void *>(first),
+              static_cast<const void *>(second.c_str()));
+    Profiler &prof = Profiler::instance();
+    prof.recordDispatch(first, 1000);
+    prof.recordDispatch(second.c_str(), 2000);
+    prof.recordDispatch(first, 4000);
+    prof.recordDispatch("", 8000);
+
+    const std::vector<DispatchStats> stats = prof.dispatchStats();
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_EQ(stats[0].label, "(unlabeled)");
+    EXPECT_EQ(stats[0].count, 1u);
+    EXPECT_EQ(stats[1].label, "same.label");
+    EXPECT_EQ(stats[1].count, 3u);
+    EXPECT_EQ(stats[1].totalNs, 7000u);
+}
+
 TEST_F(ProfilerTest, ReportContainsZonesDispatchAndProcessSections)
 {
     {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "telemetry/export.hpp"
+#include "telemetry/json_util.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
 
@@ -112,6 +115,52 @@ TEST(TelemetryExportTest, InFlightMigrationRenderedWithExpectedDuration)
     EXPECT_NE(out.str().find("migrate(in flight) host0->host1"),
               std::string::npos);
     EXPECT_NE(out.str().find("\"dur\":5000000"), std::string::npos);
+}
+
+TEST(TelemetryExportTest, IdleTransitionsRenderedAsHostSpans)
+{
+    Telemetry telemetry;
+    TelemetryConfig config;
+    config.enabled = true;
+    telemetry.configure(config);
+    EventJournal &journal = telemetry.journal();
+    journal.registerTrack(TrackDomain::Host, 4, "host04");
+    journal.idleTransition(3'000'000, 4, "core", "C0", "C6", 12, 1.5, 0.25);
+    journal.idleTransition(5'000'000, 4, "pkg", "PC0", "PC6", 1, 0.5, 2.0);
+
+    std::ostringstream out;
+    writeChromeTrace(telemetry, out);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(out.str(), doc, &error)) << error;
+    const JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::vector<const JsonValue *> spans;
+    for (const JsonValue &ev : events->array)
+        if (stringOr(ev.find("cat"), "") == "idle")
+            spans.push_back(&ev);
+    ASSERT_EQ(spans.size(), 2u);
+
+    const JsonValue &core = *spans[0];
+    EXPECT_EQ(stringOr(core.find("ph"), ""), "X");
+    EXPECT_EQ(stringOr(core.find("name"), ""), "core C0");
+    EXPECT_EQ(numberOr(core.find("pid"), -1), 1.0); // the hosts process
+    EXPECT_EQ(numberOr(core.find("tid"), -1), 4.0);
+    EXPECT_EQ(numberOr(core.find("ts"), -1), 1'500'000.0);
+    EXPECT_EQ(numberOr(core.find("dur"), -1), 1'500'000.0);
+    ASSERT_NE(core.find("args"), nullptr);
+    EXPECT_EQ(stringOr(core.find("args")->find("to"), ""), "C6");
+    EXPECT_EQ(numberOr(core.find("args")->find("cores"), -1), 12.0);
+    EXPECT_EQ(numberOr(core.find("args")->find("joules"), -1), 0.25);
+
+    const JsonValue &pkg = *spans[1];
+    EXPECT_EQ(stringOr(pkg.find("name"), ""), "pkg PC0");
+    EXPECT_EQ(numberOr(pkg.find("ts"), -1), 4'500'000.0);
+    EXPECT_EQ(numberOr(pkg.find("dur"), -1), 500'000.0);
+    ASSERT_NE(pkg.find("args"), nullptr);
+    EXPECT_EQ(stringOr(pkg.find("args")->find("to"), ""), "PC6");
+    EXPECT_EQ(numberOr(pkg.find("args")->find("cores"), -1), 1.0);
+    EXPECT_EQ(numberOr(pkg.find("args")->find("joules"), -1), 2.0);
 }
 
 TEST(TelemetryExportTest, AbortedMigrationNamedAndReasoned)
