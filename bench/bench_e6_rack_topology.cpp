@@ -22,13 +22,15 @@
 namespace {
 
 void
-runBody()
+runBody(const vpm::bench::BenchArgs &args)
 {
     using namespace vpm;
 
     bench::banner("E6", "extension: rack topology / locality-aware moves",
                   "16 hosts in 4 racks, 80 VMs, 24 h diurnal day, PM+S3; "
                   "uplink 300 MB/s vs ToR 1100 MB/s, 2 uplink flows/rack");
+
+    bench::JsonReport report(args.jsonPath, "E6");
 
     stats::Table table("rack-oblivious vs rack-affine placement",
                        {"planner", "energy kWh", "satisfaction",
@@ -54,7 +56,9 @@ runBody()
                 ? static_cast<double>(result.crossRackMigrations) /
                       static_cast<double>(result.metrics.migrations)
                 : 0.0;
-        table.addRow({affinity ? "rack-affine" : "rack-oblivious",
+        const char *planner = affinity ? "rack-affine" : "rack-oblivious";
+        report.add(planner, result);
+        table.addRow({planner,
                       stats::fmt(result.metrics.energyKwh),
                       stats::fmtPercent(result.metrics.satisfaction, 2),
                       stats::fmtPercent(result.metrics.violationFraction,
@@ -65,6 +69,7 @@ runBody()
                       stats::fmt(result.meanMigrationSeconds, 1)});
     }
     table.print(std::cout);
+    report.write();
 
     std::cout << "\nTakeaway: preferring same-rack homes keeps most "
                  "consolidation traffic off the\nshared uplinks — "
@@ -80,5 +85,5 @@ main(int argc, char **argv)
 {
     const vpm::bench::BenchArgs args =
         vpm::bench::parseArgs("e6_rack_topology", argc, argv);
-    return vpm::bench::runBench(args, runBody);
+    return vpm::bench::runBench(args, [&] { runBody(args); });
 }

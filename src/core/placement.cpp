@@ -1,6 +1,7 @@
 #include "core/placement.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "simcore/logging.hpp"
@@ -69,10 +70,16 @@ PlacementModel::rebuildUsage()
 {
     cpuUsed_.assign(hosts_.size(), 0.0);
     memUsed_.assign(hosts_.size(), 0.0);
-    for (const PlannedVm &vm_ref : vms_) {
+    residents_.resize(hosts_.size());
+    for (std::vector<std::uint32_t> &list : residents_)
+        list.clear(); // keeps capacity across management cycles
+    log_.clear();
+    for (std::size_t v = 0; v < vms_.size(); ++v) {
+        const PlannedVm &vm_ref = vms_[v];
         const std::size_t h = hostIndex(vm_ref.host);
         cpuUsed_[h] += vm_ref.cpuMhz;
         memUsed_[h] += vm_ref.memoryMb;
+        residents_[h].push_back(static_cast<std::uint32_t>(v));
     }
 }
 
@@ -116,11 +123,11 @@ PlacementModel::cpuUtilization(HostId host) const
 std::vector<VmId>
 PlacementModel::vmsOn(HostId host) const
 {
+    const std::vector<std::uint32_t> &list = residents_[hostIndex(host)];
     std::vector<VmId> result;
-    for (const PlannedVm &vm_ref : vms_) {
-        if (vm_ref.host == host)
-            result.push_back(vm_ref.id);
-    }
+    result.reserve(list.size());
+    for (const std::uint32_t v : list)
+        result.push_back(vms_[v].id);
     return result;
 }
 
@@ -205,16 +212,126 @@ PlacementModel::apply(const Move &move)
 
     const std::size_t from = hostIndex(move.from);
     const std::size_t to = hostIndex(move.to);
+    const std::size_t v = vmIndex(move.vm);
+    log_.push_back({static_cast<std::uint32_t>(v),
+                    static_cast<std::uint32_t>(from),
+                    static_cast<std::uint32_t>(to), cpuUsed_[from],
+                    memUsed_[from], cpuUsed_[to], memUsed_[to]});
     cpuUsed_[from] -= vm_ref.cpuMhz;
     memUsed_[from] -= vm_ref.memoryMb;
     cpuUsed_[to] += vm_ref.cpuMhz;
     memUsed_[to] += vm_ref.memoryMb;
     vm_ref.host = move.to;
+    relocate(static_cast<std::uint32_t>(v), static_cast<std::uint32_t>(from),
+             static_cast<std::uint32_t>(to));
 
     if (const int group = groupOf(move.vm);
         group >= 0 && !hostGroupCount_.empty()) {
         --hostGroupCount_[from][group];
         ++hostGroupCount_[to][group];
+    }
+}
+
+void
+PlacementModel::relocate(std::uint32_t v, std::uint32_t from,
+                         std::uint32_t to)
+{
+    std::vector<std::uint32_t> &src = residents_[from];
+    src.erase(std::lower_bound(src.begin(), src.end(), v));
+    std::vector<std::uint32_t> &dst = residents_[to];
+    dst.insert(std::lower_bound(dst.begin(), dst.end(), v), v);
+}
+
+void
+PlacementModel::rollback(std::size_t mark)
+{
+    if (mark > log_.size())
+        sim::panic("PlacementModel::rollback: mark %zu beyond the %zu "
+                   "logged moves", mark, log_.size());
+    while (log_.size() > mark) {
+        const LoggedMove &entry = log_.back();
+        PlannedVm &vm_ref = vms_[entry.vm];
+        // Restore the saved rows: undoing the arithmetic would not be
+        // bit-exact.
+        cpuUsed_[entry.from] = entry.fromCpu;
+        memUsed_[entry.from] = entry.fromMem;
+        cpuUsed_[entry.to] = entry.toCpu;
+        memUsed_[entry.to] = entry.toMem;
+        vm_ref.host = hosts_[entry.from].id;
+        relocate(entry.vm, entry.to, entry.from);
+        if (const int group = groupOf(vm_ref.id);
+            group >= 0 && !hostGroupCount_.empty()) {
+            ++hostGroupCount_[entry.from][group];
+            --hostGroupCount_[entry.to][group];
+        }
+        log_.pop_back();
+    }
+}
+
+namespace {
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+} // namespace
+
+void
+PlacementModel::audit() const
+{
+    // The resident index, rebuilt from the VM rows.
+    std::vector<std::vector<std::uint32_t>> residents(hosts_.size());
+    for (std::size_t v = 0; v < vms_.size(); ++v)
+        residents[hostIndex(vms_[v].host)].push_back(
+            static_cast<std::uint32_t>(v));
+    if (residents_.size() != hosts_.size())
+        sim::panic("PlacementModel audit: resident index covers %zu of %zu "
+                   "hosts", residents_.size(), hosts_.size());
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
+        if (residents_[h] != residents[h])
+            sim::panic("PlacementModel audit: resident index of host %d "
+                       "holds %zu VMs, the VM rows place %zu there (or in "
+                       "another order)", hosts_[h].id, residents_[h].size(),
+                       residents[h].size());
+    }
+
+    // The assignment before the logged moves, summed like rebuildUsage().
+    std::vector<std::size_t> host_of(vms_.size());
+    for (std::size_t v = 0; v < vms_.size(); ++v)
+        host_of[v] = hostIndex(vms_[v].host);
+    for (auto it = log_.rbegin(); it != log_.rend(); ++it)
+        host_of[it->vm] = it->from;
+    std::vector<double> cpu(hosts_.size(), 0.0);
+    std::vector<double> mem(hosts_.size(), 0.0);
+    for (std::size_t v = 0; v < vms_.size(); ++v) {
+        cpu[host_of[v]] += vms_[v].cpuMhz;
+        mem[host_of[v]] += vms_[v].memoryMb;
+    }
+
+    // Replay the logged moves' arithmetic, checking each saved row.
+    for (const LoggedMove &entry : log_) {
+        const PlannedVm &vm_ref = vms_[entry.vm];
+        if (!sameBits(cpu[entry.from], entry.fromCpu) ||
+            !sameBits(mem[entry.from], entry.fromMem) ||
+            !sameBits(cpu[entry.to], entry.toCpu) ||
+            !sameBits(mem[entry.to], entry.toMem))
+            sim::panic("PlacementModel audit: logged move of VM %d from "
+                       "host %d to host %d saved rows a recompute does not "
+                       "give", vm_ref.id, hosts_[entry.from].id,
+                       hosts_[entry.to].id);
+        cpu[entry.from] -= vm_ref.cpuMhz;
+        mem[entry.from] -= vm_ref.memoryMb;
+        cpu[entry.to] += vm_ref.cpuMhz;
+        mem[entry.to] += vm_ref.memoryMb;
+    }
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
+        if (!sameBits(cpuUsed_[h], cpu[h]) || !sameBits(memUsed_[h], mem[h]))
+            sim::panic("PlacementModel audit: host %d uses %.17g MHz / "
+                       "%.17g MB, a recompute gives %.17g MHz / %.17g MB",
+                       hosts_[h].id, cpuUsed_[h], memUsed_[h], cpu[h],
+                       mem[h]);
     }
 }
 
@@ -321,29 +438,27 @@ planEvacuation(PlacementModel &model, HostId victim,
             return std::nullopt;
     }
 
-    // Work on a copy so failure leaves the caller's model untouched. The
-    // scratch model is reused across calls so its vectors keep their
-    // capacity instead of reallocating every evacuation attempt.
-    static thread_local PlacementModel trial;
-    trial = model;
+    // Plan in place; a failure rolls the logged moves back, so the
+    // caller's model is left bit-identical.
+    const std::size_t mark = model.mark();
     std::vector<Move> moves;
 
-    for (VmId vm_id : vmsByDescendingCpu(trial, victim)) {
-        const PlannedVm &vm_ref = trial.vm(vm_id);
+    for (VmId vm_id : vmsByDescendingCpu(model, victim)) {
+        const PlannedVm &vm_ref = model.vm(vm_id);
         const HostId dest = chooseDestination(
-            trial, vm_ref, target_utilization, heuristic, victim,
+            model, vm_ref, target_utilization, heuristic, victim,
             dc::invalidHostId, rack_affinity);
-        if (dest == dc::invalidHostId)
+        if (dest == dc::invalidHostId) {
+            model.rollback(mark);
             return std::nullopt;
+        }
         const Move move{vm_id, victim, dest};
-        trial.apply(move);
+        model.apply(move);
         moves.push_back(move);
     }
 
-    for (const Move &move : moves) {
-        model.apply(move);
+    for (const Move &move : moves)
         model.pin(move.vm); // one planned move per VM per cycle
-    }
     return moves;
 }
 

@@ -101,7 +101,8 @@ class PlacementModel
     /** Predicted CPU utilization of a host, in [0, inf). */
     double cpuUtilization(HostId host) const;
 
-    /** VMs currently assigned to @p host, in insertion order. */
+    /** VMs currently assigned to @p host, in model (vms()) order. Reads
+     *  the per-host resident index, not a scan of every VM. */
     std::vector<VmId> vmsOn(HostId host) const;
 
     /**
@@ -116,8 +117,32 @@ class PlacementModel
     const PlannedHost &host(HostId id) const;
     ///@}
 
-    /** Apply a move (bookkeeping only). The move must be consistent. */
+    /** Apply a move (bookkeeping only). The move must be consistent. It
+     *  is logged, so rollback() can undo it exactly. */
     void apply(const Move &move);
+
+    /** @name Trial planning */
+    ///@{
+    /** The current point of the move log; moves applied after it can be
+     *  undone with rollback(). */
+    std::size_t mark() const { return log_.size(); }
+
+    /**
+     * Undo every move applied since @p mark, newest first, restoring the
+     * saved usage rows and VM hosts: the model is then bit-identical to
+     * what it was at the mark. Pins are not undone.
+     */
+    void rollback(std::size_t mark);
+    ///@}
+
+    /**
+     * Audit the incremental state against a from-scratch recompute. The
+     * resident index must equal one rebuilt from vms(). The usage rows
+     * must equal, bit for bit, rebuildUsage() on the assignment before
+     * the logged moves followed by those moves' arithmetic. Panics,
+     * naming the host or VM id, on the first mismatch.
+     */
+    void audit() const;
 
     /**
      * Mark a VM unmovable for the rest of this model's lifetime. Planners
@@ -152,16 +177,29 @@ class PlacementModel
     std::vector<PlannedVm> &mutableVms() { return vms_; }
 
     /**
-     * Recompute the per-host usage accumulators from vms_, in the same
-     * order as construction (so a refreshed model is bit-identical to a
-     * freshly built one).
+     * Recompute the per-host usage accumulators and the resident index
+     * from vms_, in the same order as construction (so a refreshed model
+     * is bit-identical to a freshly built one), and clear the move log.
      */
     void rebuildUsage();
     ///@}
 
   private:
+    /** One applied move, with the usage rows it overwrote. */
+    struct LoggedMove
+    {
+        std::uint32_t vm;   ///< index into vms_
+        std::uint32_t from; ///< index into hosts_
+        std::uint32_t to;   ///< index into hosts_
+        double fromCpu, fromMem, toCpu, toMem;
+    };
+
     std::size_t hostIndex(HostId id) const;
     std::size_t vmIndex(VmId id) const;
+
+    /** Move VM index @p v between the resident lists of two host
+     *  indices, keeping each list in ascending VM-index order. */
+    void relocate(std::uint32_t v, std::uint32_t from, std::uint32_t to);
 
     std::vector<PlannedHost> hosts_;
     std::vector<PlannedVm> vms_;
@@ -170,6 +208,10 @@ class PlacementModel
     std::vector<std::int32_t> vmSlot_;
     std::vector<double> cpuUsed_;
     std::vector<double> memUsed_;
+    /** Per host index: resident VM indices, ascending. */
+    std::vector<std::vector<std::uint32_t>> residents_;
+    /** Moves applied since the last rebuildUsage(). */
+    std::vector<LoggedMove> log_;
 
     /** VM id -> anti-affinity group (absent = unconstrained). */
     std::unordered_map<VmId, int> vmGroup_;
@@ -182,8 +224,10 @@ class PlacementModel
  * hosts, keeping every destination under @p target_utilization predicted
  * CPU and within memory.
  *
- * On success the model is updated and the move list returned; on failure
- * the model is left untouched and nullopt returned.
+ * Plans in place on the model's move log. On success the model is updated
+ * (moved VMs pinned) and the move list returned; on failure the logged
+ * moves are rolled back, leaving the model bit-identical, and nullopt is
+ * returned.
  */
 std::optional<std::vector<Move>>
 planEvacuation(PlacementModel &model, HostId victim,

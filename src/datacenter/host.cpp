@@ -60,6 +60,7 @@ Host::init(const power::HostPowerSpec &power_spec)
         store_->setHostPhase(id_, static_cast<std::uint8_t>(to));
         store_->markHost(id_, FleetStore::kAllocDirty);
         store_->queueAllocDirty(id_);
+        ++admissionEpoch_; // isOn() gates migration admission
         updatePowerDraw();
     });
 
@@ -198,6 +199,7 @@ Host::addVm(Vm &vm)
     vmIds_.push_back(vm.id());
     vm.setResidentHost(this);
     markMembershipChanged();
+    ++admissionEpoch_;
 }
 
 void
@@ -211,6 +213,7 @@ Host::removeVm(Vm &vm)
     vms_.erase(it);
     vm.setResidentHost(nullptr);
     markMembershipChanged();
+    ++admissionEpoch_;
 }
 
 double
@@ -280,6 +283,7 @@ Host::adjustInboundReservedMemoryMb(double delta_mb)
     // Snap accumulation residue so a quiescent host reads exactly zero.
     if (inboundReservedMemoryMb_ < 1e-9)
         inboundReservedMemoryMb_ = 0.0;
+    ++admissionEpoch_;
 }
 
 void
@@ -289,6 +293,7 @@ Host::adjustActiveMigrations(int delta)
     if (activeMigrations_ < 0)
         sim::panic("Host '%s': active migration count went negative",
                    name_.c_str());
+    ++admissionEpoch_;
 }
 
 } // namespace vpm::dc

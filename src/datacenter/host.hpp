@@ -22,6 +22,7 @@
 #define VPM_DATACENTER_HOST_HPP
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -229,6 +230,17 @@ class Host
     void adjustActiveMigrations(int delta);
     ///@}
 
+    /**
+     * Admission epoch: bumped whenever an input of the migration engine's
+     * admission checks on this host may have changed — membership,
+     * in-flight migration count, inbound memory reservation, power phase,
+     * and (through bumpAdmissionEpoch) the engine's own bookkeeping of a
+     * resident VM. A queued migration whose endpoints' epochs have not
+     * moved since it last waited would wait again (see DESIGN.md).
+     */
+    std::uint64_t admissionEpoch() const { return admissionEpoch_; }
+    void bumpAdmissionEpoch() { ++admissionEpoch_; }
+
     /** @name Incremental bookkeeping (see DESIGN.md) */
     ///@{
     /** A resident VM's demand changed: demand aggregate + grants stale.
@@ -293,6 +305,7 @@ class Host
     std::vector<VmId> vmIds_; ///< parallel to vms_
     double inboundReservedMemoryMb_ = 0.0;
     int activeMigrations_ = 0;
+    std::uint64_t admissionEpoch_ = 0;
 };
 
 } // namespace vpm::dc

@@ -72,33 +72,32 @@ MigrationEngine::expectedDuration(const Vm &vm, HostId source,
     return config_.fixedOverhead + copy * (flat / bandwidth);
 }
 
+const char *
+MigrationEngine::invalidReason(const Vm &vm, HostId dest) const
+{
+    if (!vm.placed())
+        return "VM unplaced";
+    if (vm.host() == dest)
+        return "already on destination";
+    if (!cluster_.host(dest).isOn())
+        return "destination is not on";
+    if (!memoryFitsAfterPending(vm, dest))
+        return "no memory headroom on destination even after pending "
+               "departures";
+    return nullptr;
+}
+
 bool
 MigrationEngine::validate(const Vm &vm, HostId dest,
                           bool is_queued_retry) const
 {
-    const char *ctx = is_queued_retry ? "queued migration" : "migration";
-    if (!vm.placed()) {
-        sim::warn("%s of '%s' invalid: VM unplaced", ctx, vm.name().c_str());
-        return false;
-    }
-    if (vm.host() == dest) {
-        sim::warn("%s of '%s' invalid: already on destination", ctx,
-                  vm.name().c_str());
-        return false;
-    }
-    const Host &dest_ref = cluster_.host(dest);
-    if (!dest_ref.isOn()) {
-        sim::warn("%s of '%s' invalid: destination '%s' is not on", ctx,
-                  vm.name().c_str(), dest_ref.name().c_str());
-        return false;
-    }
-    if (!memoryFitsAfterPending(vm, dest)) {
-        sim::warn("%s of '%s' invalid: no memory headroom on '%s' even "
-                  "after pending departures", ctx, vm.name().c_str(),
-                  dest_ref.name().c_str());
-        return false;
-    }
-    return true;
+    const char *reason = invalidReason(vm, dest);
+    if (reason == nullptr)
+        return true;
+    sim::warn("%s of '%s' to host %d invalid: %s",
+              is_queued_retry ? "queued migration" : "migration",
+              vm.name().c_str(), dest, reason);
+    return false;
 }
 
 bool
@@ -151,15 +150,61 @@ MigrationEngine::request(VmId vm_id, HostId dest)
     if (!validate(vm, dest, false))
         return false;
 
-    involved_.emplace(vm_id, dest);
-    if (slotsFree(vm.host(), dest) && memoryFitsNow(vm, dest)) {
+    book(vm_id, dest);
+    const HostId source = vm.host();
+    if (slotsFree(source, dest) && memoryFitsNow(vm, dest)) {
         start(vm_id, dest);
     } else {
         // Waits for a migration slot, or for a departing VM to free
         // memory on the destination (dependent moves serialize here).
-        queue_.push_back({vm_id, dest, telemetry::currentContext()});
+        queue_.push_back({vm_id, dest, telemetry::currentContext(), source,
+                          stampOf(source, dest)});
     }
     return true;
+}
+
+void
+MigrationEngine::setTopology(Topology *topology)
+{
+    topology_ = topology;
+    for (Request &req : queue_)
+        req.source = invalidHostId;
+}
+
+void
+MigrationEngine::book(VmId vm_id, HostId dest)
+{
+    involved_.emplace(vm_id, dest);
+    cluster_.host(cluster_.vm(vm_id).host()).bumpAdmissionEpoch();
+}
+
+void
+MigrationEngine::unbook(VmId vm_id)
+{
+    involved_.erase(vm_id);
+    const Vm &vm = cluster_.vm(vm_id);
+    if (vm.placed())
+        cluster_.host(vm.host()).bumpAdmissionEpoch();
+}
+
+MigrationEngine::AdmissionStamp
+MigrationEngine::stampOf(HostId source, HostId dest) const
+{
+    AdmissionStamp stamp;
+    stamp.source = cluster_.host(source).admissionEpoch();
+    stamp.dest = cluster_.host(dest).admissionEpoch();
+    if (topology_) {
+        stamp.sourceUplink = topology_->uplinkEpoch(topology_->rackOf(source));
+        stamp.destUplink = topology_->uplinkEpoch(topology_->rackOf(dest));
+    }
+    return stamp;
+}
+
+bool
+MigrationEngine::admissionInputsMoved(const Request &req) const
+{
+    return req.source == invalidHostId ||
+           stampOf(req.source, req.dest) != req.stamp;
 }
 
 bool
@@ -246,7 +291,7 @@ MigrationEngine::complete(VmId vm_id, HostId source, HostId dest)
     }
 
     vm.setMigrating(false);
-    involved_.erase(vm_id);
+    unbook(vm_id);
     --activeCount_;
 
     // A crash on either endpoint mid-copy kills the stream: abort, the
@@ -287,30 +332,63 @@ void
 MigrationEngine::drainQueue()
 {
     PROF_ZONE("migration.drain_queue");
-    // Start every queued request whose endpoints now have slots. One pass
-    // is enough: slots only free up on completion, which re-drains.
-    std::deque<Request> still_waiting;
-    while (!queue_.empty()) {
-        const Request req = queue_.front();
-        queue_.pop_front();
-
-        const Vm &vm = cluster_.vm(req.vm);
-        if (!validate(vm, req.dest, true)) {
-            involved_.erase(req.vm);
-            ++dropped_;
-            continue;
+    // Start every queued request whose endpoints now have slots, in FIFO
+    // order. One pass is enough: slots only free up on completion, which
+    // re-drains. A request whose admission inputs did not move since it
+    // last waited would wait again with no side effect, so it is kept
+    // without re-examination; starts and drops earlier in the pass bump
+    // the epochs they touch, so later requests see them.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        Request &req = queue_[i];
+        if (admissionInputsMoved(req)) {
+            const Vm &vm = cluster_.vm(req.vm);
+            if (!validate(vm, req.dest, true)) {
+                unbook(req.vm);
+                ++dropped_;
+                continue;
+            }
+            const HostId source = vm.host();
+            if (slotsFree(source, req.dest) && memoryFitsNow(vm, req.dest)) {
+                // We are inside some other migration's completion event;
+                // restore the context of the decision that queued this
+                // one.
+                telemetry::TraceScope scope(req.context);
+                start(req.vm, req.dest);
+                continue;
+            }
+            req.source = source;
+            req.stamp = stampOf(source, req.dest);
         }
-        if (slotsFree(vm.host(), req.dest) &&
-            memoryFitsNow(vm, req.dest)) {
-            // We are inside some other migration's completion event;
-            // restore the context of the decision that queued this one.
-            telemetry::TraceScope scope(req.context);
-            start(req.vm, req.dest);
-        } else {
-            still_waiting.push_back(req);
-        }
+        if (kept != i)
+            queue_[kept] = std::move(req);
+        ++kept;
     }
-    queue_ = std::move(still_waiting);
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 queue_.end());
+}
+
+void
+MigrationEngine::auditQueue() const
+{
+    for (const Request &req : queue_) {
+        const auto booked = involved_.find(req.vm);
+        if (booked == involved_.end() || booked->second != req.dest)
+            sim::panic("MigrationEngine audit: queued VM %d -> host %d is "
+                       "not booked to that destination", req.vm, req.dest);
+        if (admissionInputsMoved(req))
+            continue; // the next drain re-examines it
+        const Vm &vm = cluster_.vm(req.vm);
+        if (const char *reason = invalidReason(vm, req.dest))
+            sim::panic("MigrationEngine audit: queued VM %d (host %d) -> "
+                       "host %d should have been dropped (%s), but its "
+                       "admission epochs did not move", req.vm, vm.host(),
+                       req.dest, reason);
+        if (slotsFree(vm.host(), req.dest) && memoryFitsNow(vm, req.dest))
+            sim::panic("MigrationEngine audit: queued VM %d (host %d) -> "
+                       "host %d should have started, but its admission "
+                       "epochs did not move", req.vm, vm.host(), req.dest);
+    }
 }
 
 void

@@ -7,16 +7,22 @@
  * a migration takes memory-size/bandwidth time (with a dirty-page retransmit
  * factor), taxes CPU on both endpoints while in flight, and each host only
  * sustains a few concurrent migrations. Requests beyond the concurrency cap
- * queue FIFO and are revalidated when they finally start.
+ * (or waiting for a departure to free destination memory) queue FIFO. Each
+ * completion drains the queue in order: a request is re-examined only when
+ * an input of its admission checks moved since it last waited — its
+ * endpoints' admission epochs, or their racks' uplink epochs — and is then
+ * dropped if no longer valid, started if admitted, or left waiting. A
+ * request whose inputs did not move would wait again, so skipping it is
+ * exact (DESIGN.md "Migration admission epochs").
  */
 
 #ifndef VPM_DATACENTER_MIGRATION_HPP
 #define VPM_DATACENTER_MIGRATION_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "datacenter/cluster.hpp"
 #include "datacenter/topology.hpp"
@@ -103,9 +109,10 @@ class MigrationEngine
      * Attach a network topology: cross-rack migrations then ride the
      * (slower) uplink bandwidth and compete for per-rack uplink slots.
      * Pass nullptr to restore the flat network. The topology must
-     * outlive the engine.
+     * outlive the engine. Queued requests are all re-examined at the next
+     * drain (their recorded uplink epochs belong to the old network).
      */
-    void setTopology(Topology *topology) { topology_ = topology; }
+    void setTopology(Topology *topology);
 
     /** @name Counters */
     ///@{
@@ -131,9 +138,31 @@ class MigrationEngine
     /** Subscribe to migration completions (single handler). */
     void setOnComplete(CompletionHandler handler);
 
+    /**
+     * Audit the admission gate against a from-scratch evaluation: every
+     * queued request whose recorded epochs still match (the next drain
+     * would skip it) must evaluate to "wait" under the pure admission
+     * predicates. Panics, naming the VM and host ids, on a request that
+     * should have started or been dropped, or on a queued VM the engine
+     * no longer books. Requests whose epochs moved are the next drain's
+     * to re-examine and make no claim.
+     */
+    void auditQueue() const;
+
     const MigrationConfig &config() const { return config_; }
 
   private:
+    /** The admission epochs of a request's endpoints and their racks. */
+    struct AdmissionStamp
+    {
+        std::uint64_t source = 0;
+        std::uint64_t dest = 0;
+        std::uint64_t sourceUplink = 0; ///< 0 on a flat network
+        std::uint64_t destUplink = 0;   ///< 0 on a flat network
+
+        bool operator==(const AdmissionStamp &) const = default;
+    };
+
     struct Request
     {
         VmId vm;
@@ -143,10 +172,31 @@ class MigrationEngine
          *  starts from a later completion event must still be attributed
          *  to the decision that requested it. */
         telemetry::TraceContext context;
+
+        /** The VM's host and the stamp when this request last evaluated
+         *  to "wait"; invalidHostId forces the next drain to re-examine. */
+        HostId source = invalidHostId;
+        AdmissionStamp stamp;
     };
 
-    /** Validation shared by request() and queue drain. */
+    /** Why a migration of @p vm to @p dest is invalid, or nullptr. Pure:
+     *  the audit re-evaluates it. */
+    const char *invalidReason(const Vm &vm, HostId dest) const;
+
+    /** Validation shared by request() and queue drain: invalidReason(),
+     *  with the reason logged. */
     bool validate(const Vm &vm, HostId dest, bool is_queued_retry) const;
+
+    AdmissionStamp stampOf(HostId source, HostId dest) const;
+
+    /** true if the request's admission inputs may have moved since it
+     *  last waited, so the drain must re-examine it. */
+    bool admissionInputsMoved(const Request &req) const;
+
+    /** Book / unbook @p vm as involved. The booking is an input of
+     *  memoryFitsAfterPending() on the VM's host, so both bump it. */
+    void book(VmId vm, HostId dest);
+    void unbook(VmId vm);
 
     /** true if both endpoints have a free migration slot. */
     bool slotsFree(HostId source, HostId dest) const;
@@ -172,7 +222,7 @@ class MigrationEngine
     MigrationConfig config_;
     Topology *topology_ = nullptr;
 
-    std::deque<Request> queue_;
+    std::vector<Request> queue_; ///< FIFO; compacted in place by drains
     std::unordered_map<VmId, HostId> involved_;
     std::unordered_map<VmId, sim::SimTime> activeDurations_;
     int activeCount_ = 0;

@@ -21,6 +21,7 @@ Topology::Topology(int host_count, const TopologyConfig &config)
     rackCount_ =
         (host_count + config_.hostsPerRack - 1) / config_.hostsPerRack;
     uplinkFlows_.assign(static_cast<std::size_t>(rackCount_), 0);
+    uplinkEpochs_.assign(static_cast<std::size_t>(rackCount_), 0);
 }
 
 RackId
@@ -73,8 +74,10 @@ Topology::acquireUplink(HostId a, HostId b)
 {
     if (sameRack(a, b))
         return;
-    ++uplinkFlows_[static_cast<std::size_t>(rackOf(a))];
-    ++uplinkFlows_[static_cast<std::size_t>(rackOf(b))];
+    for (const RackId rack : {rackOf(a), rackOf(b)}) {
+        ++uplinkFlows_[static_cast<std::size_t>(rack)];
+        ++uplinkEpochs_[static_cast<std::size_t>(rack)];
+    }
 }
 
 void
@@ -88,6 +91,7 @@ Topology::releaseUplink(HostId a, HostId b)
             sim::panic("Topology: uplink release underflow on rack %d",
                        rack);
         --flows;
+        ++uplinkEpochs_[static_cast<std::size_t>(rack)];
     }
 }
 

@@ -16,6 +16,7 @@
 #ifndef VPM_DATACENTER_TOPOLOGY_HPP
 #define VPM_DATACENTER_TOPOLOGY_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "datacenter/vm.hpp"
@@ -76,6 +77,13 @@ class Topology
 
     /** Cross-rack flows currently charged to @p rack's uplink. */
     int uplinkFlows(RackId rack) const;
+
+    /** Bumped on every acquire and release charged to @p rack: the
+     *  migration engine's admission gate for uplinkSlotsFree(). */
+    std::uint64_t uplinkEpoch(RackId rack) const
+    {
+        return uplinkEpochs_[static_cast<std::size_t>(rack)];
+    }
     ///@}
 
     const TopologyConfig &config() const { return config_; }
@@ -85,6 +93,7 @@ class Topology
     int hostCount_;
     int rackCount_;
     std::vector<int> uplinkFlows_;
+    std::vector<std::uint64_t> uplinkEpochs_;
 };
 
 } // namespace vpm::dc

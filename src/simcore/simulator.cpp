@@ -97,6 +97,15 @@ Simulator::run()
     return now_;
 }
 
+bool
+Simulator::step()
+{
+    if (queue_.empty())
+        return false;
+    dispatchOne();
+    return true;
+}
+
 void
 Simulator::runUntil(SimTime horizon)
 {

@@ -90,6 +90,12 @@ class Simulator
      */
     void requestStop() { stopRequested_ = true; }
 
+    /**
+     * Dispatch the next pending event only, so a caller can check
+     * invariants between events. @return false if none was pending.
+     */
+    bool step();
+
     /** Total events dispatched so far. */
     std::uint64_t eventsProcessed() const { return eventsProcessed_; }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "datacenter/migration.hpp"
 #include "power/server_models.hpp"
@@ -147,36 +149,73 @@ TEST_F(MigrationTest, ConcurrencyCapQueuesExcessRequests)
 
 TEST_F(MigrationTest, QueuedRequestDroppedIfInvalidatedMeanwhile)
 {
+    // Every validate() failure, each arriving while its request waits:
+    // all requests leave host 0, whose single slot the blocker holds.
     config.maxConcurrentPerHost = 1;
+    const power::HostPowerSpec spec = power::enterpriseBlade2013();
+    for (int i = 0; i < 4; ++i)
+        cluster.addHost(HostConfig{}, spec); // hosts 3-6
     MigrationEngine engine(simulator, cluster, config);
-    Vm &vm_a = placedVm("a", 0);
-    Vm &vm_b = placedVm("b", 0);
 
-    EXPECT_TRUE(engine.request(vm_a.id(), 1));
-    EXPECT_TRUE(engine.request(vm_b.id(), 1)); // queued
+    std::vector<VmId> completions;
+    engine.setOnComplete(
+        [&](VmId vm, HostId, HostId) { completions.push_back(vm); });
 
-    // While a's migration flies, the destination host goes to sleep (the
-    // engine must revalidate and drop b's request instead of crashing).
-    // Draining to sleep requires no active migrations on host 1, so do it
-    // right when a's migration lands but before b starts... instead,
-    // emulate by retargeting: put host 1 asleep after everything lands,
-    // and check the simpler invalidation: b is already on 1.
-    simulator.run();
-    EXPECT_EQ(vm_a.host(), 1);
-    EXPECT_EQ(vm_b.host(), 1);
+    Vm &blocker = placedVm("blocker", 0, 8192.0);  // 0 -> 1, ~11.7 s
+    Vm &a = placedVm("a", 0);                      // 0 -> 2: 2 sleeps
+    Vm &c = placedVm("c", 0);                      // 0 -> 3: moved there
+    Vm &f = placedVm("f", 0);                      // 0 -> 3: survives
+    Vm &d = placedVm("d", 0);                      // 0 -> 3: retired
+    Vm &e = placedVm("e", 0);                      // 0 -> 4: memory taken
+    Vm &g = placedVm("g", 0);                      // 0 -> 1: survives
+    Vm &early = placedVm("early", 5, 1024.0);      // 5 -> 6, ~3.2 s
 
-    // Now queue a migration whose destination sleeps before it starts.
-    config.maxConcurrentPerHost = 1;
-    Vm &vm_c = placedVm("c", 0);
-    Vm &vm_d = placedVm("d", 0);
-    EXPECT_TRUE(engine.request(vm_c.id(), 2));
-    EXPECT_TRUE(engine.request(vm_d.id(), 2)); // queued behind c
-    // Host 2 cannot sleep (active migration), so invalidate differently:
-    // d's own source host is irrelevant; instead verify the drop counter
-    // stays zero in the happy path.
-    simulator.run();
-    EXPECT_EQ(engine.droppedCount(), 0u);
-    EXPECT_EQ(vm_d.host(), 2);
+    ASSERT_TRUE(engine.request(blocker.id(), 1));
+    ASSERT_TRUE(engine.request(early.id(), 6));
+    const std::vector<std::pair<Vm *, HostId>> queued{
+        {&a, 2}, {&c, 3}, {&f, 3}, {&d, 3}, {&e, 4}, {&g, 1}};
+    for (const auto &[vm, dest] : queued)
+        ASSERT_TRUE(engine.request(vm->id(), dest));
+    EXPECT_EQ(engine.activeCount(), 2);
+    EXPECT_EQ(engine.queuedCount(), 6u);
+
+    // After the early completion has drained the queue once (everyone
+    // waits), invalidate four of the waiting requests.
+    simulator.schedule(SimTime::seconds(5.0), [&] {
+        EXPECT_EQ(completions, std::vector<VmId>{early.id()});
+        EXPECT_TRUE(cluster.requestHostSleep(2, "S3"));
+        cluster.moveVm(c.id(), 3);
+        cluster.retireVm(d.id());
+        Vm &hog = cluster.addVm(
+            makeSpec("hog", 1000.0, HostConfig{}.memoryCapacityMb - 2048.0));
+        cluster.placeVm(hog.id(), 4);
+    });
+
+    // The blocker lands at ~11.7 s; its drain drops a, c, d and e, starts
+    // f, and leaves g waiting for host 0's slot.
+    simulator.schedule(SimTime::seconds(12.0), [&] {
+        EXPECT_EQ(engine.droppedCount(), 4u);
+        for (const Vm *vm : {&a, &c, &d, &e})
+            EXPECT_FALSE(engine.involved(vm->id())) << vm->name();
+        EXPECT_TRUE(f.migrating());
+        EXPECT_TRUE(engine.involved(g.id()));
+        EXPECT_FALSE(g.migrating());
+        EXPECT_EQ(engine.queuedCount(), 1u);
+    });
+
+    while (simulator.step())
+        engine.auditQueue();
+
+    EXPECT_EQ(completions,
+              (std::vector<VmId>{early.id(), blocker.id(), f.id(), g.id()}));
+    EXPECT_EQ(engine.droppedCount(), 4u);
+    EXPECT_EQ(engine.queuedCount(), 0u);
+    EXPECT_EQ(a.host(), 0);
+    EXPECT_EQ(c.host(), 3);
+    EXPECT_FALSE(d.placed());
+    EXPECT_EQ(e.host(), 0);
+    EXPECT_EQ(f.host(), 3);
+    EXPECT_EQ(g.host(), 1);
 }
 
 TEST_F(MigrationTest, MemoryPressureSerializesDependentMoves)

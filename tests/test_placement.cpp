@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "core/placement.hpp"
@@ -22,6 +24,30 @@ makeVm(VmId id, HostId host, double cpu, double mem = 4096.0,
        bool movable = true)
 {
     return PlannedVm{id, host, cpu, mem, movable};
+}
+
+/** Usage rows, resident lists and VM rows equal bit for bit. */
+void
+expectSameBits(const PlacementModel &actual, const PlacementModel &expected)
+{
+    ASSERT_EQ(actual.hosts().size(), expected.hosts().size());
+    for (const PlannedHost &host : expected.hosts()) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.cpuUsedMhz(host.id)),
+                  std::bit_cast<std::uint64_t>(expected.cpuUsedMhz(host.id)))
+            << "host " << host.id;
+        EXPECT_EQ(
+            std::bit_cast<std::uint64_t>(actual.memoryUsedMb(host.id)),
+            std::bit_cast<std::uint64_t>(expected.memoryUsedMb(host.id)))
+            << "host " << host.id;
+        EXPECT_EQ(actual.vmsOn(host.id), expected.vmsOn(host.id))
+            << "host " << host.id;
+    }
+    ASSERT_EQ(actual.vms().size(), expected.vms().size());
+    for (std::size_t v = 0; v < expected.vms().size(); ++v) {
+        EXPECT_EQ(actual.vms()[v].host, expected.vms()[v].host) << "VM " << v;
+        EXPECT_EQ(actual.vms()[v].movable, expected.vms()[v].movable)
+            << "VM " << v;
+    }
 }
 
 TEST(PlacementModelTest, UsageBookkeeping)
@@ -103,6 +129,60 @@ TEST(PlanEvacuationTest, FailsWhenNothingFitsAndRestoresModel)
                                      PackingHeuristic::FirstFitDecreasing);
     EXPECT_FALSE(plan.has_value());
     EXPECT_DOUBLE_EQ(model.cpuUsedMhz(0), 5000.0); // untouched
+
+    // Partial failure: the two largest VMs are planned onto hosts 1 and 2
+    // before the third fits nowhere. Inexact values make the rollback's
+    // restore, not re-subtraction, the only way back to the same bits.
+    PlacementModel partial(
+        {makeHost(0, 32000.0), makeHost(1, 10000.0), makeHost(2, 10000.0)},
+        {makeVm(0, 0, 6000.1, 4096.3), makeVm(1, 0, 4999.7, 2048.9),
+         makeVm(2, 0, 3999.3, 1024.1), makeVm(3, 1, 1000.3, 512.7),
+         makeVm(4, 2, 1500.7, 333.3)});
+    partial.apply({3, 1, 2}); // usage rows that a rebuild would not give
+    partial.apply({3, 2, 1});
+    const PlacementModel before = partial;
+    EXPECT_FALSE(planEvacuation(partial, 0, 0.8,
+                                PackingHeuristic::FirstFitDecreasing)
+                     .has_value());
+    expectSameBits(partial, before);
+    partial.audit();
+}
+
+TEST(PlanEvacuationTest, InPlacePlanMatchesCopyAndReapply)
+{
+    // The old planner copied the model, planned on the copy and re-applied
+    // the moves to the original; planning in place must end bit-identical
+    // to that, and a rolled-back failure must not perturb later plans.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        sim::Rng rng(seed * 104729);
+        std::vector<PlannedHost> hosts;
+        for (int h = 0; h < 8; ++h)
+            hosts.push_back(makeHost(h, 16000.0, 32768.0, h != 5));
+        std::vector<PlannedVm> vms;
+        for (int v = 0; v < 40; ++v) {
+            vms.push_back(makeVm(v, static_cast<HostId>(rng.uniformInt(0, 7)),
+                                 rng.uniform(100.0, 5000.0),
+                                 rng.uniform(512.0, 6000.0)));
+        }
+        PlacementModel model(hosts, vms);
+        planRebalance(model, 0.8, 0.1, 6, PackingHeuristic::BestFitDecreasing);
+        model.audit();
+
+        for (HostId victim = 0; victim < 8; ++victim) {
+            const PlacementModel pristine = model;
+            const auto plan = planEvacuation(
+                model, victim, 0.75, PackingHeuristic::BestFitDecreasing);
+            PlacementModel reapplied = pristine;
+            if (plan) {
+                for (const Move &move : *plan) {
+                    reapplied.apply(move);
+                    reapplied.pin(move.vm);
+                }
+            }
+            expectSameBits(model, reapplied);
+            model.audit();
+        }
+    }
 }
 
 TEST(PlanEvacuationTest, PinnedVmBlocksEvacuation)
