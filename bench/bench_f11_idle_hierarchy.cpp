@@ -21,7 +21,6 @@
 
 #include "bench_util.hpp"
 #include "power/server_models.hpp"
-#include "workload/demand_trace.hpp"
 
 namespace {
 
@@ -43,18 +42,7 @@ runBody(const vpm::bench::BenchArgs &args)
     base.duration = args.quick ? sim::SimTime::hours(6.0)
                                : sim::SimTime::hours(24.0);
     base.mix.loadScale = 0.5;
-    // The F9 surge schedule: recurring spikes outside the predictor's
-    // memory, so wake latency is on the critical path.
-    base.transformFleet =
-        [](std::vector<workload::VmWorkloadSpec> &fleet) {
-            for (auto &spec : fleet) {
-                for (const double hour : {3.0, 9.0, 15.0, 21.0}) {
-                    spec.trace = std::make_shared<workload::SpikeTrace>(
-                        spec.trace, sim::SimTime::hours(hour),
-                        sim::SimTime::minutes(30.0), 0.80);
-                }
-            }
-        };
+    base.transformFleet = mgmt::addSurgeSchedule;
     base.manager = mgmt::makePolicy(mgmt::PolicyKind::NoPM);
     const double baseline_kwh = mgmt::runScenario(base).metrics.energyKwh;
     bench::finishPolicyTrace(args.tracePath, "NoPM");
@@ -89,51 +77,31 @@ runBody(const vpm::bench::BenchArgs &args)
     for (const double exit_s : sweep) {
         const std::string at = "@" + sim::SimTime::seconds(exit_s).toString();
 
-        // S3-only: the F9 configuration — consolidate and sleep whole
-        // hosts through the synthetic deep state; no hierarchy attached.
-        mgmt::ScenarioConfig s3 = base;
-        s3.powerSpec =
-            power::bladeWithSyntheticState(sim::SimTime::seconds(exit_s));
-        s3.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-        s3.manager.sleepState = "SYNTH";
-        s3.manager.period = sim::SimTime::minutes(1.0);
-        const mgmt::ScenarioResult s3_result = mgmt::runScenario(s3);
-        bench::finishPolicyTrace(args.tracePath, "S3" + at);
-        report.add("S3" + at, s3_result);
+        // S3-only: the F9 configuration. C-states-only: the same
+        // manager, but drained hosts park at the bottom of the hierarchy
+        // — immune to the swept exit latency, but never below the ~33 W
+        // full-descent floor. Joint: parked hosts escalate to the deep
+        // S-state (~12 W) once the reserve is full, while the speed/sleep
+        // governor harvests the idle gaps on the hosts still serving load.
+        const auto arm = [&](mgmt::IdleArm which, const std::string &tag) {
+            mgmt::ScenarioConfig config = base;
+            config.powerSpec = power::bladeWithSyntheticState(
+                sim::SimTime::seconds(exit_s));
+            mgmt::applyIdleArm(config, which);
+            const mgmt::ScenarioResult result = mgmt::runScenario(config);
+            bench::finishPolicyTrace(args.tracePath, tag + at);
+            report.add(tag + at, result);
+            return result;
+        };
+        const mgmt::ScenarioResult s3_result =
+            arm(mgmt::IdleArm::S3Only, "S3");
         addRow(sim::SimTime::seconds(exit_s).toString(), "S3-only",
                s3_result);
-
-        // C-states-only: the SAME consolidating manager, but drained
-        // hosts are parked (held On at the bottom of the hierarchy)
-        // instead of slept — hardware whose only idle mechanism is
-        // C-states. Immune to the swept exit latency, but parked hosts
-        // never drop below the ~33 W full-descent floor.
-        mgmt::ScenarioConfig cstates = s3;
-        cstates.manager.hostSleep = false;
-        cstates.idleHierarchy = power::modernIdleHierarchy();
-        mgmt::JointPolicyConfig idle_only;
-        idle_only.controlSpeed = false;
-        cstates.jointPolicy = idle_only;
-        const mgmt::ScenarioResult c_result = mgmt::runScenario(cstates);
-        bench::finishPolicyTrace(args.tracePath, "C" + at);
-        report.add("C" + at, c_result);
+        const mgmt::ScenarioResult c_result =
+            arm(mgmt::IdleArm::CStatesOnly, "C");
         addRow("", "C-states-only", c_result);
-
-        // Joint: the full stack. Drained hosts park first (instant
-        // reclaim, ~33 W) and the oldest escalate to the deep S-state
-        // (~12 W) once the reserve is full — the host-level tier of the
-        // hierarchy — while the speed/sleep governor harvests the idle
-        // gaps on the hosts still serving load.
-        mgmt::ScenarioConfig joint = s3;
-        joint.idleHierarchy = power::modernIdleHierarchy();
-        mgmt::JointPolicyConfig joint_policy;
-        joint_policy.speedWindowCycles = 15;
-        joint_policy.speedSurgeGuard = 2.0;
-        joint.jointPolicy = joint_policy;
-        joint.manager.parkedReserve = 3;
-        const mgmt::ScenarioResult j_result = mgmt::runScenario(joint);
-        bench::finishPolicyTrace(args.tracePath, "Joint" + at);
-        report.add("Joint" + at, j_result);
+        const mgmt::ScenarioResult j_result =
+            arm(mgmt::IdleArm::Joint, "Joint");
         addRow("", "joint", j_result);
 
         const bool wins =

@@ -11,9 +11,10 @@
  * the dirty-range evaluation, and rack-level triage keep per-cycle cost
  * proportional to what changed, not to fleet size.
  *
- * The rig is built directly (no runScenario): first-fit placement and
+ * The fleet is built directly (no runScenario): first-fit placement and
  * per-VM diurnal traces are O(fleet) per tick and would measure the
- * scaffolding, not the engine. Instead:
+ * scaffolding, not the engine. The placed fleet then runs under the
+ * shared mgmt::Rig. Instead of runScenario's fleet:
  *
  *  - VMs share a small set of piecewise-constant day/night step traces
  *    (staggered ramps), so demand refresh is span-skip cheap and the
@@ -33,66 +34,16 @@
  */
 
 #include <algorithm>
-#include <cstddef>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
 #include "workload/demand_trace.hpp"
 
 namespace {
-
-/**
- * Per-host idle governor: one self-rescheduling simulator event per host,
- * each running Host::idleGovernorTick(). A tick that would change nothing
- * commands nothing, so steady-state ticks cost a read and a reschedule —
- * which is exactly the load profile of a fleet of governors.
- */
-class IdleGovernorRig
-{
-  public:
-    IdleGovernorRig(vpm::sim::Simulator &simulator,
-                    vpm::dc::Cluster &cluster, vpm::sim::SimTime period)
-        : simulator_(simulator), cluster_(cluster), period_(period)
-    {
-    }
-
-    /** Schedule every host's first tick, staggered across one period.
-     *  Contiguous host blocks share a timestamp (not a stride pattern),
-     *  so the governors that fire together walk sequential fleet-store
-     *  rows — the cache-friendly order the SoA layout is built for. */
-    void
-    start()
-    {
-        const std::size_t count = cluster_.hostCount();
-        const auto spread = static_cast<std::size_t>(
-            std::max(1.0, period_.toSeconds()));
-        for (std::size_t h = 0; h < count; ++h) {
-            const auto offset = vpm::sim::SimTime::seconds(
-                static_cast<double>(h * spread / count));
-            const auto id = static_cast<vpm::dc::HostId>(h);
-            simulator_.schedule(offset, [this, id] { tick(id); },
-                                "idle-governor");
-        }
-    }
-
-  private:
-    void
-    tick(vpm::dc::HostId h)
-    {
-        cluster_.host(h).idleGovernorTick();
-        simulator_.schedule(period_, [this, h] { tick(h); },
-                            "idle-governor");
-    }
-
-    vpm::sim::Simulator &simulator_;
-    vpm::dc::Cluster &cluster_;
-    vpm::sim::SimTime period_;
-};
 
 void
 runBody(const vpm::bench::BenchArgs &args)
@@ -112,18 +63,21 @@ runBody(const vpm::bench::BenchArgs &args)
             "empty tail; per-host idle governors on a 5-min cadence" +
             (args.quick ? " [--quick: 5k hosts]" : ""));
 
+    mgmt::ScenarioConfig config;
+    config.idleHierarchy = power::modernIdleHierarchy();
+    // 5-minute evaluation: at 1M VMs the per-tick sample pass is the cost
+    // ceiling; fleet-scale management does not need a 1-minute loop.
+    config.datacenter.evaluationInterval = sim::SimTime::minutes(5.0);
+    config.manager.hierarchical = true;
+    config.manager.hostsPerRack = 32;
+    config.manager.racksPerPod = 16;
+    config.manager.period = sim::SimTime::minutes(15.0);
+    config.manager.loadBalance = false; // no migrations at fleet scale
+
     sim::Simulator simulator;
     dc::Cluster cluster(simulator);
-    const dc::HostConfig host_config;
-    const power::HostPowerSpec power_spec = power::enterpriseBlade2013();
     for (int h = 0; h < hosts; ++h)
-        cluster.addHost(host_config, power_spec);
-
-    const power::IdleHierarchySpec hier_spec =
-        power::modernIdleHierarchy();
-    for (const auto &host_ptr : cluster.hosts())
-        host_ptr->attachIdleHierarchy(
-            std::make_unique<power::IdleHierarchy>(simulator, hier_spec));
+        cluster.addHost(config.hostConfig, config.powerSpec);
 
     // A handful of shared day/night step traces with staggered ramps:
     // demand climbs 0.15 -> 0.90 between 06:00 and 09:45 and falls back
@@ -157,42 +111,12 @@ runBody(const vpm::bench::BenchArgs &args)
                         static_cast<dc::HostId>(v % loaded_hosts));
     }
 
-    dc::MigrationEngine migration(simulator, cluster, {});
-    dc::DatacenterConfig dc_config;
-    // 5-minute evaluation: at 1M VMs the per-tick sample pass is the cost
-    // ceiling; fleet-scale management does not need a 1-minute loop.
-    dc_config.evaluationInterval = sim::SimTime::minutes(5.0);
-    dc::DatacenterSim dcsim(simulator, cluster, migration, dc_config);
-
-    mgmt::VpmConfig manager_config;
-    manager_config.hierarchical = true;
-    manager_config.hostsPerRack = 32;
-    manager_config.racksPerPod = 16;
-    manager_config.period = sim::SimTime::minutes(15.0);
-    manager_config.loadBalance = false; // no migrations at fleet scale
-    mgmt::VpmManager manager(simulator, cluster, migration, dcsim,
-                             manager_config);
-    manager.start();
-    dcsim.start();
-
-    IdleGovernorRig governor(simulator, cluster,
-                             sim::SimTime::minutes(5.0));
-    governor.start();
-
-    mgmt::ScenarioResult result;
-    result.metrics = dcsim.runFor(duration);
-    result.manager = manager.stats();
-    for (const auto &host_ptr : cluster.hosts()) {
-        power::IdleHierarchy *hier = host_ptr->idleHierarchy();
-        hier->finish(simulator.now());
-        result.idleTransitions += hier->transitions();
-        result.idleTransitionJoules += hier->transitionEnergyJoules();
-    }
-    std::uint64_t wakes = 0;
-    for (const auto &host_ptr : cluster.hosts())
-        wakes += host_ptr->powerFsm().wakeLatenciesSeconds().size();
-    result.wakes = wakes;
-    result.eventsProcessed = simulator.eventsProcessed();
+    // The first evaluation is scheduled ahead of the governor cohort.
+    mgmt::Rig rig(simulator, cluster, config);
+    rig.dcsim().start();
+    rig.startIdleGovernors(sim::SimTime::minutes(5.0));
+    simulator.runUntil(simulator.now() + duration);
+    const mgmt::ScenarioResult result = rig.collect();
 
     bench::JsonReport report(args.jsonPath, "F12");
     report.add("Hier@" + std::to_string(hosts), result);
@@ -201,8 +125,8 @@ runBody(const vpm::bench::BenchArgs &args)
     // Wall-clock numbers live in --bench-json, never in this table: the
     // table must be byte-identical across runs and --threads values.
     const int racks =
-        (hosts + static_cast<int>(manager_config.hostsPerRack) - 1) /
-        static_cast<int>(manager_config.hostsPerRack);
+        (hosts + static_cast<int>(config.manager.hostsPerRack) - 1) /
+        static_cast<int>(config.manager.hostsPerRack);
     stats::Table table(
         "hyperscale fleet day",
         {"hosts", "VMs", "racks", "energy kWh", "satisfaction",

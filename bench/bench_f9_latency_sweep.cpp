@@ -14,11 +14,9 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "bench_util.hpp"
 #include "power/server_models.hpp"
-#include "workload/demand_trace.hpp"
 
 namespace {
 
@@ -39,16 +37,7 @@ runBody()
     base.mix.loadScale = 0.5;
     // Recurring surges outside the predictor's memory: the situation the
     // paper's agility argument is about. Every VM surges together.
-    base.transformFleet =
-        [](std::vector<workload::VmWorkloadSpec> &fleet) {
-            for (auto &spec : fleet) {
-                for (const double hour : {3.0, 9.0, 15.0, 21.0}) {
-                    spec.trace = std::make_shared<workload::SpikeTrace>(
-                        spec.trace, sim::SimTime::hours(hour),
-                        sim::SimTime::minutes(30.0), 0.80);
-                }
-            }
-        };
+    base.transformFleet = mgmt::addSurgeSchedule;
     base.manager = mgmt::makePolicy(mgmt::PolicyKind::NoPM);
     const double baseline_kwh = mgmt::runScenario(base).metrics.energyKwh;
 
@@ -61,9 +50,7 @@ runBody()
         mgmt::ScenarioConfig config = base;
         config.powerSpec =
             power::bladeWithSyntheticState(sim::SimTime::seconds(exit_s));
-        config.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-        config.manager.sleepState = "SYNTH";
-        config.manager.period = sim::SimTime::minutes(1.0);
+        mgmt::applyIdleArm(config, mgmt::IdleArm::S3Only);
         const mgmt::ScenarioResult result = mgmt::runScenario(config);
 
         table.addRow({sim::SimTime::seconds(exit_s).toString(),

@@ -39,7 +39,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +58,7 @@
 #endif
 
 #include "core/scenario.hpp"
+#include "simcore/parse_number.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -120,20 +120,16 @@ inline int
 parseIntFlag(const char *bench_id, const char *flag, const char *text,
              int min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(text, &end, 10);
-    const bool numeric =
-        end != text && *end == '\0' && errno != ERANGE &&
-        parsed >= INT_MIN && parsed <= INT_MAX;
-    if (!numeric || parsed < min) {
+    const std::optional<long long> parsed =
+        sim::parseInteger(text, min, INT_MAX);
+    if (!parsed) {
         std::fprintf(stderr,
                      "bench_%s: %s wants an integer >= %d, got '%s'\n",
                      bench_id, flag, min, text);
         printUsage(bench_id, stderr);
         std::exit(2);
     }
-    return static_cast<int>(parsed);
+    return static_cast<int>(*parsed);
 }
 
 /** Read a whole file into a string; exits 2 (with usage) when unreadable.

@@ -1,13 +1,14 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <unordered_map>
-#include <memory>
 #include <vector>
 
+#include "power/idle_hierarchy.hpp"
 #include "simcore/logging.hpp"
-#include "stats/summary.hpp"
+#include "workload/demand_trace.hpp"
 
 namespace vpm::mgmt {
 
@@ -68,6 +69,184 @@ staticInitialPlacement(
     }
 }
 
+Rig::Rig(sim::Simulator &simulator, dc::Cluster &cluster,
+         const ScenarioConfig &config)
+    : simulator_(simulator), cluster_(cluster)
+{
+    if (config.dvfs && config.jointPolicy)
+        sim::fatal("Rig: dvfs and jointPolicy both set — the "
+                   "joint policy owns the speed knob");
+
+    // Hierarchies first: each registers its host's second power-FSM
+    // observer, behind only the host's own (which carries the admission
+    // epoch), and ahead of every engine's.
+    if (config.idleHierarchy) {
+        for (const auto &host_ptr : cluster_.hosts())
+            host_ptr->attachIdleHierarchy(
+                std::make_unique<power::IdleHierarchy>(
+                    simulator_, *config.idleHierarchy));
+    }
+
+    migration_ = std::make_unique<dc::MigrationEngine>(simulator_, cluster_,
+                                                       config.migration);
+    dcsim_ = std::make_unique<dc::DatacenterSim>(simulator_, cluster_,
+                                                 *migration_,
+                                                 config.datacenter);
+    manager_ = std::make_unique<VpmManager>(simulator_, cluster_,
+                                            *migration_, *dcsim_,
+                                            config.manager);
+
+    if (config.topology) {
+        topology_ = std::make_unique<dc::Topology>(
+            static_cast<int>(cluster_.hostCount()), *config.topology);
+        migration_->setTopology(topology_.get());
+        manager_->attachTopology(*topology_);
+    }
+
+    if (config.provisioning) {
+        provisioning_ = std::make_unique<dc::ProvisioningEngine>(
+            simulator_, cluster_, *config.provisioning);
+        manager_->attachProvisioning(*provisioning_);
+        provisioning_->start();
+    }
+    manager_->start();
+
+    if (config.dvfs) {
+        dvfs_ = std::make_unique<DvfsController>(cluster_, *dcsim_,
+                                                 *config.dvfs);
+        dvfs_->start();
+    }
+
+    if (config.jointPolicy) {
+        joint_ = std::make_unique<JointPolicyController>(
+            cluster_, *dcsim_, *config.jointPolicy);
+        joint_->start();
+    }
+
+    if (config.failures) {
+        failures_ = std::make_unique<dc::FailureInjector>(
+            simulator_, cluster_, *config.failures);
+        failures_->start();
+    }
+
+    // Reference trackers, sampled on the evaluation cadence.
+    const double total_capacity = cluster_.totalCpuCapacityMhz();
+    const double per_host_capacity = cluster_.host(0).cpuCapacityMhz();
+    double per_host_peak = config.powerSpec.peakPowerWatts();
+    if (!config.heterogeneousSpecs.empty()) {
+        per_host_peak = 0.0;
+        for (const power::HostPowerSpec &spec : config.heterogeneousSpecs)
+            per_host_peak += spec.peakPowerWatts();
+        per_host_peak /= static_cast<double>(
+            config.heterogeneousSpecs.size());
+    }
+    offeredLoad_ = stats::TimeWeighted(simulator_.now(), 0.0);
+    idealPower_ = stats::TimeWeighted(simulator_.now(), 0.0);
+    dcsim_->addEvaluationHook([this, total_capacity, per_host_capacity,
+                               per_host_peak,
+                               probe = config.evaluationProbe] {
+        const double demand = cluster_.totalVmDemandMhz();
+        offeredLoad_.update(simulator_.now(), demand / total_capacity);
+        idealPower_.update(simulator_.now(),
+                           demand / per_host_capacity * per_host_peak);
+        if (probe)
+            probe(cluster_, simulator_.now());
+    });
+}
+
+Rig::~Rig() = default;
+
+void
+Rig::startIdleGovernors(sim::SimTime period)
+{
+    // Scheduled from the main thread, so the event stream — and every
+    // replay checkpoint — is deterministic.
+    governorPeriod_ = period;
+    const std::size_t count = cluster_.hostCount();
+    const auto spread =
+        static_cast<std::size_t>(std::max(1.0, period.toSeconds()));
+    for (std::size_t h = 0; h < count; ++h) {
+        const auto offset = sim::SimTime::seconds(
+            static_cast<double>(h * spread / count));
+        const auto id = static_cast<dc::HostId>(h);
+        simulator_.schedule(offset, [this, id] { governorTick(id); },
+                            "idle-governor");
+    }
+}
+
+void
+Rig::governorTick(dc::HostId h)
+{
+    // A tick that would change nothing commands nothing: steady-state
+    // ticks cost a read and a reschedule.
+    cluster_.host(h).idleGovernorTick();
+    simulator_.schedule(governorPeriod_, [this, h] { governorTick(h); },
+                        "idle-governor");
+}
+
+ScenarioResult
+Rig::collect()
+{
+    const sim::SimTime end = simulator_.now();
+    ScenarioResult result;
+    result.metrics = dcsim_->metrics();
+    offeredLoad_.finish(end);
+    idealPower_.finish(end);
+
+    result.manager = manager_->stats();
+    result.offeredLoadFraction = offeredLoad_.average();
+    result.idealProportionalKwh = idealPower_.integralSeconds() / 3.6e6;
+    result.meanMigrationSeconds = migration_->completedCount() > 0
+                                      ? migration_->durations().mean()
+                                      : 0.0;
+    result.crossRackMigrations = migration_->crossRackCount();
+    if (dvfs_)
+        result.dvfsTransitions = dvfs_->transitions();
+    if (joint_) {
+        result.jointSpeedTransitions = joint_->speedTransitions();
+        result.jointIdleTransitions = joint_->idleTransitions();
+    }
+    if (failures_) {
+        result.hostCrashes = failures_->crashes();
+        result.hostRepairs = failures_->repairs();
+    }
+    if (provisioning_) {
+        result.vmArrivals = provisioning_->arrivals();
+        result.vmDepartures = provisioning_->departures();
+        result.meanPlacementDelaySeconds =
+            provisioning_->placementDelays().mean();
+        result.maxPlacementDelaySeconds =
+            provisioning_->placementDelays().max();
+    }
+
+    // Fleet-wide wake agility: every completed wake's end-to-end latency,
+    // pooled across hosts. The p99 is exact (per-wake samples, not
+    // buckets) — it is the sweep orchestrator's agility objective.
+    std::vector<double> wake_latencies;
+    for (const auto &host_ptr : cluster_.hosts()) {
+        if (power::IdleHierarchy *hier = host_ptr->idleHierarchy()) {
+            hier->finish(end);
+            result.idleTransitions += hier->transitions();
+            result.idleTransitionJoules += hier->transitionEnergyJoules();
+        }
+        const std::vector<double> &samples =
+            host_ptr->powerFsm().wakeLatenciesSeconds();
+        wake_latencies.insert(wake_latencies.end(), samples.begin(),
+                              samples.end());
+    }
+    result.wakes = wake_latencies.size();
+    if (!wake_latencies.empty()) {
+        stats::Summary wake_summary;
+        for (const double s : wake_latencies)
+            wake_summary.add(s);
+        result.meanWakeSeconds = wake_summary.mean();
+        result.wakeP99Seconds =
+            stats::percentileExact(std::move(wake_latencies), 0.99);
+    }
+    result.eventsProcessed = simulator_.eventsProcessed();
+    return result;
+}
+
 ScenarioResult
 runScenario(const ScenarioConfig &config)
 {
@@ -95,146 +274,59 @@ runScenario(const ScenarioConfig &config)
         config.transformFleet(fleet);
     for (workload::VmWorkloadSpec &spec : fleet)
         cluster.addVm(std::move(spec));
-
-    if (config.idleHierarchy) {
-        for (const auto &host_ptr : cluster.hosts())
-            host_ptr->attachIdleHierarchy(
-                std::make_unique<power::IdleHierarchy>(
-                    simulator, *config.idleHierarchy));
-    }
-
     staticInitialPlacement(cluster, config.manager.antiAffinityGroups);
 
-    dc::MigrationEngine migration(simulator, cluster, config.migration);
-    dc::DatacenterSim dcsim(simulator, cluster, migration,
-                            config.datacenter);
-    VpmManager manager(simulator, cluster, migration, dcsim,
-                       config.manager);
+    Rig rig(simulator, cluster, config);
+    rig.dcsim().start();
+    simulator.runUntil(simulator.now() + config.duration);
+    return rig.collect();
+}
 
-    std::unique_ptr<dc::Topology> topology;
-    if (config.topology) {
-        topology = std::make_unique<dc::Topology>(config.hostCount,
-                                                  *config.topology);
-        migration.setTopology(topology.get());
-        manager.attachTopology(*topology);
-    }
-
-    std::unique_ptr<dc::ProvisioningEngine> provisioning;
-    if (config.provisioning) {
-        provisioning = std::make_unique<dc::ProvisioningEngine>(
-            simulator, cluster, *config.provisioning);
-        manager.attachProvisioning(*provisioning);
-        provisioning->start();
-    }
-    manager.start();
-
-    std::unique_ptr<DvfsController> dvfs;
-    if (config.dvfs) {
-        if (config.jointPolicy)
-            sim::fatal("runScenario: dvfs and jointPolicy both set — the "
-                       "joint policy owns the speed knob");
-        dvfs = std::make_unique<DvfsController>(cluster, dcsim,
-                                                *config.dvfs);
-        dvfs->start();
-    }
-
-    std::unique_ptr<JointPolicyController> joint;
-    if (config.jointPolicy) {
-        joint = std::make_unique<JointPolicyController>(cluster, dcsim,
-                                                        *config.jointPolicy);
-        joint->start();
-    }
-
-    std::unique_ptr<dc::FailureInjector> failures;
-    if (config.failures) {
-        failures = std::make_unique<dc::FailureInjector>(
-            simulator, cluster, *config.failures);
-        failures->start();
-    }
-
-    // Reference trackers, sampled on the evaluation cadence.
-    const double total_capacity = cluster.totalCpuCapacityMhz();
-    const double per_host_capacity =
-        cluster.host(0).cpuCapacityMhz();
-    double per_host_peak = config.powerSpec.peakPowerWatts();
-    if (!config.heterogeneousSpecs.empty()) {
-        per_host_peak = 0.0;
-        for (const power::HostPowerSpec &spec : config.heterogeneousSpecs)
-            per_host_peak += spec.peakPowerWatts();
-        per_host_peak /= static_cast<double>(
-            config.heterogeneousSpecs.size());
-    }
-    stats::TimeWeighted offered_load(simulator.now(), 0.0);
-    stats::TimeWeighted ideal_power(simulator.now(), 0.0);
-    dcsim.addEvaluationHook([&] {
-        const double demand = cluster.totalVmDemandMhz();
-        offered_load.update(simulator.now(), demand / total_capacity);
-        ideal_power.update(simulator.now(),
-                           demand / per_host_capacity * per_host_peak);
-        if (config.evaluationProbe)
-            config.evaluationProbe(cluster, simulator.now());
-    });
-
-    ScenarioResult result;
-    result.metrics = dcsim.runFor(config.duration);
-    offered_load.finish(simulator.now());
-    ideal_power.finish(simulator.now());
-
-    result.manager = manager.stats();
-    result.offeredLoadFraction = offered_load.average();
-    result.idealProportionalKwh =
-        ideal_power.integralSeconds() / 3.6e6;
-    result.meanMigrationSeconds =
-        migration.completedCount() > 0 ? migration.durations().mean() : 0.0;
-    result.crossRackMigrations = migration.crossRackCount();
-    if (dvfs)
-        result.dvfsTransitions = dvfs->transitions();
-    if (joint) {
-        result.jointSpeedTransitions = joint->speedTransitions();
-        result.jointIdleTransitions = joint->idleTransitions();
-    }
-    if (config.idleHierarchy) {
-        for (const auto &host_ptr : cluster.hosts()) {
-            power::IdleHierarchy *hier = host_ptr->idleHierarchy();
-            hier->finish(simulator.now());
-            result.idleTransitions += hier->transitions();
-            result.idleTransitionJoules += hier->transitionEnergyJoules();
+void
+addSurgeSchedule(std::vector<workload::VmWorkloadSpec> &fleet)
+{
+    for (workload::VmWorkloadSpec &spec : fleet) {
+        for (const double hour : {3.0, 9.0, 15.0, 21.0}) {
+            spec.trace = std::make_shared<workload::SpikeTrace>(
+                spec.trace, sim::SimTime::hours(hour),
+                sim::SimTime::minutes(30.0), 0.80);
         }
     }
-    if (failures) {
-        result.hostCrashes = failures->crashes();
-        result.hostRepairs = failures->repairs();
-    }
-    if (provisioning) {
-        result.vmArrivals = provisioning->arrivals();
-        result.vmDepartures = provisioning->departures();
-        result.meanPlacementDelaySeconds =
-            provisioning->placementDelays().mean();
-        result.maxPlacementDelaySeconds =
-            provisioning->placementDelays().max();
-    }
+}
 
-    // Fleet-wide wake agility: every completed wake's end-to-end latency,
-    // pooled across hosts. The p99 is exact (per-wake samples, not
-    // buckets) — it is the sweep orchestrator's agility objective.
-    std::vector<double> wake_latencies;
-    for (const auto &host_ptr : cluster.hosts()) {
-        const std::vector<double> &samples =
-            host_ptr->powerFsm().wakeLatenciesSeconds();
-        wake_latencies.insert(wake_latencies.end(), samples.begin(),
-                              samples.end());
+void
+applyIdleArm(ScenarioConfig &config, IdleArm arm)
+{
+    config.manager = makePolicy(PolicyKind::PmS3);
+    config.manager.sleepState = "SYNTH";
+    config.manager.period = sim::SimTime::minutes(1.0);
+    switch (arm) {
+    case IdleArm::S3Only:
+        return;
+    case IdleArm::CStatesOnly: {
+        // Drained hosts park at the bottom of the hierarchy instead of
+        // sleeping: hardware whose only idle mechanism is C-states.
+        config.manager.hostSleep = false;
+        config.idleHierarchy = power::modernIdleHierarchy();
+        JointPolicyConfig idle_only;
+        idle_only.controlSpeed = false;
+        config.jointPolicy = idle_only;
+        return;
     }
-    result.wakes = wake_latencies.size();
-    if (!wake_latencies.empty()) {
-        stats::Summary wake_summary;
-        for (const double s : wake_latencies)
-            wake_summary.add(s);
-        result.meanWakeSeconds = wake_summary.mean();
-        result.wakeP99Seconds =
-            stats::percentileExact(std::move(wake_latencies), 0.99);
+    case IdleArm::Joint: {
+        // Drained hosts park first (instant reclaim) and the oldest
+        // escalate to the deep S-state once the reserve is full, while
+        // the speed/sleep governor harvests the idle gaps on hosts still
+        // serving load.
+        config.idleHierarchy = power::modernIdleHierarchy();
+        JointPolicyConfig joint_policy;
+        joint_policy.speedWindowCycles = 15;
+        joint_policy.speedSurgeGuard = 2.0;
+        config.jointPolicy = joint_policy;
+        config.manager.parkedReserve = 3;
+        return;
     }
-    result.eventsProcessed = simulator.eventsProcessed();
-    return result;
+    }
 }
 
 } // namespace vpm::mgmt

@@ -9,6 +9,11 @@
  * runs the chosen management policy for the configured duration, and
  * returns the run metrics plus manager counters and the ideal
  * energy-proportional reference energy.
+ *
+ * Everything around the placed fleet — idle hierarchies, engines,
+ * idle-governor cohort, reference trackers, close-out — is one Rig,
+ * which the replay session and the hyperscale bench build on their own
+ * fleets too.
  */
 
 #ifndef VPM_CORE_SCENARIO_HPP
@@ -16,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "core/dvfs.hpp"
@@ -25,7 +31,9 @@
 #include "datacenter/datacenter_sim.hpp"
 #include "datacenter/failure.hpp"
 #include "datacenter/provisioning.hpp"
+#include "datacenter/topology.hpp"
 #include "power/server_models.hpp"
+#include "stats/summary.hpp"
 #include "workload/mix.hpp"
 
 namespace vpm::mgmt {
@@ -169,8 +177,94 @@ void staticInitialPlacement(
     dc::Cluster &cluster,
     const std::vector<std::vector<dc::VmId>> &anti_affinity_groups = {});
 
+/**
+ * The simulation rig around a placed fleet: the one place that attaches
+ * idle hierarchies, builds and starts the engines, runs the idle-governor
+ * cohort and closes a run out into a ScenarioResult.
+ *
+ * Borrows the simulator and a cluster whose fleet the caller has already
+ * added and placed, and reads only the config's control fields
+ * (idleHierarchy, migration, datacenter, manager, topology, provisioning,
+ * dvfs, jointPolicy, failures, powerSpec/heterogeneousSpecs,
+ * evaluationProbe). Hierarchies attach before any engine registers a
+ * power-FSM observer; every engine but dcsim starts at construction.
+ * dcsim().start() schedules the first evaluation, so the caller orders
+ * it against startIdleGovernors(). Closures hold `this`: not movable.
+ */
+class Rig
+{
+  public:
+    /** Fatal when both dvfs and jointPolicy are set — the joint policy
+     *  owns the speed knob. */
+    Rig(sim::Simulator &simulator, dc::Cluster &cluster,
+        const ScenarioConfig &config);
+    ~Rig();
+
+    Rig(const Rig &) = delete;
+    Rig &operator=(const Rig &) = delete;
+
+    /**
+     * Give every host a self-rescheduling idle-governor tick on
+     * @p period: the OS tick that reports busy cores to the C-state
+     * hierarchy and demotes the idle ones. First ticks are staggered over
+     * one period in contiguous host blocks, so governors that fire
+     * together walk sequential fleet-store rows. Call at most once.
+     */
+    void startIdleGovernors(sim::SimTime period);
+
+    /** Close the run out at the current instant: metrics, engine
+     *  counters, reference trackers, every attached idle hierarchy and
+     *  fleet-wide wake agility. Call exactly once. */
+    ScenarioResult collect();
+
+    dc::MigrationEngine &migration() { return *migration_; }
+    dc::DatacenterSim &dcsim() { return *dcsim_; }
+    VpmManager &manager() { return *manager_; }
+
+    /** The joint speed/sleep governor; nullptr unless jointPolicy. */
+    JointPolicyController *joint() { return joint_.get(); }
+
+  private:
+    void governorTick(dc::HostId h);
+
+    sim::Simulator &simulator_;
+    dc::Cluster &cluster_;
+    std::unique_ptr<dc::MigrationEngine> migration_;
+    std::unique_ptr<dc::DatacenterSim> dcsim_;
+    std::unique_ptr<VpmManager> manager_;
+    std::unique_ptr<dc::Topology> topology_;
+    std::unique_ptr<dc::ProvisioningEngine> provisioning_;
+    std::unique_ptr<DvfsController> dvfs_;
+    std::unique_ptr<JointPolicyController> joint_;
+    std::unique_ptr<dc::FailureInjector> failures_;
+    stats::TimeWeighted offeredLoad_; ///< demand / capacity
+    stats::TimeWeighted idealPower_;  ///< energy-proportional reference
+    sim::SimTime governorPeriod_;
+};
+
 /** Build, run and tear down one scenario. Deterministic given the seed. */
 ScenarioResult runScenario(const ScenarioConfig &config);
+
+/**
+ * The surge workload of F9, F11 and the sweep's "surge" column, shaped
+ * for ScenarioConfig::transformFleet: every VM spikes to 80% for 30 min
+ * at 03:00, 09:00, 15:00 and 21:00, outside the predictor's memory, so
+ * wake latency is on the critical path.
+ */
+void addSurgeSchedule(std::vector<workload::VmWorkloadSpec> &fleet);
+
+/** The idle-management arms F11 compares (and the sweep's PM columns). */
+enum class IdleArm
+{
+    S3Only,      ///< consolidate and sleep whole hosts; no hierarchy
+    CStatesOnly, ///< same manager, drained hosts park at C-state depth
+    Joint,       ///< hierarchy + speed/sleep governor + parked reserve
+};
+
+/** Configure @p config as one arm: each runs PM+S3 on a 1-minute period,
+ *  sleeping through "SYNTH" — the caller sets powerSpec to
+ *  power::bladeWithSyntheticState at the swept exit latency. */
+void applyIdleArm(ScenarioConfig &config, IdleArm arm);
 
 } // namespace vpm::mgmt
 

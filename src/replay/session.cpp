@@ -8,18 +8,17 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <ostream>
 #include <thread>
 
 #include "datacenter/cluster.hpp"
-#include "datacenter/migration.hpp"
 #include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
 #include "simcore/byte_append.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/ci.hpp"
+#include "sweep/runner.hpp"
 #include "telemetry/json_util.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -37,30 +36,27 @@ numToken(double v)
     return buf;
 }
 
-/** The five replay policy presets, resolved to a full rig description. */
-struct PresetConfig
-{
-    mgmt::VpmConfig manager;
-    bool hierarchy = false;
-    std::optional<mgmt::JointPolicyConfig> joint;
-};
-
 /**
- * Resolve @p policy against @p spec. The presets mirror tools/sweep's
- * policy column (runner.cpp buildScenario) so branch matrices line up
- * with sweep matrices, with one addition: "hier" is the consolidation-
- * free hyperscale preset (C-states only, no balancing migrations) that
- * bench_f13_replay uses at 100k hosts.
+ * Resolve @p policy against @p spec into the policy fields of @p out
+ * (manager, idleHierarchy, jointPolicy). The preset names match
+ * tools/sweep's policy column (runner.cpp buildScenario) so branch
+ * matrices line up with sweep matrices, but the settings differ: "joint"
+ * runs a 3-cycle speed window at the evaluation-interval period (the
+ * sweep's runs 15 cycles at the default period), hosts sleep through S3
+ * when exit_latency_s is 0 (the sweep always uses the synthetic state),
+ * and "hier" — the consolidation-free hyperscale preset (C-states plus
+ * host sleep, no balancing migrations) that bench_f13_replay runs — is
+ * replay-only. The two tables stay separate: a shared one would branch
+ * on its caller.
  */
 bool
 buildPreset(const ReplaySpec &spec, const std::string &policy,
-            PresetConfig &out, std::string *error)
+            mgmt::ScenarioConfig &out, std::string *error)
 {
     const std::string sleep_state = spec.exitLatencyS > 0.0 ? "SYNTH" : "S3";
     const sim::SimTime joint_period =
         sim::SimTime::seconds(spec.evalIntervalS);
 
-    out = PresetConfig{};
     if (policy == "nopm") {
         out.manager = mgmt::makePolicy(mgmt::PolicyKind::NoPM);
     } else if (policy == "s3") {
@@ -75,21 +71,21 @@ buildPreset(const ReplaySpec &spec, const std::string &policy,
         // fleet scale triage is rack-level, not per-VM (F12's rig).
         out.manager.hostSleep = policy == "hier";
         out.manager.loadBalance = policy == "cstates";
-        out.hierarchy = true;
+        out.idleHierarchy = power::modernIdleHierarchy();
         mgmt::JointPolicyConfig idle_only;
         idle_only.controlSpeed = false;
         idle_only.period = joint_period;
-        out.joint = idle_only;
+        out.jointPolicy = idle_only;
     } else if (policy == "joint") {
         out.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
         out.manager.sleepState = sleep_state;
         out.manager.parkedReserve = 3;
-        out.hierarchy = true;
+        out.idleHierarchy = power::modernIdleHierarchy();
         mgmt::JointPolicyConfig joint_policy;
         joint_policy.period = joint_period;
         joint_policy.speedWindowCycles = 3;
         joint_policy.speedSurgeGuard = 2.0;
-        out.joint = joint_policy;
+        out.jointPolicy = joint_policy;
     } else {
         if (error != nullptr)
             *error = "unknown replay policy '" + policy +
@@ -156,10 +152,10 @@ validateSpec(const ReplaySpec &spec, std::string *error)
         return fail("exit_latency_s must be >= 0");
     if (spec.governorPeriodS < 0.0)
         return fail("governor_period_s must be >= 0");
-    PresetConfig preset;
+    mgmt::ScenarioConfig preset;
     if (!buildPreset(spec, spec.policy, preset, error))
         return false;
-    if (spec.governorPeriodS > 0.0 && !preset.hierarchy)
+    if (spec.governorPeriodS > 0.0 && !preset.idleHierarchy)
         return fail("governor_period_s needs an idle-hierarchy preset "
                     "(cstates|joint|hier)");
     return true;
@@ -336,28 +332,25 @@ ReplaySession::buildFleet(std::string *error)
     const int vm_count =
         spec_.vms > 0 ? spec_.vms : static_cast<int>(trace_vms);
 
-    PresetConfig preset;
-    if (!buildPreset(spec_, spec_.policy, preset, error)) {
+    mgmt::ScenarioConfig config;
+    if (!buildPreset(spec_, spec_.policy, config, error)) {
         cluster_.reset();
         return;
     }
-    usesHierarchy_ = preset.hierarchy;
+    config.powerSpec = spec_.exitLatencyS > 0.0
+                           ? power::bladeWithSyntheticState(
+                                 sim::SimTime::seconds(spec_.exitLatencyS))
+                           : power::enterpriseBlade2013();
+    config.datacenter.evaluationInterval =
+        sim::SimTime::seconds(spec_.evalIntervalS);
 
-    const power::HostPowerSpec power_spec =
-        spec_.exitLatencyS > 0.0
-            ? power::bladeWithSyntheticState(
-                  sim::SimTime::seconds(spec_.exitLatencyS))
-            : power::enterpriseBlade2013();
-    perHostPeakWatts_ = power_spec.peakPowerWatts();
-
-    const dc::HostConfig host_config{};
     const int loaded_hosts = std::max(
         1, static_cast<int>(static_cast<double>(spec_.hosts) *
                             spec_.loadedFraction));
     const int worst_per_host =
         (vm_count + loaded_hosts - 1) / loaded_hosts;
     if (static_cast<double>(worst_per_host) * spec_.vmMemoryMb >
-        host_config.memoryCapacityMb)
+        config.hostConfig.memoryCapacityMb)
         return fail("fleet does not fit: " +
                     std::to_string(worst_per_host) + " VMs x " +
                     numToken(spec_.vmMemoryMb) + " MB exceeds host memory; "
@@ -365,7 +358,7 @@ ReplaySession::buildFleet(std::string *error)
 
     cluster_ = std::make_unique<dc::Cluster>(simulator_);
     for (int h = 0; h < spec_.hosts; ++h)
-        cluster_->addHost(host_config, power_spec);
+        cluster_->addHost(config.hostConfig, config.powerSpec);
 
     for (int v = 0; v < vm_count; ++v) {
         workload::VmWorkloadSpec vm_spec;
@@ -377,15 +370,6 @@ ReplaySession::buildFleet(std::string *error)
         cluster_->addVm(std::move(vm_spec));
     }
 
-    if (preset.hierarchy) {
-        const power::IdleHierarchySpec hier_spec =
-            power::modernIdleHierarchy();
-        for (const auto &host_ptr : cluster_->hosts())
-            host_ptr->attachIdleHierarchy(
-                std::make_unique<power::IdleHierarchy>(simulator_,
-                                                       hier_spec));
-    }
-
     // Striped placement over the loaded prefix: deterministic, spreads
     // every trace phase across the loaded hosts, and leaves the tail
     // empty for the consolidation policy to park or sleep.
@@ -393,57 +377,12 @@ ReplaySession::buildFleet(std::string *error)
         cluster_->placeVm(static_cast<dc::VmId>(v),
                           static_cast<dc::HostId>(v % loaded_hosts));
 
-    migration_ = std::make_unique<dc::MigrationEngine>(simulator_,
-                                                       *cluster_);
-    dc::DatacenterConfig dc_config;
-    dc_config.evaluationInterval =
-        sim::SimTime::seconds(spec_.evalIntervalS);
-    dcsim_ = std::make_unique<dc::DatacenterSim>(simulator_, *cluster_,
-                                                 *migration_, dc_config);
-    manager_ = std::make_unique<mgmt::VpmManager>(
-        simulator_, *cluster_, *migration_, *dcsim_, preset.manager);
-    manager_->start();
-    if (preset.joint) {
-        joint_ = std::make_unique<mgmt::JointPolicyController>(
-            *cluster_, *dcsim_, *preset.joint);
-        joint_->start();
-    }
-
-    if (spec_.governorPeriodS > 0.0) {
-        // One self-rescheduling tick per host, staggered across one
-        // period in contiguous host blocks (cache-friendly fleet-store
-        // order). Scheduled from the main thread, so the event stream —
-        // and therefore every checkpoint — is deterministic.
-        const auto count = static_cast<std::size_t>(spec_.hosts);
-        const auto spread = static_cast<std::size_t>(
-            std::max(1.0, spec_.governorPeriodS));
-        for (std::size_t h = 0; h < count; ++h) {
-            const auto offset = sim::SimTime::seconds(
-                static_cast<double>(h * spread / count));
-            const auto id = static_cast<dc::HostId>(h);
-            simulator_.schedule(offset, [this, id] { governorTick(id); },
-                                "idle-governor");
-        }
-    }
-
-    const double total_capacity = cluster_->totalCpuCapacityMhz();
-    const double per_host_capacity = cluster_->host(0).cpuCapacityMhz();
-    offeredLoad_ = stats::TimeWeighted(simulator_.now(), 0.0);
-    idealPower_ = stats::TimeWeighted(simulator_.now(), 0.0);
-    dcsim_->addEvaluationHook([this, total_capacity, per_host_capacity] {
-        const double demand = cluster_->totalVmDemandMhz();
-        offeredLoad_.update(simulator_.now(), demand / total_capacity);
-        idealPower_.update(simulator_.now(), demand / per_host_capacity *
-                                                 perHostPeakWatts_);
-    });
-}
-
-void
-ReplaySession::governorTick(dc::HostId h)
-{
-    cluster_->host(h).idleGovernorTick();
-    simulator_.schedule(sim::SimTime::seconds(spec_.governorPeriodS),
-                        [this, h] { governorTick(h); }, "idle-governor");
+    // The governor ticks are scheduled here, ahead of the first
+    // evaluation, which dcsim's start() schedules at the first runTo().
+    rig_ = std::make_unique<mgmt::Rig>(simulator_, *cluster_, config);
+    if (spec_.governorPeriodS > 0.0)
+        rig_->startIdleGovernors(
+            sim::SimTime::seconds(spec_.governorPeriodS));
 }
 
 void
@@ -454,7 +393,7 @@ ReplaySession::runTo(sim::SimTime t)
     if (t < simulator_.now())
         sim::fatal("ReplaySession::runTo into the past");
     if (!started_) {
-        dcsim_->start();
+        rig_->dcsim().start();
         started_ = true;
     }
     simulator_.runUntil(t);
@@ -475,7 +414,7 @@ ReplaySession::capture()
     ckpt.sections.emplace_back("fleet", std::move(fleet));
 
     std::vector<std::uint8_t> tree;
-    const dc::FleetTree &fleet_tree = manager_->fleetTree();
+    const dc::FleetTree &fleet_tree = rig_->manager().fleetTree();
     if (fleet_tree.configured()) {
         appendPod<std::uint64_t>(tree, fleet_tree.racks().size());
         for (const dc::FleetAggregate &agg : fleet_tree.racks())
@@ -512,13 +451,14 @@ ReplaySession::capture()
     std::vector<std::uint8_t> policy;
     {
         std::vector<std::uint8_t> manager_state;
-        manager_->serializeState(manager_state);
+        rig_->manager().serializeState(manager_state);
         appendPod<std::uint64_t>(policy, manager_state.size());
         appendBytes(policy, manager_state.data(), manager_state.size());
-        policy.push_back(joint_ ? 1 : 0);
-        if (joint_) {
+        const mgmt::JointPolicyController *joint = rig_->joint();
+        policy.push_back(joint != nullptr ? 1 : 0);
+        if (joint != nullptr) {
             std::vector<std::uint8_t> joint_state;
-            joint_->serializeState(joint_state);
+            joint->serializeState(joint_state);
             appendPod<std::uint64_t>(policy, joint_state.size());
             appendBytes(policy, joint_state.data(), joint_state.size());
         }
@@ -573,22 +513,22 @@ ReplaySession::applyVariant(const std::string &policy, std::string *error)
         return fail("'hier' differs structurally (no balancing) and is "
                     "not reachable from a running 'joint' session");
 
-    PresetConfig target;
+    mgmt::ScenarioConfig target;
     if (!buildPreset(spec_, policy, target, error))
         return false;
 
-    manager_->applyPolicyDelta(target.manager);
+    rig_->manager().applyPolicyDelta(target.manager);
 
     bool reset_freq = false;
     if (policy == "cstates") {
         // Keep the idle half of the governor, drop the speed half.
-        joint_->setControlSpeed(false);
+        rig_->joint()->setControlSpeed(false);
         reset_freq = true;
     } else if (policy == "s3" || policy == "nopm") {
         // No C-state management in the variant: the governor goes
         // passive (still counting cycles so the evaluation cadence stays
         // identical) and already-descended hierarchies wake.
-        joint_->setActive(false);
+        rig_->joint()->setActive(false);
         reset_freq = true;
         for (const auto &host_ptr : cluster_->hosts()) {
             power::IdleHierarchy *hier = host_ptr->idleHierarchy();
@@ -606,7 +546,7 @@ ReplaySession::applyVariant(const std::string &policy, std::string *error)
             }
         }
         if (changed)
-            dcsim_->reallocate();
+            rig_->dcsim().reallocate();
     }
     return true;
 }
@@ -618,51 +558,7 @@ ReplaySession::finish()
         sim::fatal("ReplaySession::finish called twice");
     runTo(duration());
     finished_ = true;
-
-    const sim::SimTime end = simulator_.now();
-    offeredLoad_.finish(end);
-    idealPower_.finish(end);
-
-    mgmt::ScenarioResult result;
-    result.metrics = dcsim_->metrics();
-    result.manager = manager_->stats();
-    result.offeredLoadFraction = offeredLoad_.average();
-    result.idealProportionalKwh = idealPower_.integralSeconds() / 3.6e6;
-    result.meanMigrationSeconds = migration_->completedCount() > 0
-                                      ? migration_->durations().mean()
-                                      : 0.0;
-    result.crossRackMigrations = migration_->crossRackCount();
-    if (joint_) {
-        result.jointSpeedTransitions = joint_->speedTransitions();
-        result.jointIdleTransitions = joint_->idleTransitions();
-    }
-    if (usesHierarchy_) {
-        for (const auto &host_ptr : cluster_->hosts()) {
-            power::IdleHierarchy *hier = host_ptr->idleHierarchy();
-            hier->finish(end);
-            result.idleTransitions += hier->transitions();
-            result.idleTransitionJoules += hier->transitionEnergyJoules();
-        }
-    }
-
-    std::vector<double> wake_latencies;
-    for (const auto &host_ptr : cluster_->hosts()) {
-        const std::vector<double> &samples =
-            host_ptr->powerFsm().wakeLatenciesSeconds();
-        wake_latencies.insert(wake_latencies.end(), samples.begin(),
-                              samples.end());
-    }
-    result.wakes = wake_latencies.size();
-    if (!wake_latencies.empty()) {
-        stats::Summary wake_summary;
-        for (const double s : wake_latencies)
-            wake_summary.add(s);
-        result.meanWakeSeconds = wake_summary.mean();
-        result.wakeP99Seconds =
-            stats::percentileExact(std::move(wake_latencies), 0.99);
-    }
-    result.eventsProcessed = simulator_.eventsProcessed();
-    return result;
+    return rig_->collect();
 }
 
 std::unique_ptr<ReplaySession>
@@ -714,26 +610,14 @@ restoreCheckpoint(const CheckpointData &ckpt, bool verify,
 
 namespace {
 
-/** Branch skeleton mirroring runner.cpp's skeletonCell axis layout. */
+/** Branch skeleton: the sweep's axis layout, one seed, one repeat. */
 telemetry::SweepCell
 branchSkeleton(const sweep::CellSpec &spec, const ReplaySpec &base)
 {
-    const auto axis_num = [](double v) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g", v);
-        return std::string(buf);
-    };
     telemetry::SweepCell cell;
     cell.id = spec.id;
     cell.index = spec.index;
-    cell.axes = {
-        {"policy", spec.policy},
-        {"workload", spec.workload},
-        {"exit_latency_s", axis_num(spec.exitLatencyS)},
-        {"load_scale", axis_num(spec.loadScale)},
-        {"hosts", std::to_string(spec.hosts)},
-        {"vms", std::to_string(spec.vms)},
-    };
+    cell.axes = sweep::cellAxes(spec);
     cell.seeds = {base.seed};
     cell.repeats = 1;
     return cell;

@@ -36,12 +36,9 @@
 #include <memory>
 #include <string>
 
-#include "core/joint_policy.hpp"
-#include "core/manager.hpp"
 #include "core/scenario.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/trace_file.hpp"
-#include "stats/summary.hpp"
 #include "sweep/manifest.hpp"
 #include "telemetry/sweep_matrix.hpp"
 
@@ -171,21 +168,13 @@ class ReplaySession
     ReplaySession() = default;
 
     void buildFleet(std::string *error);
-    void governorTick(dc::HostId h);
 
     ReplaySpec spec_;
     sim::Simulator simulator_;
     sim::Rng rng_{0};
     std::shared_ptr<TraceFile> trace_;
     std::unique_ptr<dc::Cluster> cluster_;
-    std::unique_ptr<dc::MigrationEngine> migration_;
-    std::unique_ptr<dc::DatacenterSim> dcsim_;
-    std::unique_ptr<mgmt::VpmManager> manager_;
-    std::unique_ptr<mgmt::JointPolicyController> joint_;
-    stats::TimeWeighted offeredLoad_;
-    stats::TimeWeighted idealPower_;
-    double perHostPeakWatts_ = 0.0;
-    bool usesHierarchy_ = false;
+    std::unique_ptr<mgmt::Rig> rig_;
     bool started_ = false;
     bool finished_ = false;
 };

@@ -20,7 +20,6 @@
 #include "power/server_models.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/ci.hpp"
-#include "workload/demand_trace.hpp"
 
 namespace vpm::sweep {
 
@@ -53,54 +52,18 @@ buildScenario(const SweepManifest &manifest, const CellSpec &spec,
     config.powerSpec = power::bladeWithSyntheticState(
         sim::SimTime::seconds(spec.exitLatencyS));
 
-    if (spec.workload == "surge") {
-        // The F9/F11 surge schedule: recurring 30-minute spikes to 80%
-        // outside the predictor's memory, so wake latency is on the
-        // critical path. Spikes past the configured duration never fire.
-        config.transformFleet =
-            [](std::vector<workload::VmWorkloadSpec> &fleet) {
-                for (auto &vm_spec : fleet) {
-                    for (const double hour : {3.0, 9.0, 15.0, 21.0}) {
-                        vm_spec.trace =
-                            std::make_shared<workload::SpikeTrace>(
-                                vm_spec.trace, sim::SimTime::hours(hour),
-                                sim::SimTime::minutes(30.0), 0.80);
-                    }
-                }
-            };
-    }
+    if (spec.workload == "surge")
+        config.transformFleet = mgmt::addSurgeSchedule;
 
     if (spec.policy == "nopm") {
         config.manager = mgmt::makePolicy(mgmt::PolicyKind::NoPM);
         return config;
     }
-
-    // The three PM policies share the consolidating manager setup.
-    config.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-    config.manager.sleepState = "SYNTH";
-    config.manager.period = sim::SimTime::minutes(1.0);
-
-    if (spec.policy == "s3")
-        return config; // S3-only: whole-host sleep, no hierarchy
-
-    if (spec.policy == "cstates") {
-        // Same manager, but drained hosts park at the bottom of the
-        // hierarchy instead of sleeping — C-states are the only lever.
-        config.manager.hostSleep = false;
-        config.idleHierarchy = power::modernIdleHierarchy();
-        mgmt::JointPolicyConfig idle_only;
-        idle_only.controlSpeed = false;
-        config.jointPolicy = idle_only;
-        return config;
-    }
-
-    // joint: hierarchy + speed/sleep governor + parked reserve.
-    config.idleHierarchy = power::modernIdleHierarchy();
-    mgmt::JointPolicyConfig joint_policy;
-    joint_policy.speedWindowCycles = 15;
-    joint_policy.speedSurgeGuard = 2.0;
-    config.jointPolicy = joint_policy;
-    config.manager.parkedReserve = 3;
+    mgmt::applyIdleArm(config, spec.policy == "s3"
+                                   ? mgmt::IdleArm::S3Only
+                               : spec.policy == "cstates"
+                                   ? mgmt::IdleArm::CStatesOnly
+                                   : mgmt::IdleArm::Joint);
     return config;
 }
 
@@ -121,14 +84,7 @@ skeletonCell(const CellSpec &spec, const SweepManifest &manifest,
     telemetry::SweepCell cell;
     cell.id = spec.id;
     cell.index = spec.index;
-    cell.axes = {
-        {"policy", spec.policy},
-        {"workload", spec.workload},
-        {"exit_latency_s", axisNum(spec.exitLatencyS)},
-        {"load_scale", axisNum(spec.loadScale)},
-        {"hosts", std::to_string(spec.hosts)},
-        {"vms", std::to_string(spec.vms)},
-    };
+    cell.axes = cellAxes(spec);
     cell.seeds = manifest.seeds;
     cell.repeats = repeats;
     cell.manifestHash = manifestContentHash(manifest);
@@ -136,6 +92,19 @@ skeletonCell(const CellSpec &spec, const SweepManifest &manifest,
 }
 
 } // namespace
+
+std::vector<telemetry::AxisValue>
+cellAxes(const CellSpec &spec)
+{
+    return {
+        {"policy", spec.policy},
+        {"workload", spec.workload},
+        {"exit_latency_s", axisNum(spec.exitLatencyS)},
+        {"load_scale", axisNum(spec.loadScale)},
+        {"hosts", std::to_string(spec.hosts)},
+        {"vms", std::to_string(spec.vms)},
+    };
+}
 
 telemetry::SweepCell
 runCell(const SweepManifest &manifest, const CellSpec &spec, int repeats)

@@ -72,6 +72,11 @@ struct RunOptions
 telemetry::SweepCell runCell(const SweepManifest &manifest,
                              const CellSpec &spec, int repeats);
 
+/** A cell's axis assignment in matrix column order (numbers at %g) —
+ *  shared by sweep cells and replay branch cells so their matrices line
+ *  up. */
+std::vector<telemetry::AxisValue> cellAxes(const CellSpec &spec);
+
 /** The per-cell resume/result file path for a cell index. */
 std::string cellFilePath(const std::string &out_dir, std::uint64_t index);
 

@@ -25,8 +25,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "simcore/parse_number.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {
@@ -56,9 +58,10 @@ printUsage(std::FILE *out)
 bool
 parseDouble(const char *text, double &out)
 {
-    char *end = nullptr;
-    out = std::strtod(text, &end);
-    return end != text && *end == '\0';
+    const std::optional<double> parsed = vpm::sim::parseNumber(text);
+    if (parsed)
+        out = *parsed;
+    return parsed.has_value();
 }
 
 bool

@@ -37,7 +37,6 @@
  * input / runtime failure, 4 checkpoint verification failure.
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,12 +44,14 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "replay/checkpoint.hpp"
 #include "replay/session.hpp"
 #include "replay/trace_file.hpp"
+#include "simcore/parse_number.hpp"
 #include "simcore/random.hpp"
 #include "simcore/thread_pool.hpp"
 #include "sweep/manifest.hpp"
@@ -100,33 +101,28 @@ usageError(const char *fmt, const char *detail)
 long long
 parseIntArg(const char *flag, const char *text, long long min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || parsed < min) {
+    const std::optional<long long> parsed = vpm::sim::parseInteger(text, min);
+    if (!parsed) {
         std::fprintf(stderr,
                      "replay: %s wants an integer >= %lld, got '%s'\n",
                      flag, min, text);
         printUsage(stderr);
         std::exit(2);
     }
-    return parsed;
+    return *parsed;
 }
 
 double
 parseNumArg(const char *flag, const char *text, double min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        !(parsed >= min)) {
+    const std::optional<double> parsed = vpm::sim::parseNumber(text, min);
+    if (!parsed) {
         std::fprintf(stderr, "replay: %s wants a number >= %g, got '%s'\n",
                      flag, min, text);
         printUsage(stderr);
         std::exit(2);
     }
-    return parsed;
+    return *parsed;
 }
 
 std::string

@@ -26,12 +26,15 @@
  * error, 3 unreadable manifest / unusable environment.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "simcore/parse_number.hpp"
 #include "sweep/manifest.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -54,15 +57,15 @@ printUsage(std::FILE *out)
 int
 parseIntArg(const char *flag, const char *text, int min)
 {
-    char *end = nullptr;
-    const long parsed = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || parsed < min) {
+    const std::optional<long long> parsed =
+        vpm::sim::parseInteger(text, min, INT_MAX);
+    if (!parsed) {
         std::fprintf(stderr, "sweep: %s wants an integer >= %d, got '%s'\n",
                      flag, min, text);
         printUsage(stderr);
         std::exit(2);
     }
-    return static_cast<int>(parsed);
+    return static_cast<int>(*parsed);
 }
 
 } // namespace
@@ -115,12 +118,13 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--timeout-s") {
-            char *end = nullptr;
-            options.timeoutS = std::strtod(value("--timeout-s"), &end);
-            if (*end != '\0' || options.timeoutS < 0.0) {
+            const std::optional<double> timeout_s =
+                sim::parseNumber(value("--timeout-s"), 0.0);
+            if (!timeout_s) {
                 std::fprintf(stderr, "sweep: bad --timeout-s value\n");
                 return 2;
             }
+            options.timeoutS = *timeout_s;
         } else if (arg == "--resume") {
             options.resume = true;
         } else if (arg == "--list") {

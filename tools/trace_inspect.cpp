@@ -28,6 +28,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "simcore/parse_number.hpp"
 #include "telemetry/export.hpp"
 
 namespace {
@@ -209,6 +211,22 @@ parseArgs(int argc, char **argv, Options &opts)
         }
         return true;
     };
+    // Strict integer values: "--limit banana" used to run as --limit 0
+    // and "--since-us 5x" as --since-us 5.
+    const auto intValue = [&](int &i,
+                              long long min) -> std::optional<long long> {
+        if (!needValue(i))
+            return std::nullopt;
+        const char *flag = argv[i++];
+        const std::optional<long long> parsed =
+            vpm::sim::parseInteger(argv[i], min);
+        if (!parsed)
+            std::fprintf(stderr,
+                         "trace_inspect: %s wants an integer >= %lld, got "
+                         "'%s'\n",
+                         flag, min, argv[i]);
+        return parsed;
+    };
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--summary") == 0) {
             opts.summary = true;
@@ -221,17 +239,20 @@ parseArgs(int argc, char **argv, Options &opts)
                 return false;
             opts.track = argv[++i];
         } else if (std::strcmp(argv[i], "--since-us") == 0) {
-            if (!needValue(i))
+            const std::optional<long long> t = intValue(i, LLONG_MIN);
+            if (!t)
                 return false;
-            opts.sinceUs = std::strtoll(argv[++i], nullptr, 10);
+            opts.sinceUs = *t;
         } else if (std::strcmp(argv[i], "--until-us") == 0) {
-            if (!needValue(i))
+            const std::optional<long long> t = intValue(i, LLONG_MIN);
+            if (!t)
                 return false;
-            opts.untilUs = std::strtoll(argv[++i], nullptr, 10);
+            opts.untilUs = *t;
         } else if (std::strcmp(argv[i], "--limit") == 0) {
-            if (!needValue(i))
+            const std::optional<long long> n = intValue(i, 0);
+            if (!n)
                 return false;
-            opts.limit = std::strtoull(argv[++i], nullptr, 10);
+            opts.limit = static_cast<std::uint64_t>(*n);
         } else if (std::strcmp(argv[i], "--format") == 0) {
             if (!needValue(i))
                 return false;

@@ -13,19 +13,19 @@
  *   vpm_sim --policy s3 --churn 6 --dvfs --hours 24
  */
 
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/scenario.hpp"
 #include "power/spec_file.hpp"
+#include "simcore/parse_number.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/table.hpp"
 #include "telemetry/telemetry.hpp"
@@ -101,31 +101,26 @@ long long
 parseIntValue(const char *argv0, const char *flag, const char *text,
               long long min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || parsed < min) {
+    const std::optional<long long> parsed = vpm::sim::parseInteger(text, min);
+    if (!parsed) {
         std::fprintf(stderr, "%s wants an integer >= %lld, got '%s'\n\n",
                      flag, min, text);
         usage(argv0, 2);
     }
-    return parsed;
+    return *parsed;
 }
 
 double
 parseNumValue(const char *argv0, const char *flag, const char *text,
               double min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(parsed) || parsed < min) {
+    const std::optional<double> parsed = vpm::sim::parseNumber(text, min);
+    if (!parsed) {
         std::fprintf(stderr, "%s wants a number >= %g, got '%s'\n\n",
                      flag, min, text);
         usage(argv0, 2);
     }
-    return parsed;
+    return *parsed;
 }
 
 mgmt::PolicyKind

@@ -26,16 +26,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "simcore/parse_number.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace {
@@ -96,9 +99,11 @@ parseRange(const std::string &text, std::int64_t &begin_us,
     const std::string lo = text.substr(0, colon);
     const std::string hi = text.substr(colon + 1);
     const auto parse = [](const std::string &s, std::int64_t &out) {
-        char *end = nullptr;
-        out = std::strtoll(s.c_str(), &end, 10);
-        return end != s.c_str() && *end == '\0';
+        const std::optional<long long> parsed =
+            vpm::sim::parseInteger(s.c_str());
+        if (parsed)
+            out = *parsed;
+        return parsed.has_value();
     };
     if (!lo.empty() && !parse(lo, begin_us))
         return false;
@@ -166,10 +171,9 @@ parseArgs(int argc, char **argv)
             opts.watchSeconds = 2;
             // Optional numeric operand.
             if (i + 1 < argc && argv[i + 1][0] != '-') {
-                char *end = nullptr;
-                const long n = std::strtol(argv[i + 1], &end, 10);
-                if (end != argv[i + 1] && *end == '\0' && n >= 1) {
-                    opts.watchSeconds = static_cast<int>(n);
+                if (const std::optional<long long> n =
+                        vpm::sim::parseInteger(argv[i + 1], 1, INT_MAX)) {
+                    opts.watchSeconds = static_cast<int>(*n);
                     ++i;
                 }
             }
