@@ -15,7 +15,7 @@
 namespace {
 
 void
-runBody()
+runBody(const vpm::bench::BenchArgs &args)
 {
     using namespace vpm;
 
@@ -27,7 +27,11 @@ runBody()
     base.vmCount = 40;
     base.duration = sim::SimTime::hours(24.0);
     base.manager = mgmt::makePolicy(mgmt::PolicyKind::NoPM);
-    const double baseline_kwh = mgmt::runScenario(base).metrics.energyKwh;
+    const mgmt::ScenarioResult baseline = mgmt::runScenario(base);
+    const double baseline_kwh = baseline.metrics.energyKwh;
+
+    bench::JsonReport report(args.jsonPath, "A2");
+    report.add("NoPM", baseline);
 
     stats::Table table("PM+S3 outcome by packing heuristic",
                        {"heuristic", "energy vs NoPM", "satisfaction",
@@ -43,6 +47,7 @@ runBody()
         config.manager.heuristic = heuristic;
         const mgmt::ScenarioResult result = mgmt::runScenario(config);
 
+        report.add(toString(heuristic), result);
         table.addRow({toString(heuristic),
                       stats::fmtPercent(result.metrics.energyKwh /
                                         baseline_kwh, 1),
@@ -54,6 +59,7 @@ runBody()
                       std::to_string(result.metrics.powerActions)});
     }
     table.print(std::cout);
+    report.write();
 
     std::cout << "\nTakeaway: tight packers (FFD/BFD) empty hosts faster "
                  "and save more energy;\nworst-fit trades savings for "
@@ -68,5 +74,5 @@ main(int argc, char **argv)
 {
     const vpm::bench::BenchArgs args =
         vpm::bench::parseArgs("a2_placement_ablation", argc, argv);
-    return vpm::bench::runBench(args, runBody);
+    return vpm::bench::runBench(args, [&] { runBody(args); });
 }

@@ -12,12 +12,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "power/breakeven.hpp"
 #include "power/server_models.hpp"
+#include "simcore/parse_number.hpp"
 #include "stats/table.hpp"
 
 int
@@ -27,12 +28,14 @@ main(int argc, char **argv)
 
     std::vector<double> intervals;
     for (int i = 1; i < argc; ++i) {
-        const double secs = std::atof(argv[i]);
-        if (secs <= 0.0) {
-            std::fprintf(stderr, "usage: %s [idle_seconds...]\n", argv[0]);
-            return 1;
+        const std::optional<double> secs = sim::parseNumber(argv[i]);
+        if (!secs || *secs <= 0.0) {
+            std::fprintf(stderr, "%s: bad idle interval '%s'\n"
+                                 "usage: %s [idle_seconds > 0 ...]\n",
+                         argv[0], argv[i], argv[0]);
+            return 2;
         }
-        intervals.push_back(secs);
+        intervals.push_back(*secs);
     }
     if (intervals.empty())
         intervals = {10, 30, 60, 300, 1800, 7200, 28800};

@@ -12,12 +12,14 @@
  *   policy: nopm | drm | s5 | s3 | adaptive (default s3)
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 
 #include "core/scenario.hpp"
+#include "simcore/parse_number.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -38,7 +40,7 @@ parsePolicy(const char *name)
         return PolicyKind::PmAdaptive;
     std::fprintf(stderr, "unknown policy '%s' "
                          "(nopm|drm|s5|s3|adaptive)\n", name);
-    std::exit(1);
+    std::exit(2);
 }
 
 } // namespace
@@ -51,16 +53,25 @@ main(int argc, char **argv)
     int hosts = 8;
     int vms = 40;
     mgmt::PolicyKind policy = mgmt::PolicyKind::PmS3;
-    if (argc > 1)
-        hosts = std::atoi(argv[1]);
-    if (argc > 2)
-        vms = std::atoi(argv[2]);
+    const auto count = [&](int index, long long min, int &out) {
+        if (argc <= index)
+            return true;
+        const auto value = sim::parseInteger(argv[index], min, INT_MAX);
+        if (!value) {
+            std::fprintf(stderr, "%s: bad count '%s'\n", argv[0],
+                         argv[index]);
+            return false;
+        }
+        out = static_cast<int>(*value);
+        return true;
+    };
+    if (argc > 4 || !count(1, 1, hosts) || !count(2, 0, vms)) {
+        std::fprintf(stderr, "usage: %s [hosts >= 1] [vms >= 0] [policy]\n",
+                     argv[0]);
+        return 2;
+    }
     if (argc > 3)
         policy = parsePolicy(argv[3]);
-    if (hosts < 1 || vms < 0) {
-        std::fprintf(stderr, "usage: %s [hosts] [vms] [policy]\n", argv[0]);
-        return 1;
-    }
 
     mgmt::ScenarioConfig config;
     config.hostCount = hosts;

@@ -9,11 +9,12 @@
  * Usage: quickstart [hosts] [vms]
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/scenario.hpp"
+#include "simcore/parse_number.hpp"
 #include "stats/table.hpp"
 
 int
@@ -23,13 +24,21 @@ main(int argc, char **argv)
 
     int hosts = 8;
     int vms = 40;
-    if (argc > 1)
-        hosts = std::atoi(argv[1]);
-    if (argc > 2)
-        vms = std::atoi(argv[2]);
-    if (hosts < 1 || vms < 0) {
+    const auto count = [&](int index, long long min, int &out) {
+        if (argc <= index)
+            return true;
+        const auto value = sim::parseInteger(argv[index], min, INT_MAX);
+        if (!value) {
+            std::fprintf(stderr, "%s: bad count '%s'\n", argv[0],
+                         argv[index]);
+            return false;
+        }
+        out = static_cast<int>(*value);
+        return true;
+    };
+    if (argc > 3 || !count(1, 1, hosts) || !count(2, 0, vms)) {
         std::fprintf(stderr, "usage: %s [hosts >= 1] [vms >= 0]\n", argv[0]);
-        return 1;
+        return 2;
     }
 
     stats::Table table("quickstart: 24 h diurnal enterprise day",

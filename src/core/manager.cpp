@@ -220,7 +220,7 @@ VpmManager::wakeHierarchical(double required, double limit,
                 return;
             const auto host_id = static_cast<dc::HostId>(i);
             dc::Host &host = cluster_.host(host_id);
-            if (maintenance_.contains(host_id) || !wakeable(host.powerFsm()))
+            if (inMaintenance(host_id) || !wakeable(host.powerFsm()))
                 continue;
             const WakeResult result = wakeHost(host, "capacity-shortfall");
             if (result == WakeResult::CapDenied)
@@ -243,7 +243,7 @@ VpmManager::sleepHierarchical(double required, double limit,
             continue;
         for (std::size_t i = rack.begin; i < rack.end; ++i) {
             const auto host_id = static_cast<dc::HostId>(i);
-            if (maintenance_.contains(host_id))
+            if (inMaintenance(host_id))
                 continue;
             dc::Host &host = cluster_.host(host_id);
             if (!host.isOn() || !host.empty() ||
@@ -451,7 +451,7 @@ VpmManager::findWakeCandidate() const
     dc::Host *best = nullptr;
     for (const auto &host_ptr : cluster_.hosts()) {
         const auto &fsm = host_ptr->powerFsm();
-        if (maintenance_.contains(host_ptr->id()) || !wakeable(fsm))
+        if (inMaintenance(host_ptr->id()) || !wakeable(fsm))
             continue;
         if (!best ||
             fsm.timeToAvailable() < best->powerFsm().timeToAvailable()) {
@@ -486,7 +486,7 @@ VpmManager::wakeOneHost(const char *reason)
     // longer On; drop it and let the repair path handle it.)
     while (!parked_.empty()) {
         const dc::HostId host_id = *parked_.begin();
-        parked_.erase(parked_.begin());
+        leaveSet(parked_, kParked, host_id);
         parkedAt_.erase(host_id);
         dc::Host &host = cluster_.host(host_id);
         if (!host.isOn())
@@ -725,6 +725,7 @@ VpmManager::rebalanceAndConsolidate()
             // longer absorb this host's VMs. Abandon the drain.
             // (Maintenance evacuations are operator orders: keep trying.)
             cancelDrain(host_id);
+            model.setEvacuable(host_id, true);
             ++stats_.evacuationsAbandoned;
         }
     }
@@ -765,7 +766,11 @@ VpmManager::rebalanceAndConsolidate()
             break; // retry next cycle with a fresh budget
 
         issue(*plan, "evacuate", candidate->id());
-        draining_.insert(candidate->id());
+        joinSet(draining_, kDraining, candidate->id());
+        // The model keeps the host usable as a destination for the rest
+        // of this cycle (a recorded defect, DESIGN.md "Planner host
+        // indexes"); it only stops being a victim.
+        model.setEvacuable(candidate->id(), false);
         ++stats_.evacuationsStarted;
         ++evacuations;
 
@@ -784,20 +789,16 @@ VpmManager::rebalanceAndConsolidate()
 const dc::Host *
 VpmManager::chooseEvacuationCandidate(const PlacementModel &model) const
 {
-    // Pass 1: the lightest on, usable host.
-    const dc::Host *lightest = nullptr;
-    double min_load = 0.0;
-    for (const auto &host_ptr : cluster_.hosts()) {
-        if (!host_ptr->isOn() || !hostUsable(*host_ptr))
-            continue;
-        const double load = model.cpuUsedMhz(host_ptr->id());
-        if (!lightest || load < min_load) {
-            lightest = host_ptr.get();
-            min_load = load;
-        }
-    }
-    if (!lightest || !config_.heterogeneityAware)
+    // Pass 1: the lightest on, usable host. The model's evacuable hosts
+    // are exactly those: buildModel() made the on, usable hosts evacuable
+    // and every drain started or abandoned since updated the flag.
+    const dc::HostId lightest_id = model.lightestEvacuable();
+    if (lightest_id == dc::invalidHostId)
+        return nullptr;
+    const dc::Host *lightest = &cluster_.host(lightest_id);
+    if (!config_.heterogeneityAware)
         return lightest;
+    const double min_load = model.cpuUsedMhz(lightest_id);
 
     // Pass 2 (heterogeneity-aware): among hosts whose load is comparable
     // to the lightest (so evacuation stays cheap and feasible), prefer
@@ -866,9 +867,9 @@ VpmManager::completeDrains()
             telemetry::TraceScope scope(decision);
             if (power::IdleHierarchy *hier = host.idleHierarchy())
                 hier->descendFully();
-            parked_.insert(host_id);
+            joinSet(parked_, kParked, host_id);
             parkedAt_.emplace(host_id, simulator_.now());
-            draining_.erase(host_id);
+            leaveSet(draining_, kDraining, host_id);
             ++stats_.hostsParked;
             sim::inform("host '%s' parked (On, deepest idle state)",
                         host.name().c_str());
@@ -879,7 +880,7 @@ VpmManager::completeDrains()
         if (!state)
             cancelDrain(host_id);
         else if (sleepHost(host, *state))
-            draining_.erase(host_id);
+            leaveSet(draining_, kDraining, host_id);
     }
 
     // Reserve overflow: the oldest parked hosts graduate to a real
@@ -892,7 +893,7 @@ VpmManager::completeDrains()
             if (parkedAt_[host_id] < parkedAt_[oldest])
                 oldest = host_id;
         }
-        parked_.erase(oldest);
+        leaveSet(parked_, kParked, oldest);
         parkedAt_.erase(oldest);
 
         dc::Host &host = cluster_.host(oldest);
@@ -905,21 +906,37 @@ VpmManager::completeDrains()
 }
 
 bool
-VpmManager::hostUsable(const dc::Host &host) const
+VpmManager::joinSet(std::set<dc::HostId> &set, std::uint8_t bit,
+                    dc::HostId host)
 {
-    return !draining_.contains(host.id()) &&
-           !maintenance_.contains(host.id()) &&
-           !parked_.contains(host.id());
+    if (!set.insert(host).second)
+        return false;
+    const auto id = static_cast<std::size_t>(host);
+    if (id >= membership_.size())
+        membership_.resize(id + 1, 0);
+    membership_[id] |= bit;
+    return true;
+}
+
+bool
+VpmManager::leaveSet(std::set<dc::HostId> &set, std::uint8_t bit,
+                     dc::HostId host)
+{
+    if (set.erase(host) == 0)
+        return false;
+    membership_[static_cast<std::size_t>(host)] &=
+        static_cast<std::uint8_t>(~bit);
+    return true;
 }
 
 bool
 VpmManager::requestMaintenance(dc::HostId host)
 {
-    if (!maintenance_.insert(host).second)
+    if (!joinSet(maintenance_, kMaintenance, host))
         return false;
     // Maintenance supersedes any in-progress consolidation drain or park.
-    draining_.erase(host);
-    parked_.erase(host);
+    leaveSet(draining_, kDraining, host);
+    leaveSet(parked_, kParked, host);
     parkedAt_.erase(host);
     sim::inform("host '%s' entering maintenance",
                 cluster_.host(host).name().c_str());
@@ -929,7 +946,7 @@ VpmManager::requestMaintenance(dc::HostId host)
 bool
 VpmManager::endMaintenance(dc::HostId host)
 {
-    if (maintenance_.erase(host) == 0)
+    if (!leaveSet(maintenance_, kMaintenance, host))
         return false;
     sim::inform("host '%s' left maintenance",
                 cluster_.host(host).name().c_str());
@@ -939,7 +956,7 @@ VpmManager::endMaintenance(dc::HostId host)
 bool
 VpmManager::maintenanceReady(dc::HostId host) const
 {
-    if (!maintenance_.contains(host))
+    if (!inMaintenance(host))
         return false;
     const dc::Host &host_ref = cluster_.host(host);
     return host_ref.isOn() && host_ref.empty() &&
@@ -949,7 +966,7 @@ VpmManager::maintenanceReady(dc::HostId host) const
 void
 VpmManager::cancelDrain(dc::HostId host)
 {
-    if (draining_.erase(host) > 0)
+    if (leaveSet(draining_, kDraining, host))
         ++stats_.drainsCancelled;
 }
 

@@ -440,12 +440,42 @@ class VpmManager
     mutable std::uint64_t modelEpoch_ = 0;
     mutable bool modelValid_ = false;
 
-    /** true iff the host can hold VMs and take new ones. */
-    bool hostUsable(const dc::Host &host) const;
+    /** true iff the host can hold VMs and take new ones: it is in none
+     *  of draining_, maintenance_ and parked_. */
+    bool hostUsable(const dc::Host &host) const
+    {
+        const auto id = static_cast<std::size_t>(host.id());
+        return id >= membership_.size() || membership_[id] == 0;
+    }
+
+    /** Bits of membership_, one per host set. */
+    enum : std::uint8_t
+    {
+        kDraining = 1,
+        kMaintenance = 2,
+        kParked = 4,
+    };
+
+    /** true iff @p host is in maintenance_ (one byte read). */
+    bool inMaintenance(dc::HostId host) const
+    {
+        const auto id = static_cast<std::size_t>(host);
+        return id < membership_.size() && (membership_[id] & kMaintenance);
+    }
+
+    /** Insert @p host into / erase it from @p set, whose bit in
+     *  membership_ is @p bit. @return whether the set changed. */
+    bool joinSet(std::set<dc::HostId> &set, std::uint8_t bit,
+                 dc::HostId host);
+    bool leaveSet(std::set<dc::HostId> &set, std::uint8_t bit,
+                  dc::HostId host);
 
     std::set<dc::HostId> draining_;
     std::set<dc::HostId> maintenance_;
     std::set<dc::HostId> parked_;
+    /** Per host id: which of the three sets above hold it, kept in step
+     *  by joinSet()/leaveSet(). */
+    std::vector<std::uint8_t> membership_;
     std::map<dc::HostId, sim::SimTime> parkedAt_; ///< for oldest-first escalation
     std::map<dc::HostId, sim::SimTime> sleepStartedAt_;
     sim::SimTime expectedIdle_;

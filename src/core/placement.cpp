@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 
 #include "simcore/logging.hpp"
@@ -74,6 +75,10 @@ PlacementModel::rebuildUsage()
     for (std::vector<std::uint32_t> &list : residents_)
         list.clear(); // keeps capacity across management cycles
     log_.clear();
+    evacuable_.resize(hosts_.size());
+    for (std::size_t h = 0; h < hosts_.size(); ++h)
+        evacuable_[h] = hosts_[h].usable ? 1 : 0;
+    dropIndexes();
     for (std::size_t v = 0; v < vms_.size(); ++v) {
         const PlannedVm &vm_ref = vms_[v];
         const std::size_t h = hostIndex(vm_ref.host);
@@ -135,7 +140,13 @@ bool
 PlacementModel::fits(const PlannedVm &vm_ref, HostId host,
                      double cpu_limit_fraction) const
 {
-    const std::size_t h = hostIndex(host);
+    return fitsAt(vm_ref, hostIndex(host), cpu_limit_fraction);
+}
+
+bool
+PlacementModel::fitsAt(const PlannedVm &vm_ref, std::size_t h,
+                       double cpu_limit_fraction) const
+{
     const PlannedHost &host_ref = hosts_[h];
     if (!host_ref.usable)
         return false;
@@ -224,6 +235,8 @@ PlacementModel::apply(const Move &move)
     vm_ref.host = move.to;
     relocate(static_cast<std::uint32_t>(v), static_cast<std::uint32_t>(from),
              static_cast<std::uint32_t>(to));
+    reindex(from);
+    reindex(to);
 
     if (const int group = groupOf(move.vm);
         group >= 0 && !hostGroupCount_.empty()) {
@@ -259,6 +272,8 @@ PlacementModel::rollback(std::size_t mark)
         memUsed_[entry.to] = entry.toMem;
         vm_ref.host = hosts_[entry.from].id;
         relocate(entry.vm, entry.to, entry.from);
+        reindex(entry.from);
+        reindex(entry.to);
         if (const int group = groupOf(vm_ref.id);
             group >= 0 && !hostGroupCount_.empty()) {
             ++hostGroupCount_[entry.from][group];
@@ -266,6 +281,312 @@ PlacementModel::rollback(std::size_t mark)
         }
         log_.pop_back();
     }
+}
+
+namespace {
+
+constexpr std::size_t kNoLeaf = std::numeric_limits<std::size_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Free-CPU index order: rack, then key, then host index. */
+template <class Entry>
+bool
+entryLess(const Entry &a, const Entry &b)
+{
+    if (a.rack != b.rack)
+        return a.rack < b.rack;
+    if (a.key != b.key)
+        return a.key < b.key;
+    return a.host < b.host;
+}
+
+/**
+ * The lowest leaf index >= @p from under @p node (covering leaves
+ * [@p lo, @p hi)) whose node satisfies @p pred, where @p pred holds for a
+ * node whenever it holds for one of its leaves; kNoLeaf if none does.
+ */
+template <class Node, class Pred>
+std::size_t
+firstLeaf(const std::vector<Node> &tree, std::size_t node, std::size_t lo,
+          std::size_t hi, std::size_t from, Pred pred)
+{
+    if (hi <= from || !pred(tree[node]))
+        return kNoLeaf;
+    if (hi - lo == 1)
+        return lo;
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::size_t left = firstLeaf(tree, 2 * node, lo, mid, from, pred);
+    return left != kNoLeaf
+               ? left
+               : firstLeaf(tree, 2 * node + 1, mid, hi, from, pred);
+}
+
+} // namespace
+
+void
+PlacementModel::dropIndexes()
+{
+    byHeadroom_.built = false;
+    byRackHeadroom_.built = false;
+    extremes_.clear();
+}
+
+const PlacementModel::HeadroomIndex &
+PlacementModel::headroomIndex(double cpu_limit, bool by_rack) const
+{
+    if (cpu_limit != headroomLimit_) {
+        byHeadroom_.built = false;
+        byRackHeadroom_.built = false;
+    }
+    HeadroomIndex &index = by_rack ? byRackHeadroom_ : byHeadroom_;
+    if (index.built)
+        return index;
+
+    // Recomputing every key also gives the other index, if built, the
+    // keys it already holds.
+    headroomLimit_ = cpu_limit;
+    headroomKey_.resize(hosts_.size());
+    maxLimitCapacity_ = 0.0;
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
+        const double limit_cap = cpu_limit * hosts_[h].cpuCapacityMhz;
+        headroomKey_[h] = limit_cap - cpuUsed_[h];
+        maxLimitCapacity_ = std::max(maxLimitCapacity_, std::abs(limit_cap));
+    }
+    index.entries.clear();
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
+        if (hosts_[h].usable)
+            index.entries.push_back(headroomEntry(h, by_rack));
+    }
+    std::sort(index.entries.begin(), index.entries.end(),
+              entryLess<HeadroomEntry>);
+    index.built = true;
+    return index;
+}
+
+PlacementModel::HeadroomEntry
+PlacementModel::headroomEntry(std::size_t h, bool by_rack) const
+{
+    return {by_rack ? hosts_[h].rack : 0, static_cast<std::uint32_t>(h),
+            headroomKey_[h], memUsed_[h], hosts_[h].memoryCapacityMb + 1e-9};
+}
+
+PlacementModel::LoadExtremes
+PlacementModel::leafOf(std::size_t h) const
+{
+    if (h >= hosts_.size())
+        return {-kInf, kInf, kInf};
+    // The same division as cpuUtilization(), so the bits agree.
+    const double util = cpuUsed_[h] / hosts_[h].cpuCapacityMhz;
+    const bool usable = hosts_[h].usable;
+    return {usable ? util : -kInf, usable ? util : kInf,
+            evacuable_[h] ? cpuUsed_[h] : kInf};
+}
+
+namespace {
+
+/** A segment-tree node from its two children. */
+template <class Extremes>
+Extremes
+combine(const Extremes &a, const Extremes &b)
+{
+    return {std::max(a.maxUtil, b.maxUtil), std::min(a.minUtil, b.minUtil),
+            std::min(a.minLoad, b.minLoad)};
+}
+
+} // namespace
+
+const std::vector<PlacementModel::LoadExtremes> &
+PlacementModel::extremes() const
+{
+    if (!extremes_.empty())
+        return extremes_;
+    extremesLeaves_ = std::bit_ceil(std::max<std::size_t>(hosts_.size(), 1));
+    extremes_.resize(2 * extremesLeaves_);
+    for (std::size_t h = 0; h < extremesLeaves_; ++h)
+        extremes_[extremesLeaves_ + h] = leafOf(h);
+    for (std::size_t n = extremesLeaves_ - 1; n >= 1; --n)
+        extremes_[n] = combine(extremes_[2 * n], extremes_[2 * n + 1]);
+    return extremes_;
+}
+
+void
+PlacementModel::updateLeaf(std::size_t h) const
+{
+    std::size_t n = extremesLeaves_ + h;
+    extremes_[n] = leafOf(h);
+    for (n /= 2; n >= 1; n /= 2)
+        extremes_[n] = combine(extremes_[2 * n], extremes_[2 * n + 1]);
+}
+
+void
+PlacementModel::reindex(std::size_t h)
+{
+    if (!extremes_.empty())
+        updateLeaf(h);
+    if (!hosts_[h].usable || (!byHeadroom_.built && !byRackHeadroom_.built))
+        return;
+    const double old_key = headroomKey_[h];
+    const double new_key =
+        headroomLimit_ * hosts_[h].cpuCapacityMhz - cpuUsed_[h];
+    headroomKey_[h] = new_key;
+    for (HeadroomIndex *index : {&byHeadroom_, &byRackHeadroom_}) {
+        if (!index->built)
+            continue;
+        std::vector<HeadroomEntry> &entries = index->entries;
+        const HeadroomEntry entry =
+            headroomEntry(h, index == &byRackHeadroom_);
+        HeadroomEntry old_entry = entry;
+        old_entry.key = old_key;
+        const auto at = std::lower_bound(entries.begin(), entries.end(),
+                                         old_entry, entryLess<HeadroomEntry>);
+        const auto to = std::lower_bound(entries.begin(), entries.end(),
+                                         entry, entryLess<HeadroomEntry>);
+        // Slide the entry to its new place, shifting the ones between.
+        if (to > at) {
+            std::rotate(at, at + 1, to);
+            *(to - 1) = entry;
+        } else {
+            std::rotate(to, at, at + 1);
+            *to = entry;
+        }
+    }
+}
+
+HostId
+PlacementModel::fitByHeadroom(const PlannedVm &vm_ref, double cpu_limit,
+                              bool tightest, HostId exclude_a,
+                              HostId exclude_b, int only_rack) const
+{
+    const bool by_rack = only_rack >= 0;
+    const std::vector<HeadroomEntry> &entries =
+        headroomIndex(cpu_limit, by_rack).entries;
+    const int rack = by_rack ? only_rack : 0;
+    const auto rack_less = [](const HeadroomEntry &e, int r) {
+        return e.rack < r;
+    };
+    const auto rack_end = [](int r, const HeadroomEntry &e) {
+        return r < e.rack;
+    };
+    const auto first = std::lower_bound(entries.begin(), entries.end(),
+                                        rack, rack_less);
+    const auto last = std::upper_bound(first, entries.end(), rack,
+                                       rack_end);
+
+    // fits() tests `used + vm <= limit * capacity + 1e-9`, which rounds
+    // differently from the key: a host that fits has a key within a few
+    // ulps of the capacity of vm - 1e-9 or above. Hosts below the floor
+    // cannot fit; those above it are tested with fits() itself.
+    const double slack =
+        1e-9 + 1e-12 * (maxLimitCapacity_ + std::abs(vm_ref.cpuMhz));
+    const double floor_key = vm_ref.cpuMhz - 1e-9 - slack;
+    const auto floor = std::lower_bound(
+        first, last, floor_key,
+        [](const HeadroomEntry &e, double k) { return e.key < k; });
+
+    // Memory-bound hosts are common among the tight ones; their inline
+    // memory test fails before fits() touches the host rows.
+    const auto eligible = [&](const HeadroomEntry &e) {
+        if (!(e.memUsed + vm_ref.memoryMb <= e.memBound))
+            return false;
+        const HostId id = hosts_[e.host].id;
+        return id != exclude_a && id != exclude_b &&
+               fitsAt(vm_ref, e.host, cpu_limit);
+    };
+
+    // The first eligible entry in the walk direction has the extreme
+    // headroom. Rounding is monotone, so hosts of equal headroom
+    // `key - vm` form a contiguous run from it; the scan kept the lowest
+    // host index among them.
+    std::size_t best = kNoLeaf;
+    double best_headroom = 0.0;
+    const auto consider = [&](const HeadroomEntry &e) {
+        const double headroom = e.key - vm_ref.cpuMhz;
+        if (best != kNoLeaf && headroom != best_headroom)
+            return false; // past the run of equal headroom
+        if ((best == kNoLeaf || e.host < best) && eligible(e)) {
+            best = e.host;
+            best_headroom = headroom;
+        }
+        return true;
+    };
+    if (tightest) {
+        for (auto it = floor; it != last && consider(*it); ++it) {
+        }
+    } else {
+        for (auto it = last; it != floor && consider(*(it - 1)); --it) {
+        }
+    }
+    return best == kNoLeaf ? dc::invalidHostId : hosts_[best].id;
+}
+
+HostId
+PlacementModel::worstOverloaded(double floor) const
+{
+    const std::vector<LoadExtremes> &tree = extremes();
+    std::size_t worst = kNoLeaf;
+    double worst_util = floor;
+    for (std::size_t from = 0;;) {
+        const double bar = worst_util + 1e-9;
+        const std::size_t h =
+            firstLeaf(tree, 1, 0, extremesLeaves_, from,
+                      [bar](const LoadExtremes &n) { return n.maxUtil > bar; });
+        if (h == kNoLeaf)
+            break;
+        worst = h;
+        worst_util = tree[extremesLeaves_ + h].maxUtil;
+        from = h + 1;
+    }
+    return worst == kNoLeaf ? dc::invalidHostId : hosts_[worst].id;
+}
+
+HostId
+PlacementModel::mostUtilized() const
+{
+    // The scan started below every utilization (-1) and kept the first
+    // strictly greater one: the lowest index attaining the maximum.
+    const std::vector<LoadExtremes> &tree = extremes();
+    const double top = tree[1].maxUtil;
+    if (!(top > -1.0))
+        return dc::invalidHostId;
+    const std::size_t h =
+        firstLeaf(tree, 1, 0, extremesLeaves_, 0,
+                  [top](const LoadExtremes &n) { return n.maxUtil >= top; });
+    return hosts_[h].id;
+}
+
+HostId
+PlacementModel::leastUtilized() const
+{
+    const std::vector<LoadExtremes> &tree = extremes();
+    const double bottom = tree[1].minUtil;
+    if (!(bottom < kInf))
+        return dc::invalidHostId;
+    const std::size_t h = firstLeaf(
+        tree, 1, 0, extremesLeaves_, 0,
+        [bottom](const LoadExtremes &n) { return n.minUtil <= bottom; });
+    return hosts_[h].id;
+}
+
+void
+PlacementModel::setEvacuable(HostId id, bool evacuable)
+{
+    const std::size_t h = hostIndex(id);
+    evacuable_[h] = evacuable ? 1 : 0;
+    if (!extremes_.empty())
+        updateLeaf(h);
+}
+
+HostId
+PlacementModel::lightestEvacuable() const
+{
+    const std::vector<LoadExtremes> &tree = extremes();
+    const double lightest = tree[1].minLoad;
+    if (!(lightest < kInf))
+        return dc::invalidHostId;
+    const std::size_t h = firstLeaf(
+        tree, 1, 0, extremesLeaves_, 0,
+        [lightest](const LoadExtremes &n) { return n.minLoad <= lightest; });
+    return hosts_[h].id;
 }
 
 namespace {
@@ -333,6 +654,65 @@ PlacementModel::audit() const
                        hosts_[h].id, cpuUsed_[h], memUsed_[h], cpu[h],
                        mem[h]);
     }
+
+    // The free-CPU indexes: every usable host once, keyed by its
+    // recomputed headroom, in order.
+    for (const HeadroomIndex *index : {&byHeadroom_, &byRackHeadroom_}) {
+        if (!index->built)
+            continue;
+        const bool by_rack = index == &byRackHeadroom_;
+        std::vector<HeadroomEntry> expected;
+        for (std::size_t h = 0; h < hosts_.size(); ++h) {
+            if (!hosts_[h].usable)
+                continue;
+            HeadroomEntry entry = headroomEntry(h, by_rack);
+            entry.key =
+                headroomLimit_ * hosts_[h].cpuCapacityMhz - cpuUsed_[h];
+            expected.push_back(entry);
+        }
+        std::sort(expected.begin(), expected.end(),
+                  entryLess<HeadroomEntry>);
+        if (index->entries.size() != expected.size())
+            sim::panic("PlacementModel audit: %s free-CPU index holds %zu "
+                       "hosts, %zu are usable", by_rack ? "rack" : "flat",
+                       index->entries.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            const HeadroomEntry &have = index->entries[i];
+            const HeadroomEntry &want = expected[i];
+            if (have.host != want.host || have.rack != want.rack ||
+                !sameBits(have.key, want.key) ||
+                !sameBits(have.memUsed, want.memUsed) ||
+                !sameBits(have.memBound, want.memBound))
+                sim::panic("PlacementModel audit: %s free-CPU index entry "
+                           "%zu is host %d key %.17g, a recompute gives "
+                           "host %d key %.17g", by_rack ? "rack" : "flat", i,
+                           hosts_[have.host].id, have.key,
+                           hosts_[want.host].id, want.key);
+        }
+    }
+
+    // The load-extremes tree: leaves from the usage rows, nodes from
+    // their children.
+    if (!extremes_.empty()) {
+        for (std::size_t h = 0; h < extremesLeaves_; ++h) {
+            const LoadExtremes have = extremes_[extremesLeaves_ + h];
+            const LoadExtremes want = leafOf(h);
+            if (!sameBits(have.maxUtil, want.maxUtil) ||
+                !sameBits(have.minUtil, want.minUtil) ||
+                !sameBits(have.minLoad, want.minLoad))
+                sim::panic("PlacementModel audit: load-extremes leaf of "
+                           "host index %zu is stale", h);
+        }
+        for (std::size_t n = extremesLeaves_ - 1; n >= 1; --n) {
+            const LoadExtremes want =
+                combine(extremes_[2 * n], extremes_[2 * n + 1]);
+            if (!sameBits(extremes_[n].maxUtil, want.maxUtil) ||
+                !sameBits(extremes_[n].minUtil, want.minUtil) ||
+                !sameBits(extremes_[n].minLoad, want.minLoad))
+                sim::panic("PlacementModel audit: load-extremes node %zu "
+                           "disagrees with its children", n);
+        }
+    }
 }
 
 void
@@ -353,37 +733,27 @@ chooseDestinationPass(const PlacementModel &model, const PlannedVm &vm,
                       double cpu_limit, PackingHeuristic heuristic,
                       HostId exclude_a, HostId exclude_b, int only_rack)
 {
-    HostId best = dc::invalidHostId;
-    double best_key = 0.0;
-
-    for (const PlannedHost &host : model.hosts()) {
-        if (host.id == exclude_a || host.id == exclude_b || !host.usable)
-            continue;
-        if (only_rack >= 0 && host.rack != only_rack)
-            continue;
-        if (!model.fits(vm, host.id, cpu_limit))
-            continue;
-
-        const double headroom = cpu_limit * host.cpuCapacityMhz -
-                                model.cpuUsedMhz(host.id) - vm.cpuMhz;
-        switch (heuristic) {
-          case PackingHeuristic::FirstFitDecreasing:
-            return host.id; // hosts are scanned in id order
-          case PackingHeuristic::BestFitDecreasing:
-            if (best == dc::invalidHostId || headroom < best_key) {
-                best = host.id;
-                best_key = headroom;
-            }
-            break;
-          case PackingHeuristic::WorstFit:
-            if (best == dc::invalidHostId || headroom > best_key) {
-                best = host.id;
-                best_key = headroom;
-            }
-            break;
+    switch (heuristic) {
+      case PackingHeuristic::FirstFitDecreasing:
+        // An id-order scan already stops at the first fit.
+        for (const PlannedHost &host : model.hosts()) {
+            if (host.id == exclude_a || host.id == exclude_b || !host.usable)
+                continue;
+            if (only_rack >= 0 && host.rack != only_rack)
+                continue;
+            if (model.fits(vm, host.id, cpu_limit))
+                return host.id;
         }
+        return dc::invalidHostId;
+      case PackingHeuristic::BestFitDecreasing:
+      case PackingHeuristic::WorstFit:
+        return model.fitByHeadroom(
+            vm, cpu_limit,
+            heuristic == PackingHeuristic::BestFitDecreasing, exclude_a,
+            exclude_b, only_rack);
     }
-    return best;
+    sim::panic("chooseDestinationPass: invalid PackingHeuristic %d",
+               static_cast<int>(heuristic));
 }
 
 /**
@@ -472,17 +842,7 @@ planRebalance(PlacementModel &model, double target_utilization,
 
     // Phase 1: relieve hosts over the target, worst offender first.
     while (static_cast<int>(moves.size()) < max_moves) {
-        HostId worst = dc::invalidHostId;
-        double worst_util = target_utilization;
-        for (const PlannedHost &host : model.hosts()) {
-            if (!host.usable)
-                continue;
-            const double util = model.cpuUtilization(host.id);
-            if (util > worst_util + 1e-9) {
-                worst = host.id;
-                worst_util = util;
-            }
-        }
+        const HostId worst = model.worstOverloaded(target_utilization);
         if (worst == dc::invalidHostId)
             break;
 
@@ -507,24 +867,12 @@ planRebalance(PlacementModel &model, double target_utilization,
 
     // Phase 2: narrow the spread between the most and least loaded hosts.
     while (static_cast<int>(moves.size()) < max_moves) {
-        HostId hi = dc::invalidHostId, lo = dc::invalidHostId;
-        double hi_util = -1.0;
-        double lo_util = std::numeric_limits<double>::infinity();
-        for (const PlannedHost &host : model.hosts()) {
-            if (!host.usable)
-                continue;
-            const double util = model.cpuUtilization(host.id);
-            if (util > hi_util) {
-                hi = host.id;
-                hi_util = util;
-            }
-            if (util < lo_util) {
-                lo = host.id;
-                lo_util = util;
-            }
-        }
+        const HostId hi = model.mostUtilized();
+        const HostId lo = model.leastUtilized();
         if (hi == dc::invalidHostId || lo == dc::invalidHostId || hi == lo)
             break;
+        const double hi_util = model.cpuUtilization(hi);
+        const double lo_util = model.cpuUtilization(lo);
         if (hi_util - lo_util <= imbalance_threshold)
             break;
 

@@ -135,12 +135,60 @@ class PlacementModel
     void rollback(std::size_t mark);
     ///@}
 
+    /** @name Indexed host queries
+     *
+     * Each returns exactly what the id-order scan of hosts() it replaces
+     * returned, ties included (DESIGN.md "Planner host indexes"). The
+     * indexes are built on first use after construction, rebuildUsage()
+     * or mutableHosts(), and follow every apply() and rollback().
+     */
+    ///@{
+    /**
+     * The usable host that fits() @p vm under @p cpu_limit with the least
+     * (@p tightest, best fit) or most (worst fit) headroom
+     * `cpu_limit * capacity - used - vm.cpuMhz`, skipping @p exclude_a,
+     * @p exclude_b and, when @p only_rack >= 0, hosts of other racks.
+     * Ties go to the lowest host index; invalidHostId if nothing fits.
+     */
+    HostId fitByHeadroom(const PlannedVm &vm, double cpu_limit,
+                         bool tightest, HostId exclude_a, HostId exclude_b,
+                         int only_rack) const;
+
+    /**
+     * The end of the chain an id-order scan of usable hosts builds from
+     * @p floor: a host replaces the running pick when its utilization
+     * exceeds the pick's (initially @p floor) by more than 1e-9. This is
+     * not a plain argmax — a host within 1e-9 of the running pick does
+     * not replace it. invalidHostId if no host exceeds @p floor + 1e-9.
+     */
+    HostId worstOverloaded(double floor) const;
+
+    /** The lowest-index usable host of highest / lowest utilization, or
+     *  invalidHostId if no host is usable. */
+    HostId mostUtilized() const;
+    HostId leastUtilized() const;
+
+    /**
+     * Mark a host as a possible (or no longer possible) evacuation victim.
+     * rebuildUsage() makes exactly the usable hosts evacuable; a holder
+     * whose own host membership changes after that (a drain started or
+     * abandoned during planning) keeps it in step here without touching
+     * `usable`, which stays a snapshot.
+     */
+    void setEvacuable(HostId id, bool evacuable);
+
+    /** The lowest-index evacuable host of least CPU use, or invalidHostId. */
+    HostId lightestEvacuable() const;
+    ///@}
+
     /**
      * Audit the incremental state against a from-scratch recompute. The
      * resident index must equal one rebuilt from vms(). The usage rows
      * must equal, bit for bit, rebuildUsage() on the assignment before
-     * the logged moves followed by those moves' arithmetic. Panics,
-     * naming the host or VM id, on the first mismatch.
+     * the logged moves followed by those moves' arithmetic. Every built
+     * host index must hold, bit for bit, the keys a recompute from the
+     * usage rows gives, in order. Panics, naming the host or VM id, on the
+     * first mismatch.
      */
     void audit() const;
 
@@ -172,14 +220,20 @@ class PlacementModel
      * model between management cycles. The id fields and the entry order
      * must not change — only per-entity values (usable, cpuMhz, host,
      * movable, ...). Call rebuildUsage() after editing VM assignments.
+     * mutableHosts() drops the host indexes; they rebuild on next use.
      */
-    std::vector<PlannedHost> &mutableHosts() { return hosts_; }
+    std::vector<PlannedHost> &mutableHosts()
+    {
+        dropIndexes();
+        return hosts_;
+    }
     std::vector<PlannedVm> &mutableVms() { return vms_; }
 
     /**
      * Recompute the per-host usage accumulators and the resident index
      * from vms_, in the same order as construction (so a refreshed model
-     * is bit-identical to a freshly built one), and clear the move log.
+     * is bit-identical to a freshly built one), clear the move log, make
+     * exactly the usable hosts evacuable and drop the host indexes.
      */
     void rebuildUsage();
     ///@}
@@ -194,8 +248,56 @@ class PlacementModel
         double fromCpu, fromMem, toCpu, toMem;
     };
 
+    /** One free-CPU index entry, ordered by (rack, key, host). */
+    struct HeadroomEntry
+    {
+        int rack;           ///< the host's rack, or 0 in the flat index
+        std::uint32_t host; ///< index into hosts_
+        double key;         ///< limit * capacity - used
+        /** The host's memory row and `capacity + 1e-9`: fits()'s own
+         *  memory test, read without leaving the walk. */
+        double memUsed;
+        double memBound;
+    };
+
+    /** Usable hosts sorted by free CPU under one CPU limit. */
+    struct HeadroomIndex
+    {
+        bool built = false;
+        std::vector<HeadroomEntry> entries;
+    };
+
+    /** Per segment-tree node: the extremes of its leaves' hosts. */
+    struct LoadExtremes
+    {
+        double maxUtil; ///< usable hosts; -inf otherwise
+        double minUtil; ///< usable hosts; +inf otherwise
+        double minLoad; ///< evacuable hosts' CPU use; +inf otherwise
+    };
+
     std::size_t hostIndex(HostId id) const;
     std::size_t vmIndex(VmId id) const;
+
+    /** fits() for host index @p h. */
+    bool fitsAt(const PlannedVm &vm, std::size_t h,
+                double cpu_limit) const;
+
+    /** Forget every host index (they rebuild on next use). */
+    void dropIndexes();
+
+    /** Host index @p h's free-CPU entry, from its current rows. */
+    HeadroomEntry headroomEntry(std::size_t h, bool by_rack) const;
+
+    /** The free-CPU index keyed on @p cpu_limit, flat or by rack. */
+    const HeadroomIndex &headroomIndex(double cpu_limit, bool by_rack) const;
+
+    /** The load-extremes tree, built if needed. */
+    const std::vector<LoadExtremes> &extremes() const;
+    LoadExtremes leafOf(std::size_t h) const;
+    void updateLeaf(std::size_t h) const;
+
+    /** Follow a usage-row change of host index @p h in every built index. */
+    void reindex(std::size_t h);
 
     /** Move VM index @p v between the resident lists of two host
      *  indices, keeping each list in ascending VM-index order. */
@@ -217,6 +319,24 @@ class PlacementModel
     std::unordered_map<VmId, int> vmGroup_;
     /** Per host index: group -> number of resident members. */
     std::vector<std::unordered_map<int, int>> hostGroupCount_;
+
+    /** Per host index: may be picked as an evacuation victim. */
+    std::vector<std::uint8_t> evacuable_;
+
+    /** @name Host indexes (caches; see DESIGN.md "Planner host indexes") */
+    ///@{
+    mutable HeadroomIndex byHeadroom_;     ///< every usable host, rack 0
+    mutable HeadroomIndex byRackHeadroom_; ///< keyed by rack first
+    mutable double headroomLimit_ = 0.0;   ///< the limit both are keyed on
+    /** Largest |limit * capacity|: scales the walk floor's slack. */
+    mutable double maxLimitCapacity_ = 0.0;
+    /** Per host index: its key in the free-CPU indexes. */
+    mutable std::vector<double> headroomKey_;
+    /** Segment tree over host index: node 1 is the root, leaf h sits at
+     *  extremesLeaves_ + h. Empty when not built. */
+    mutable std::vector<LoadExtremes> extremes_;
+    mutable std::size_t extremesLeaves_ = 0;
+    ///@}
 };
 
 /**

@@ -6,10 +6,12 @@
  * The matrix covers each wake/sleep path of VpmManager: S3, S5 and
  * adaptive sleep, the parked reserve (park, unpark, overflow sleep),
  * parking without host sleep, a binding power cap, hierarchical rack
- * triage, and HA restart after host crashes with a spare floor. A
- * refactor of those paths must leave every line byte-identical; a change
- * meant to move policy outcomes re-records the table (the failure message
- * prints the new lines).
+ * triage, HA restart after host crashes with a spare floor, and the
+ * planner variants: first-fit and worst-fit packing, rack affinity
+ * (best- and worst-fit), heterogeneity-aware victim choice and
+ * anti-affinity groups. A refactor of those paths must leave every line
+ * byte-identical; a change meant to move policy outcomes re-records the
+ * table (the failure message prints the new lines).
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "core/policies.hpp"
 #include "core/scenario.hpp"
 #include "power/idle_hierarchy.hpp"
+#include "power/server_models.hpp"
 
 namespace vpm::mgmt {
 namespace {
@@ -143,6 +146,66 @@ TEST(ManagerGoldenTest, OutcomesMatchRecordedMatrix)
          "cycles=289 migrations=100 balance=57 evacuations=11 abandoned=0"
          " cancelled=0 sleeps=11 wakes=6 parked=0 unparked=0 capDenied=0"
          " shortfall=6 haRestarts=9 energyKwh=27.148420082826242"},
+        {"first-fit",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.heuristic = PackingHeuristic::FirstFitDecreasing;
+         },
+         "cycles=289 migrations=116 balance=60 evacuations=9 abandoned=0"
+         " cancelled=0 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=4 haRestarts=0 energyKwh=23.88210399145224"},
+        {"worst-fit",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.heuristic = PackingHeuristic::WorstFit;
+         },
+         "cycles=289 migrations=100 balance=48 evacuations=10 abandoned=0"
+         " cancelled=1 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=5 haRestarts=0 energyKwh=24.03634060191925"},
+        {"rack-affinity",
+         [](ScenarioConfig &c) {
+             dc::TopologyConfig topo;
+             topo.hostsPerRack = 3; // racks of 3, 3 and 2 hosts
+             c.topology = topo;
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.rackAffinity = true;
+         },
+         "cycles=289 migrations=108 balance=57 evacuations=9 abandoned=0"
+         " cancelled=0 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=4 haRestarts=0 energyKwh=23.706618033207903"},
+        {"rack-affinity-worst-fit",
+         [](ScenarioConfig &c) {
+             dc::TopologyConfig topo;
+             topo.hostsPerRack = 3;
+             c.topology = topo;
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.rackAffinity = true;
+             c.manager.heuristic = PackingHeuristic::WorstFit;
+         },
+         "cycles=289 migrations=82 balance=42 evacuations=9 abandoned=0"
+         " cancelled=0 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=4 haRestarts=0 energyKwh=23.783328555914721"},
+        {"heterogeneity-aware",
+         [](ScenarioConfig &c) {
+             c.heterogeneousSpecs = {power::enterpriseBlade2013(),
+                                     power::legacyServer2009()};
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.heterogeneityAware = true;
+         },
+         "cycles=289 migrations=108 balance=50 evacuations=9 abandoned=0"
+         " cancelled=0 sleeps=9 wakes=4 parked=0 unparked=0 capDenied=0"
+         " shortfall=4 haRestarts=0 energyKwh=26.72979854869023"},
+        {"anti-affinity",
+         [](ScenarioConfig &c) {
+             c.mix.loadScale = 0.6;
+             c.manager = makePolicy(PolicyKind::PmS3);
+             for (int g = 0; g < 8; ++g)
+                 c.manager.antiAffinityGroups.push_back(
+                     {3 * g, 3 * g + 1, 3 * g + 2});
+         },
+         "cycles=289 migrations=17 balance=3 evacuations=4 abandoned=0"
+         " cancelled=0 sleeps=4 wakes=0 parked=0 unparked=0 capDenied=0"
+         " shortfall=0 haRestarts=0 energyKwh=20.275418785211556"},
     };
 
     for (const GoldenCase &golden : cases) {
