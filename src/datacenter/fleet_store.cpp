@@ -21,6 +21,10 @@ static_assert(static_cast<int>(power::PowerPhase::Asleep) == 2,
 static_assert(static_cast<int>(power::PowerPhase::Exiting) == 3,
               "FleetStore phase byte encoding must match PowerPhase");
 
+/** How many VMs ahead the demand-refresh kernel hints the next due span
+ *  lookup, so a streamed trace's payload fetch overlaps the VMs between. */
+static constexpr std::size_t kRefreshLookAhead = 16;
+
 template <typename T>
 void
 FleetStore::growColumn(std::unique_ptr<T[]> &col, std::size_t old_count,
@@ -94,6 +98,7 @@ FleetStore::growVms(std::size_t n)
     growColumn<const workload::DemandTrace *>(vmTrace_, vmCount_, cap,
                                               nullptr);
     growColumn(vmPointSpan_, vmCount_, cap, std::uint8_t{0});
+    growColumn(vmSpanPrefetch_, vmCount_, cap, std::uint8_t{0});
     vmCap_ = cap;
 }
 
@@ -130,6 +135,8 @@ FleetStore::registerVm(VmId id, double cpu_mhz, double memory_mb,
     vmCpuMhz_[idx(id)] = cpu_mhz;
     vmTrace_[idx(id)] = trace;
     vmPointSpan_[idx(id)] = trace != nullptr && trace->pointSpan() ? 1 : 0;
+    vmSpanPrefetch_[idx(id)] =
+        trace != nullptr && trace->hasSpanPrefetch() ? 1 : 0;
 }
 
 void
@@ -156,6 +163,15 @@ FleetStore::refreshPlacedDemand(const VmId *ids, std::size_t n,
 {
     const sim::SimTime now = sim::SimTime::micros(now_us);
     for (std::size_t k = 0; k < n; ++k) {
+        // Look ahead within this call's id range only (the owner-shard
+        // rule: a VM's trace cursor belongs to the shard that lists it).
+        // Gating on the prefetch column rather than on !point keeps the
+        // branch predictable on fleets that mix point and span traces.
+        if (k + kRefreshLookAhead < n) {
+            const std::size_t ahead = idx(ids[k + kRefreshLookAhead]);
+            if (vmSpanPrefetch_[ahead] && now_us >= vmValidUntilUs_[ahead])
+                vmTrace_[ahead]->prefetchSpan();
+        }
         const std::size_t v = idx(ids[k]);
         double demand;
         if (vmPointSpan_[v]) {

@@ -395,6 +395,10 @@ class FleetStore
      *  refresh kernel then resamples unconditionally and skips the span
      *  struct and the validity column. */
     std::unique_ptr<std::uint8_t[]> vmPointSpan_;
+    /** 1 when the trace has a span prefetch
+     *  (DemandTrace::hasSpanPrefetch()): only these VMs get the refresh
+     *  kernel's look-ahead. Derived at registration, so not snapshotted. */
+    std::unique_ptr<std::uint8_t[]> vmSpanPrefetch_;
 
     // Per-host columns.
     std::unique_ptr<double[]> hostCapMhz_;

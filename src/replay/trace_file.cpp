@@ -12,6 +12,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #define VPM_TRACE_HAVE_PREAD 1
 #else
@@ -249,17 +250,57 @@ TraceFileWriter::finish(std::string *error)
 
 namespace detail {
 
-/** One decoded chunk, immutable once built; shared so a cache eviction
- *  never invalidates a cursor that still points at it. */
-struct DecodedChunk
+namespace {
+
+/** Longest LEB128 varint getVarint() accepts (64 bits / 7, rounded up). */
+constexpr std::uint64_t kMaxVarintBytes = 10;
+
+/** Two's-complement addition without signed-overflow UB: only a corrupt
+ *  payload that passes the format checks can make it wrap. */
+std::int64_t
+wrapAdd(std::int64_t a, std::uint64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) + b);
+}
+
+/** Decode one varint of a payload already validated on load. */
+std::uint64_t
+readVarint(const std::uint8_t *&p)
+{
+    std::uint64_t v = *p++;
+    if (v < 0x80)
+        return v;
+    v &= 0x7f;
+    for (int shift = 7;; shift += 7) {
+        const std::uint8_t byte = *p++;
+        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        if ((byte & 0x80) == 0)
+            return v;
+    }
+}
+
+} // namespace
+
+/**
+ * One chunk exactly as stored — its 32-byte header followed by the raw
+ * LEB128 payload — plus the header facts the cursor needs. Validated in
+ * full when loaded and immutable afterwards; shared so a cache eviction
+ * never invalidates a cursor that still points into it.
+ */
+struct EncodedChunk
 {
     std::uint32_t vm = 0;
     std::uint32_t chunkIdx = 0;
-    std::uint64_t selfOffset = 0;
+    std::uint32_t sampleCount = 0;
+    std::uint32_t firstLevel = 0;
+    /** Offset in bytes of the first (dt, dl) pair, after the first level. */
+    std::uint32_t pairsBegin = 0;
     std::uint64_t nextOffset = 0; ///< file offset of the next chunk
+    std::int64_t firstTs = 0;
     std::int64_t endTs = kOpenEnd;
-    std::vector<std::int64_t> ts;
-    std::vector<double> util;
+    std::vector<std::uint8_t> bytes;
+
+    const std::uint8_t *pairs() const { return bytes.data() + pairsBegin; }
 };
 
 class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
@@ -275,6 +316,8 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
     };
     std::vector<VmMeta> vms;
     std::size_t slotCount = 0;
+    /** Size of the file in bytes, as found by openFile(). */
+    std::uint64_t fileBytes = 0;
 
     ~TraceFileImpl()
     {
@@ -288,13 +331,14 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
     bool readAt(std::uint64_t offset, void *dst, std::size_t n);
 
     /**
-     * The decoded chunk (vm, chunk_idx) whose header lives at @p offset.
-     * Served from the direct-mapped cache when present; loaded (and
-     * cached, evicting the slot's previous occupant) otherwise. Fatal on
-     * a corrupt chunk — by open()-validation this only happens when the
-     * file changed underneath a running simulation.
+     * The encoded chunk (vm, chunk_idx) whose header lives at @p offset.
+     * Served from the direct-mapped cache when present; otherwise loaded
+     * with one read of header and payload, validated, and cached
+     * (evicting the slot's previous occupant). Fatal on a corrupt chunk
+     * — by open()-validation this only happens when the file changed
+     * underneath a running simulation.
      */
-    std::shared_ptr<const DecodedChunk>
+    std::shared_ptr<const EncodedChunk>
     chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
             std::uint64_t offset);
 
@@ -305,8 +349,10 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
 
     void configureCache(std::size_t window_bytes)
     {
-        // A decoded breakpoint costs 16 bytes (i64 ts + double util);
-        // size the slot count so a full cache stays under the budget.
+        // Budget 16 bytes per breakpoint (what a decoded i64 ts + double
+        // util once cost); a canonically encoded breakpoint takes at most
+        // 14 (9-byte dt + 5-byte zigzag dl), so a full cache stays under
+        // the budget and the slot count is unchanged.
         const std::size_t per_chunk =
             static_cast<std::size_t>(info.samplesPerChunk) * 16;
         slotCount = std::max<std::size_t>(
@@ -317,9 +363,13 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
   private:
     struct Slot
     {
-        std::shared_ptr<const DecodedChunk> chunk;
+        std::shared_ptr<const EncodedChunk> chunk;
     };
     static constexpr std::size_t kStripes = 64;
+
+    /** Check every varint, dt > 0, the level range and trailing bytes of
+     *  @p chunk's payload; fill in firstLevel and pairsBegin. */
+    void validate(EncodedChunk &chunk, std::uint32_t payload_bytes) const;
 
     std::vector<Slot> slots_;
     std::mutex stripes_[kStripes];
@@ -338,18 +388,21 @@ TraceFileImpl::openFile(const std::string &path, std::string *error)
 {
 #if VPM_TRACE_HAVE_PREAD
     fd_ = ::open(path.c_str(), O_RDONLY);
-    if (fd_ < 0) {
+    struct stat st;
+    if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
         if (error != nullptr)
             *error = "cannot open '" + path + "'";
         return false;
     }
+    fileBytes = static_cast<std::uint64_t>(st.st_size);
 #else
-    stream_.open(path, std::ios::binary);
+    stream_.open(path, std::ios::binary | std::ios::ate);
     if (!stream_.good()) {
         if (error != nullptr)
             *error = "cannot open '" + path + "'";
         return false;
     }
+    fileBytes = static_cast<std::uint64_t>(stream_.tellg());
 #endif
     return true;
 }
@@ -378,7 +431,37 @@ TraceFileImpl::readAt(std::uint64_t offset, void *dst, std::size_t n)
 #endif
 }
 
-std::shared_ptr<const DecodedChunk>
+void
+TraceFileImpl::validate(EncodedChunk &chunk,
+                        std::uint32_t payload_bytes) const
+{
+    const std::uint8_t *payload = chunk.bytes.data() + kChunkHeaderBytes;
+    std::size_t pos = 0;
+    std::uint64_t raw = 0;
+    if (!getVarint(payload, payload_bytes, pos, raw) || raw > info.quantum)
+        sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", chunk.vm,
+                   chunk.chunkIdx);
+    chunk.firstLevel = static_cast<std::uint32_t>(raw);
+    chunk.pairsBegin = static_cast<std::uint32_t>(kChunkHeaderBytes + pos);
+    std::int64_t level = static_cast<std::int64_t>(raw);
+    for (std::uint32_t i = 1; i < chunk.sampleCount; ++i) {
+        std::uint64_t dt = 0, dl = 0;
+        if (!getVarint(payload, payload_bytes, pos, dt) ||
+            !getVarint(payload, payload_bytes, pos, dl))
+            sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", chunk.vm,
+                       chunk.chunkIdx);
+        level = wrapAdd(level, static_cast<std::uint64_t>(unzigzag(dl)));
+        if (dt == 0 || level < 0 ||
+            level > static_cast<std::int64_t>(info.quantum))
+            sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", chunk.vm,
+                       chunk.chunkIdx);
+    }
+    if (pos != payload_bytes)
+        sim::fatal("vpm-trace-1: trailing payload bytes (vm %u #%u)",
+                   chunk.vm, chunk.chunkIdx);
+}
+
+std::shared_ptr<const EncodedChunk>
 TraceFileImpl::chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
                        std::uint64_t offset)
 {
@@ -387,69 +470,52 @@ TraceFileImpl::chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
     std::mutex &stripe = stripes_[slot_idx % kStripes];
     {
         std::lock_guard<std::mutex> lock(stripe);
-        const std::shared_ptr<const DecodedChunk> &cached =
+        const std::shared_ptr<const EncodedChunk> &cached =
             slots_[slot_idx].chunk;
         if (cached && cached->vm == vm && cached->chunkIdx == chunk_idx)
             return cached;
     }
 
-    std::uint8_t header[kChunkHeaderBytes];
-    if (!readAt(offset, header, sizeof(header)))
-        sim::fatal("vpm-trace-1: short read at chunk header (vm %u #%u)",
-                   vm, chunk_idx);
-    const std::uint32_t header_vm = getRaw<std::uint32_t>(header);
-    const std::uint32_t count = getRaw<std::uint32_t>(header + 4);
-    const std::uint32_t payload_bytes = getRaw<std::uint32_t>(header + 8);
-    const std::int64_t first_ts = getRaw<std::int64_t>(header + 16);
-    const std::int64_t end_ts = getRaw<std::int64_t>(header + 24);
-    if (header_vm != vm || count == 0 ||
-        count > info.samplesPerChunk)
-        sim::fatal("vpm-trace-1: corrupt chunk header (vm %u #%u)", vm,
-                   chunk_idx);
-
-    std::vector<std::uint8_t> payload(payload_bytes);
-    if (!readAt(offset + kChunkHeaderBytes, payload.data(), payload_bytes))
-        sim::fatal("vpm-trace-1: short read at chunk payload (vm %u #%u)",
-                   vm, chunk_idx);
-
-    auto chunk = std::make_shared<DecodedChunk>();
+    // One read covers header and payload: the rest of the VM's run (from
+    // the index, which open() bounded inside the file), capped at the
+    // largest chunk validate() could accept.
+    const VmMeta &meta = vms[vm];
+    const std::uint64_t run_end = meta.firstChunkOffset + meta.byteLen;
+    const std::uint64_t max_chunk =
+        kChunkHeaderBytes + kMaxVarintBytes +
+        2 * kMaxVarintBytes * (info.samplesPerChunk - 1ull);
+    const std::uint64_t want =
+        offset < run_end ? std::min(run_end - offset, max_chunk) : 0;
+    auto chunk = std::make_shared<EncodedChunk>();
     chunk->vm = vm;
     chunk->chunkIdx = chunk_idx;
-    chunk->selfOffset = offset;
-    chunk->nextOffset = offset + kChunkHeaderBytes + payload_bytes;
-    chunk->endTs = end_ts;
-    chunk->ts.resize(count);
-    chunk->util.resize(count);
-
-    std::size_t pos = 0;
-    std::uint64_t raw = 0;
-    if (!getVarint(payload.data(), payload.size(), pos, raw) ||
-        raw > info.quantum)
-        sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", vm,
+    chunk->bytes.resize(static_cast<std::size_t>(want));
+    if (want < kChunkHeaderBytes ||
+        !readAt(offset, chunk->bytes.data(), chunk->bytes.size()))
+        sim::fatal("vpm-trace-1: short read at chunk header (vm %u #%u)",
+                   vm, chunk_idx);
+    const std::uint8_t *header = chunk->bytes.data();
+    const std::uint32_t header_vm = getRaw<std::uint32_t>(header);
+    chunk->sampleCount = getRaw<std::uint32_t>(header + 4);
+    const std::uint32_t payload_bytes = getRaw<std::uint32_t>(header + 8);
+    chunk->firstTs = getRaw<std::int64_t>(header + 16);
+    chunk->endTs = getRaw<std::int64_t>(header + 24);
+    if (header_vm != vm || chunk->sampleCount == 0 ||
+        chunk->sampleCount > info.samplesPerChunk)
+        sim::fatal("vpm-trace-1: corrupt chunk header (vm %u #%u)", vm,
                    chunk_idx);
-    std::int64_t level = static_cast<std::int64_t>(raw);
-    std::int64_t t = first_ts;
-    const double denom = static_cast<double>(info.quantum);
-    chunk->ts[0] = t;
-    chunk->util[0] = static_cast<double>(level) / denom;
-    for (std::uint32_t i = 1; i < count; ++i) {
-        std::uint64_t dt = 0, dl = 0;
-        if (!getVarint(payload.data(), payload.size(), pos, dt) ||
-            !getVarint(payload.data(), payload.size(), pos, dl))
-            sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", vm,
-                       chunk_idx);
-        t += static_cast<std::int64_t>(dt);
-        level += unzigzag(dl);
-        if (dt == 0 || level < 0 ||
-            level > static_cast<std::int64_t>(info.quantum))
-            sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", vm,
-                       chunk_idx);
-        chunk->ts[i] = t;
-        chunk->util[i] = static_cast<double>(level) / denom;
+    const std::uint64_t chunk_bytes = kChunkHeaderBytes + payload_bytes;
+    if (chunk_bytes > want)
+        sim::fatal("vpm-trace-1: short read at chunk payload (vm %u #%u)",
+                   vm, chunk_idx);
+    // A non-final chunk's read ran into its successor; keep only its own
+    // bytes so a pinned chunk costs what it stores.
+    if (chunk_bytes < want) {
+        chunk->bytes.resize(static_cast<std::size_t>(chunk_bytes));
+        chunk->bytes.shrink_to_fit();
     }
-    if (pos != payload.size())
-        sim::fatal("vpm-trace-1: trailing payload bytes (vm %u #%u)", vm,
-                   chunk_idx);
+    chunk->nextOffset = offset + chunk_bytes;
+    validate(*chunk, payload_bytes);
     loads_.fetch_add(1, std::memory_order_relaxed);
 
     std::lock_guard<std::mutex> lock(stripe);
@@ -458,7 +524,10 @@ TraceFileImpl::chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
 }
 
 /**
- * One VM's series as a DemandTrace. The cursor is mutable under the
+ * One VM's series as a DemandTrace: a forward cursor over its pinned
+ * encoded chunk. spanAt() decodes one (dt, dl) pair per breakpoint it
+ * passes and reads only the cursor's own fields unless it crosses into
+ * another chunk or seeks backward. The cursor is mutable under the
  * owner-shard rule (a VM is only sampled by the shard that owns it, and
  * every VM gets its own view object), mirroring the contract the rest of
  * the evaluation engine already relies on.
@@ -479,58 +548,92 @@ class StreamedVmTrace final : public workload::DemandTrace
 
     workload::DemandSpan spanAt(sim::SimTime t) const override
     {
-        const TraceFileImpl::VmMeta &meta = impl_->vms[vm_];
-        if (meta.chunkCount == 0)
-            return {0.0, sim::SimTime::max()};
-
-        // chunkAt is const-observable but mutates the shared cache; the
-        // impl owns that synchronization.
-        auto *impl = const_cast<TraceFileImpl *>(impl_.get());
-
+        const std::int64_t us = t.micros();
         if (!chunk_) {
-            chunkIdx_ = 0;
-            chunk_ = impl->chunkAt(vm_, 0, meta.firstChunkOffset);
+            const TraceFileImpl::VmMeta &meta = impl_->vms[vm_];
+            if (meta.chunkCount == 0)
+                return {0.0, sim::SimTime::max()};
+            load(0, meta.firstChunkOffset);
         }
-        // Backward seek (a what-if branch replaying from a checkpoint
-        // earlier than this cursor): rewind to the first chunk.
-        if (t.micros() < chunk_->ts.front() && chunkIdx_ > 0) {
-            chunkIdx_ = 0;
-            chunk_ = impl->chunkAt(vm_, 0, meta.firstChunkOffset);
+        if (us < curTs_) {
+            // Backward seek (a what-if branch replaying from a checkpoint
+            // earlier than this cursor): an earlier chunk restarts from
+            // the first chunk, an earlier breakpoint from this chunk's
+            // start. Before the VM's first breakpoint the cursor stays on
+            // it: StepTrace semantics, the first level applies.
+            if (us < chunk_->firstTs && chunkIdx_ > 0)
+                load(0, impl_->vms[vm_].firstChunkOffset);
+            else
+                rewind();
         }
-        while (chunk_->endTs != kOpenEnd && t.micros() >= chunk_->endTs) {
-            ++chunkIdx_;
-            chunk_ = impl->chunkAt(vm_, chunkIdx_, chunk_->nextOffset);
+        while (endTs_ != kOpenEnd && us >= endTs_)
+            load(chunkIdx_ + 1, chunk_->nextOffset);
+        while (left_ > 0 && us >= nextTs_) {
+            // Unsigned wrap keeps a corrupt delta free of UB; validation
+            // proved every level of the chunk lies in [0, quantum].
+            level_ += static_cast<std::uint32_t>(unzigzag(readVarint(pos_)));
+            curTs_ = nextTs_;
+            seekNext();
         }
-
-        const std::vector<std::int64_t> &ts = chunk_->ts;
-        const auto it =
-            std::upper_bound(ts.begin(), ts.end(), t.micros());
-        const std::ptrdiff_t i = (it - ts.begin()) - 1;
-        if (i < 0) {
-            // Before the first breakpoint: StepTrace semantics, the first
-            // level applies, exactly until that first successor changes
-            // it.
-            const sim::SimTime until =
-                ts.size() > 1 ? sim::SimTime::micros(ts[1])
-                : chunk_->endTs == kOpenEnd
-                    ? sim::SimTime::max()
-                    : sim::SimTime::micros(chunk_->endTs);
-            return {chunk_->util.front(), until};
-        }
-        const std::size_t idx = static_cast<std::size_t>(i);
-        const sim::SimTime until =
-            idx + 1 < ts.size() ? sim::SimTime::micros(ts[idx + 1])
-            : chunk_->endTs == kOpenEnd
-                ? sim::SimTime::max()
-                : sim::SimTime::micros(chunk_->endTs);
-        return {chunk_->util[idx], until};
+        return {static_cast<double>(level_) /
+                    static_cast<double>(impl_->info.quantum),
+                nextTs_ == kOpenEnd ? sim::SimTime::max()
+                                    : sim::SimTime::micros(nextTs_)};
     }
 
+    void prefetchSpan() const override
+    {
+#if defined(__GNUC__)
+        __builtin_prefetch(pos_);
+#endif
+    }
+
+    bool hasSpanPrefetch() const override { return true; }
+
   private:
+    /** Pin chunk @p idx (header at @p offset) and rewind onto it. */
+    void load(std::uint32_t idx, std::uint64_t offset) const
+    {
+        // chunkAt is const-observable but mutates the shared cache; the
+        // impl owns that synchronization.
+        chunk_ = const_cast<TraceFileImpl *>(impl_.get())
+                     ->chunkAt(vm_, idx, offset);
+        chunkIdx_ = idx;
+        endTs_ = chunk_->endTs;
+        rewind();
+    }
+
+    /** Move the cursor onto the pinned chunk's first breakpoint. */
+    void rewind() const
+    {
+        pos_ = chunk_->pairs();
+        level_ = chunk_->firstLevel;
+        curTs_ = chunk_->firstTs;
+        left_ = chunk_->sampleCount;
+        seekNext();
+    }
+
+    /** Count the current breakpoint off and decode the next one's
+     *  timestamp (the chunk's end once none is left). */
+    void seekNext() const
+    {
+        nextTs_ = --left_ > 0 ? wrapAdd(curTs_, readVarint(pos_)) : endTs_;
+    }
+
+    // One view per VM, so the cursor is kept small: the chunk's first_ts
+    // and first level are read from the chunk on the (cold) rewind path.
     std::shared_ptr<const TraceFileImpl> impl_;
+    mutable std::shared_ptr<const EncodedChunk> chunk_;
+    /** Next undecoded payload byte: the next breakpoint's dl varint. */
+    mutable const std::uint8_t *pos_ = nullptr;
+    mutable std::int64_t curTs_ = 0;
+    mutable std::int64_t nextTs_ = 0;
+    mutable std::int64_t endTs_ = kOpenEnd;
     std::uint32_t vm_;
     mutable std::uint32_t chunkIdx_ = 0;
-    mutable std::shared_ptr<const DecodedChunk> chunk_;
+    /** Breakpoints of the chunk after the current one. */
+    mutable std::uint32_t left_ = 0;
+    mutable std::uint32_t level_ = 0;
 };
 
 } // namespace detail
@@ -578,6 +681,17 @@ TraceFile::open(const std::string &path, std::size_t window_bytes,
         return nullptr;
     }
 
+    // The index must lie inside the file before anything is sized from
+    // vm_count: a corrupt count would otherwise allocate a buffer of up
+    // to ~100 GB.
+    if (index_offset > impl->fileBytes ||
+        (impl->fileBytes - index_offset) / kIndexEntryBytes <
+            impl->info.vmCount) {
+        if (error != nullptr)
+            *error = "'" + path + "': vpm-trace-1 index extends past the "
+                     "end of the file";
+        return nullptr;
+    }
     impl->vms.resize(impl->info.vmCount);
     std::vector<std::uint8_t> raw(impl->info.vmCount * kIndexEntryBytes);
     if (!impl->readAt(index_offset, raw.data(), raw.size())) {

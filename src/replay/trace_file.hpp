@@ -6,9 +6,11 @@
  * million VM-days at 5-minute samples is ~300M breakpoints. The format
  * therefore stores each VM's piecewise-constant demand as delta-encoded,
  * quantized breakpoints grouped into fixed-size chunks, and the reader
- * streams chunks through a bounded cache sized by a byte budget — the
- * working set never exceeds the configured window no matter how large the
- * file is.
+ * streams chunks through a bounded cache sized by a byte budget. The
+ * window bounds only that shared cache: each live per-VM view also pins
+ * the encoded chunk its cursor is in, so resident trace memory is the
+ * window plus one chunk per live view (~0.7 KB per VM on the 100k-VM
+ * perfbench replay_day trace), independent of the file's size.
  *
  * Layout (all integers host-endian; the file is a single-machine
  * experiment artifact like vpm-ckpt-1, not an interchange format):
@@ -152,10 +154,12 @@ class TraceFileImpl;
  * An open vpm-trace-1 file plus its bounded chunk cache.
  *
  * vmTrace(v) hands out a workload::DemandTrace view of one VM's series;
- * all views share this object's chunk cache, whose slot count is derived
- * from @p window_bytes — the bound on decoded-chunk memory. Chunk loads
- * use pread, so concurrent shard workers stream independent VMs safely;
- * each view's cursor follows the owner-shard rule (one VM is only ever
+ * all views share this object's cache of encoded chunks, whose slot count
+ * is derived from @p window_bytes — the bound on cached-chunk memory (a
+ * view's current chunk stays pinned after eviction). A chunk load is one
+ * pread of header and payload, validated in full, so concurrent shard
+ * workers stream independent VMs safely; each view decodes forward from
+ * its own cursor, following the owner-shard rule (one VM is only ever
  * sampled by the shard that owns it).
  */
 class TraceFile
@@ -163,8 +167,9 @@ class TraceFile
   public:
     /**
      * Open and validate @p path. @return nullptr with @p error set on a
-     * missing file, bad magic/version, or an inconsistent index.
-     * @param window_bytes Decoded-chunk cache budget; at least 8 slots
+     * missing file, bad magic/version, or an inconsistent index
+     *         (including one that would extend past the end of the file).
+     * @param window_bytes Chunk cache budget; at least 8 slots
      *        are always provided so tiny budgets still make progress.
      */
     static std::shared_ptr<TraceFile> open(const std::string &path,

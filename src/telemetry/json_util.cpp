@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cstdio>
+#include <optional>
 #include <ostream>
 #include <sstream>
+
+#include "simcore/parse_number.hpp"
 
 namespace vpm::telemetry {
 
@@ -198,11 +201,13 @@ class JsonParser
             ++pos_;
         if (pos_ == start)
             return fail("expected a value");
-        try {
-            out.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (...) {
+        // The whole token must be one number: "1-2", "1.2.3" and "7e" are
+        // errors, not 1, 1.2 and 7.
+        const std::optional<double> number =
+            sim::parseNumber(text_.substr(start, pos_ - start).c_str());
+        if (!number)
             return fail("bad number");
-        }
+        out.number = *number;
         out.kind = JsonValue::Kind::Number;
         return true;
     }

@@ -77,6 +77,22 @@ class DemandTrace
      * provable from their configuration override it.
      */
     virtual bool pointSpan() const { return false; }
+
+    /**
+     * Hint that spanAt() will be called soon: a trace whose span lookup
+     * reads memory beyond its own object may start fetching it. Bulk
+     * samplers (FleetStore's demand-refresh kernel) call this a few VMs
+     * ahead. Must not change any observable state; the default does
+     * nothing.
+     */
+    virtual void prefetchSpan() const {}
+
+    /**
+     * True when prefetchSpan() does something. Bulk samplers read it once
+     * at registration and hint only such traces, so a fleet without any
+     * pays no per-VM branch on trace kind.
+     */
+    virtual bool hasSpanPrefetch() const { return false; }
 };
 
 /** Shared handle to a trace; traces are immutable once built. */
@@ -135,6 +151,11 @@ class ScaledTrace : public DemandTrace
     /** Point iff the inner trace is: both paths scale the same inner
      *  utilization by the same factor, so they stay bit-identical. */
     bool pointSpan() const override { return inner_->pointSpan(); }
+    void prefetchSpan() const override { inner_->prefetchSpan(); }
+    bool hasSpanPrefetch() const override
+    {
+        return inner_->hasSpanPrefetch();
+    }
 
   private:
     TracePtr inner_;

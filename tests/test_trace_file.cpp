@@ -1,15 +1,17 @@
 /**
  * @file
  * vpm-trace-1 tests: writer/reader round-trip against a StepTrace
- * reference, exact span semantics, quantization, equal-level merging,
- * backward seeks through the chunk cache, the bounded-window contract,
- * and malformed-file rejection.
+ * reference (fixed and randomized query orders), exact span semantics,
+ * quantization, equal-level merging, backward seeks through the chunk
+ * cache, the bounded-window contract, and malformed-file rejection.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -118,6 +120,110 @@ TEST(TraceFileTest, RoundTripsAgainstStepTraceReference)
         }
     }
     std::filesystem::remove(path);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Random query orders against a StepTrace reference, per chunk size 2-5:
+ * multi-chunk VMs (random and merge-heavy levels), single-sample VMs and
+ * empty VMs; probes before the first timestamp, on and beside every
+ * breakpoint (so on every chunk's end_ts), and far past the end, visited
+ * in random order (forward jumps over chunks, backward seeks within and
+ * across chunks) and in both sorted sweeps, all through one cursor per
+ * VM.
+ */
+TEST(TraceFileTest, RandomQueriesMatchStepTraceReference)
+{
+    constexpr std::uint32_t kVms = 12;
+    constexpr std::uint32_t kQuantum = 100;
+    for (std::uint32_t chunk_samples = 2; chunk_samples <= 5;
+         ++chunk_samples) {
+        SCOPED_TRACE("chunk samples " + std::to_string(chunk_samples));
+        const std::string path =
+            tempPath("random" + std::to_string(chunk_samples));
+        TraceFileWriter writer(path, kVms, kQuantum, chunk_samples);
+        ASSERT_TRUE(writer.ok());
+        SplitMix rng(1000 + chunk_samples);
+        std::vector<std::vector<workload::StepTrace::Step>> reference(kVms);
+        for (std::uint32_t v = 0; v < kVms; ++v) {
+            const std::uint64_t kind = rng.next() % 4; // 0 empty, 1 single
+            const int breakpoints =
+                kind == 0 ? 0
+                : kind == 1 ? 1
+                            : 2 + static_cast<int>(rng.next() % 40);
+            std::int64_t ts = static_cast<std::int64_t>(rng.next() % 5000);
+            for (int i = 0; i < breakpoints; ++i) {
+                // kind 2 draws from three levels, so merges are common.
+                const double util =
+                    kind == 2 ? static_cast<double>(rng.next() % 3) / 2.0
+                              : rng.uniform();
+                writer.append(v, ts, util);
+                const double level = quantized(util, kQuantum);
+                if (reference[v].empty() || reference[v].back().level != level)
+                    reference[v].push_back({sim::SimTime::micros(ts), level});
+                ts += 1 + static_cast<std::int64_t>(rng.next() % 1000000);
+            }
+        }
+        std::string error;
+        ASSERT_TRUE(writer.finish(&error)) << error;
+        // A one-byte window (8 slots) evicts chunks still pinned by
+        // cursors; a roomy one keeps every chunk cached.
+        const std::size_t window = chunk_samples % 2 == 0 ? 1 : 1u << 20;
+        std::shared_ptr<TraceFile> file = TraceFile::open(path, window,
+                                                          &error);
+        ASSERT_NE(file, nullptr) << error;
+
+        for (std::uint32_t v = 0; v < kVms; ++v) {
+            SCOPED_TRACE("vm " + std::to_string(v));
+            const std::vector<workload::StepTrace::Step> &steps =
+                reference[v];
+            const workload::TracePtr got = file->vmTrace(v);
+            if (steps.empty()) {
+                const workload::DemandSpan span =
+                    got->spanAt(sim::SimTime::micros(7));
+                EXPECT_EQ(span.utilization, 0.0);
+                EXPECT_EQ(span.validUntil.micros(),
+                          sim::SimTime::max().micros());
+                continue;
+            }
+            const workload::StepTrace expect(steps);
+            std::vector<std::int64_t> probes = {
+                steps.front().start.micros() - 1000,
+                steps.back().start.micros() + 3600000000ll};
+            for (const workload::StepTrace::Step &step : steps)
+                for (const std::int64_t d : {-1, 0, 1})
+                    probes.push_back(step.start.micros() + d);
+            std::vector<std::int64_t> order;
+            for (int i = 0; i < 300; ++i)
+                order.push_back(probes[rng.next() % probes.size()]);
+            std::sort(probes.begin(), probes.end());
+            order.insert(order.end(), probes.begin(), probes.end());
+            order.insert(order.end(), probes.rbegin(), probes.rend());
+
+            for (const std::int64_t us : order) {
+                const sim::SimTime t = sim::SimTime::micros(us);
+                // Before the first breakpoint the reader extends the first
+                // level's window to the second breakpoint: the reference
+                // span at the first breakpoint.
+                const workload::DemandSpan want = expect.spanAt(
+                    t < steps.front().start ? steps.front().start : t);
+                const workload::DemandSpan span = got->spanAt(t);
+                ASSERT_TRUE(sameBits(span.utilization, want.utilization))
+                    << "t=" << us << ": " << span.utilization << " vs "
+                    << want.utilization;
+                ASSERT_EQ(span.validUntil.micros(), want.validUntil.micros())
+                    << "t=" << us;
+                ASSERT_TRUE(sameBits(got->utilizationAt(t), want.utilization))
+                    << "t=" << us;
+            }
+        }
+        std::filesystem::remove(path);
+    }
 }
 
 TEST(TraceFileTest, MergesEqualConsecutiveLevels)
@@ -266,6 +372,32 @@ TEST(TraceFileTest, RejectsMissingAndMalformedFiles)
     error.clear();
     EXPECT_EQ(TraceFile::open(path, 1u << 20, &error), nullptr);
     EXPECT_FALSE(error.empty());
+    std::filesystem::remove(path);
+}
+
+TEST(TraceFileTest, RejectsIndexLargerThanTheFile)
+{
+    // A bare 40-byte header claiming 2^32 - 1 VMs: the index it implies
+    // (~100 GB) cannot fit, so open must refuse before sizing anything
+    // from the count.
+    const std::string path = tempPath("huge_index");
+    {
+        std::ofstream out(path, std::ios::binary);
+        const auto put = [&out](auto v) {
+            out.write(reinterpret_cast<const char *>(&v), sizeof v);
+        };
+        out.write("vpmtrc1\n", 8);
+        put(std::uint32_t{1});          // version
+        put(std::uint32_t{0xFFFFFFFF}); // vm_count
+        put(std::uint32_t{10000});      // quantum
+        put(std::uint32_t{512});        // samples_per_chunk
+        put(std::uint64_t{40});         // index_offset
+        put(std::uint64_t{0});          // total_samples
+    }
+    ASSERT_EQ(std::filesystem::file_size(path), 40u);
+    std::string error;
+    EXPECT_EQ(TraceFile::open(path, 1u << 20, &error), nullptr);
+    EXPECT_NE(error.find("index"), std::string::npos) << error;
     std::filesystem::remove(path);
 }
 
