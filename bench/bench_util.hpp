@@ -18,8 +18,9 @@
  *                          --bench-json)
  *   --warmup <n>           unmeasured warmup runs (default 0; 1 under
  *                          --bench-json)
- *   --threads <n>          evaluation worker threads (default 1); results
- *                          are bit-identical at any value
+ *   --threads <n>          evaluation worker threads (default 1, at most
+ *                          sim::kMaxThreads); results are bit-identical
+ *                          at any value
  *   --timeseries <path>    compressed vpm-ts-1 snapshot of the downsampling
  *                          store (+ <path>.prom Prometheus text), refreshed
  *                          periodically and finalized at exit; inspect with
@@ -38,16 +39,12 @@
 #define VPM_BENCH_BENCH_UTIL_HPP
 
 #include <algorithm>
-#include <cctype>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,13 +55,14 @@
 #endif
 
 #include "core/scenario.hpp"
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/profiler.hpp"
+#include "telemetry/sink_flags.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_analysis.hpp"
 
@@ -110,159 +108,50 @@ printUsage(const char *bench_id, std::FILE *out)
 }
 
 /**
- * Strict integer flag value: the whole token must parse as a base-10
- * integer no smaller than @p min. Anything else — trailing junk ("5x"),
- * non-numeric ("five"), empty, out of range — prints the reason plus
- * usage and exits 2, so `--repeat 0` or `--warmup -1` cannot silently
- * degrade a measurement.
- */
-inline int
-parseIntFlag(const char *bench_id, const char *flag, const char *text,
-             int min)
-{
-    const std::optional<long long> parsed =
-        sim::parseInteger(text, min, INT_MAX);
-    if (!parsed) {
-        std::fprintf(stderr,
-                     "bench_%s: %s wants an integer >= %d, got '%s'\n",
-                     bench_id, flag, min, text);
-        printUsage(bench_id, stderr);
-        std::exit(2);
-    }
-    return static_cast<int>(*parsed);
-}
-
-/** Read a whole file into a string; exits 2 (with usage) when unreadable.
- *  Used for the --watchdog rule file. */
-inline std::string
-slurpFileOrDie(const char *bench_id, const char *flag,
-               const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_%s: %s: cannot read '%s'\n", bench_id,
-                     flag, path.c_str());
-        printUsage(bench_id, stderr);
-        std::exit(2);
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-/**
- * The one flag parser all benches share. Side effect: `--trace`,
- * `--timeseries` and `--watchdog` switch the global telemetry sink on
- * (journal sized for a full bench run / time-series store enabled) BEFORE
- * any simulator objects are built, exactly like the old traceFlag helper
- * did. `--help` prints usage and exits 0; an unknown flag or a
- * malformed/out-of-range flag value prints usage and exits 2.
+ * The one flag parser all benches share (sim::FlagParser protocol).
+ * Side effect: `--trace`, `--timeseries` and `--watchdog` switch the
+ * global telemetry sink on BEFORE any simulator objects are built, and
+ * `--threads` sizes the global pool.
  */
 inline BenchArgs
 parseArgs(const char *bench_id, int argc, char **argv)
 {
     BenchArgs args;
     args.benchId = bench_id;
-    bool saw_repeat = false;
-    bool saw_warmup = false;
+    sim::FlagParser flags(std::string("bench_") + bench_id,
+                          [bench_id](std::FILE *out) {
+                              printUsage(bench_id, out);
+                          });
+    flags.flag("--quick", args.quick)
+        .flag("--profile", args.profile)
+        .flag("--trace", args.tracePath)
+        .flag("--timeseries", args.timeseriesPath)
+        .flag("--watchdog", args.watchdogPath)
+        .flag("--json", args.jsonPath)
+        .flag("--bench-json", args.benchJsonPath)
+        .flag("--profile-trace", args.profileTracePath)
+        .flag("--repeat", args.repeat, 1)
+        .flag("--warmup", args.warmup, 0)
+        .threads("--threads", args.threads)
+        .flag("--hosts", args.hosts, 1)
+        .flag("--vms", args.vms, 1)
+        .parseOrExit(argc, argv);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "bench_%s: %s needs a value\n",
-                             bench_id, flag);
-                printUsage(bench_id, stderr);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-
-        if (arg == "--help") {
-            printUsage(bench_id, stdout);
-            std::exit(0);
-        } else if (arg == "--quick") {
-            args.quick = true;
-        } else if (arg == "--profile") {
-            args.profile = true;
-        } else if (arg == "--trace") {
-            args.tracePath = value("--trace");
-        } else if (arg == "--timeseries") {
-            args.timeseriesPath = value("--timeseries");
-        } else if (arg == "--watchdog") {
-            args.watchdogPath = value("--watchdog");
-        } else if (arg == "--json") {
-            args.jsonPath = value("--json");
-        } else if (arg == "--bench-json") {
-            args.benchJsonPath = value("--bench-json");
-        } else if (arg == "--profile-trace") {
-            args.profileTracePath = value("--profile-trace");
-            args.profile = true;
-        } else if (arg == "--repeat") {
-            args.repeat =
-                parseIntFlag(bench_id, "--repeat", value("--repeat"), 1);
-            saw_repeat = true;
-        } else if (arg == "--warmup") {
-            args.warmup =
-                parseIntFlag(bench_id, "--warmup", value("--warmup"), 0);
-            saw_warmup = true;
-        } else if (arg == "--threads") {
-            args.threads =
-                parseIntFlag(bench_id, "--threads", value("--threads"), 1);
-            sim::setGlobalThreads(static_cast<unsigned>(args.threads));
-        } else if (arg == "--hosts") {
-            args.hosts =
-                parseIntFlag(bench_id, "--hosts", value("--hosts"), 1);
-        } else if (arg == "--vms") {
-            args.vms = parseIntFlag(bench_id, "--vms", value("--vms"), 1);
-        } else {
-            std::fprintf(stderr, "bench_%s: unknown option '%s'\n",
-                         bench_id, arg.c_str());
-            printUsage(bench_id, stderr);
-            std::exit(2);
-        }
-    }
-
+    if (flags.seen("--profile-trace"))
+        args.profile = true;
+    if (flags.seen("--threads"))
+        sim::setGlobalThreads(static_cast<unsigned>(args.threads));
     // The measurement harness wants medians, not single shots.
     if (!args.benchJsonPath.empty()) {
-        if (!saw_repeat)
+        if (!flags.seen("--repeat"))
             args.repeat = 5;
-        if (!saw_warmup)
+        if (!flags.seen("--warmup"))
             args.warmup = 1;
     }
-
-    // Configure the global sink exactly once, after all flags are seen,
-    // so --trace and --timeseries compose instead of the later flag's
-    // configure() clobbering the earlier one.
-    const bool want_store =
-        !args.timeseriesPath.empty() || !args.watchdogPath.empty();
-    if (!args.tracePath.empty() || want_store) {
-        telemetry::TelemetryConfig config;
-        config.enabled = true;
-        // A deep ring only pays off when the journal is exported at the
-        // end (--trace). Store-only runs keep a small ring so watchdog
-        // alerts stay inspectable without the preallocation cost.
-        config.journalCapacity =
-            args.tracePath.empty() ? (1u << 14) : (1u << 20);
-        // Per-tick metric rows only matter when the trace export will
-        // write them out.
-        config.seriesRowsEnabled = !args.tracePath.empty();
-        config.timeseriesEnabled = want_store;
-        telemetry::global().configure(config);
-        if (!args.timeseriesPath.empty())
-            telemetry::global().setSnapshotTarget(args.timeseriesPath);
-        if (!args.watchdogPath.empty()) {
-            const std::string rules = slurpFileOrDie(
-                bench_id, "--watchdog", args.watchdogPath);
-            std::string error;
-            if (!telemetry::global().watchdog().configure(rules, &error)) {
-                std::fprintf(stderr,
-                             "bench_%s: --watchdog %s: %s\n", bench_id,
-                             args.watchdogPath.c_str(), error.c_str());
-                std::exit(2);
-            }
-        }
-    }
+    std::string error;
+    if (!telemetry::configureGlobalSinks(args.tracePath, args.timeseriesPath,
+                                         args.watchdogPath, &error))
+        flags.fail(error);
     return args;
 }
 

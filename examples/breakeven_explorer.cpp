@@ -13,12 +13,11 @@
 
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <vector>
 
 #include "power/breakeven.hpp"
 #include "power/server_models.hpp"
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "stats/table.hpp"
 
 int
@@ -27,16 +26,15 @@ main(int argc, char **argv)
     using namespace vpm;
 
     std::vector<double> intervals;
-    for (int i = 1; i < argc; ++i) {
-        const std::optional<double> secs = sim::parseNumber(argv[i]);
-        if (!secs || *secs <= 0.0) {
-            std::fprintf(stderr, "%s: bad idle interval '%s'\n"
-                                 "usage: %s [idle_seconds > 0 ...]\n",
-                         argv[0], argv[i], argv[0]);
-            return 2;
-        }
-        intervals.push_back(*secs);
-    }
+    sim::FlagParser(argv[0],
+                    [argv0 = argv[0]](std::FILE *out) {
+                        std::fprintf(out, "usage: %s [idle_seconds > 0 ...]\n",
+                                     argv0);
+                    })
+        .operand("idle_seconds",
+                 sim::FlagValue::numbers(intervals, sim::kPositive),
+                 sim::FlagParser::Arity::Many)
+        .parseOrExit(argc, argv);
     if (intervals.empty())
         intervals = {10, 30, 60, 300, 1800, 7200, 28800};
 

@@ -12,38 +12,12 @@
  *   policy: nopm | drm | s5 | s3 | adaptive (default s3)
  */
 
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "core/scenario.hpp"
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "stats/table.hpp"
-
-namespace {
-
-vpm::mgmt::PolicyKind
-parsePolicy(const char *name)
-{
-    using vpm::mgmt::PolicyKind;
-    if (std::strcmp(name, "nopm") == 0)
-        return PolicyKind::NoPM;
-    if (std::strcmp(name, "drm") == 0)
-        return PolicyKind::DrmOnly;
-    if (std::strcmp(name, "s5") == 0)
-        return PolicyKind::PmS5;
-    if (std::strcmp(name, "s3") == 0)
-        return PolicyKind::PmS3;
-    if (std::strcmp(name, "adaptive") == 0)
-        return PolicyKind::PmAdaptive;
-    std::fprintf(stderr, "unknown policy '%s' "
-                         "(nopm|drm|s5|s3|adaptive)\n", name);
-    std::exit(2);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -53,25 +27,25 @@ main(int argc, char **argv)
     int hosts = 8;
     int vms = 40;
     mgmt::PolicyKind policy = mgmt::PolicyKind::PmS3;
-    const auto count = [&](int index, long long min, int &out) {
-        if (argc <= index)
-            return true;
-        const auto value = sim::parseInteger(argv[index], min, INT_MAX);
-        if (!value) {
-            std::fprintf(stderr, "%s: bad count '%s'\n", argv[0],
-                         argv[index]);
-            return false;
-        }
-        out = static_cast<int>(*value);
-        return true;
-    };
-    if (argc > 4 || !count(1, 1, hosts) || !count(2, 0, vms)) {
-        std::fprintf(stderr, "usage: %s [hosts >= 1] [vms >= 0] [policy]\n",
-                     argv[0]);
-        return 2;
-    }
-    if (argc > 3)
-        policy = parsePolicy(argv[3]);
+    using Arity = sim::FlagParser::Arity;
+    sim::FlagParser(argv[0],
+                    [argv0 = argv[0]](std::FILE *out) {
+                        std::fprintf(out,
+                                     "usage: %s [hosts >= 1] [vms >= 0] "
+                                     "[policy]\n",
+                                     argv0);
+                    })
+        .operand("hosts", sim::FlagValue::integer(hosts, 1), Arity::Optional)
+        .operand("vms", sim::FlagValue::integer(vms, 0), Arity::Optional)
+        .operand("policy",
+                 sim::FlagValue::oneOf(
+                     policy, {{"nopm", mgmt::PolicyKind::NoPM},
+                              {"drm", mgmt::PolicyKind::DrmOnly},
+                              {"s5", mgmt::PolicyKind::PmS5},
+                              {"s3", mgmt::PolicyKind::PmS3},
+                              {"adaptive", mgmt::PolicyKind::PmAdaptive}}),
+                 Arity::Optional)
+        .parseOrExit(argc, argv);
 
     mgmt::ScenarioConfig config;
     config.hostCount = hosts;

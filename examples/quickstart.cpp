@@ -9,12 +9,11 @@
  * Usage: quickstart [hosts] [vms]
  */
 
-#include <climits>
 #include <cstdio>
 #include <iostream>
 
 #include "core/scenario.hpp"
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "stats/table.hpp"
 
 int
@@ -24,22 +23,16 @@ main(int argc, char **argv)
 
     int hosts = 8;
     int vms = 40;
-    const auto count = [&](int index, long long min, int &out) {
-        if (argc <= index)
-            return true;
-        const auto value = sim::parseInteger(argv[index], min, INT_MAX);
-        if (!value) {
-            std::fprintf(stderr, "%s: bad count '%s'\n", argv[0],
-                         argv[index]);
-            return false;
-        }
-        out = static_cast<int>(*value);
-        return true;
-    };
-    if (argc > 3 || !count(1, 1, hosts) || !count(2, 0, vms)) {
-        std::fprintf(stderr, "usage: %s [hosts >= 1] [vms >= 0]\n", argv[0]);
-        return 2;
-    }
+    using Arity = sim::FlagParser::Arity;
+    sim::FlagParser(argv[0],
+                    [argv0 = argv[0]](std::FILE *out) {
+                        std::fprintf(out,
+                                     "usage: %s [hosts >= 1] [vms >= 0]\n",
+                                     argv0);
+                    })
+        .operand("hosts", sim::FlagValue::integer(hosts, 1), Arity::Optional)
+        .operand("vms", sim::FlagValue::integer(vms, 0), Arity::Optional)
+        .parseOrExit(argc, argv);
 
     stats::Table table("quickstart: 24 h diurnal enterprise day",
                        {"policy", "energy kWh", "vs NoPM", "satisfaction",

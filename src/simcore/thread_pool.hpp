@@ -131,6 +131,14 @@ void setGlobalThreads(unsigned threads);
 unsigned globalThreads();
 ThreadPool &globalPool();
 
+/**
+ * Largest value any `--threads` flag accepts (sim::FlagParser::threads).
+ * Far above the 1/2/8 the determinism checks use; a typo such as
+ * `--threads 100000` is rejected at parse time instead of asking the OS
+ * for that many threads.
+ */
+inline constexpr unsigned kMaxThreads = 256;
+
 } // namespace vpm::sim
 
 #endif // VPM_SIMCORE_THREAD_POOL_HPP

@@ -13,12 +13,6 @@
 
 namespace vpm::telemetry {
 
-namespace {
-
-/**
- * Deterministic double formatting: integral values print without a
- * fractional part so goldens stay readable; everything else uses %.6g.
- */
 std::string
 fmtDouble(double v)
 {
@@ -31,6 +25,8 @@ fmtDouble(double v)
     std::snprintf(buf, sizeof(buf), "%.6g", v);
     return buf;
 }
+
+namespace {
 
 // JSON string escaping is shared with the profiler and bench writers:
 // see json_util.hpp (jsonEscape / writeJsonEscaped).

@@ -32,6 +32,13 @@ namespace vpm::telemetry {
  */
 std::string csvQuote(const std::string &cell);
 
+/**
+ * The journal's number format: integral values print without a
+ * fractional part so goldens stay readable; everything else uses %.6g.
+ * Shared by every writer of journal-derived JSON and CSV.
+ */
+std::string fmtDouble(double v);
+
 /** One event per line; see DESIGN.md for the per-kind field layout. */
 void writeJournalJsonl(const EventJournal &journal, std::ostream &out);
 

@@ -176,9 +176,11 @@ class JsonParser
                 case 'n': out += '\n'; break;
                 case 't': out += '\t'; break;
                 case 'r': out += '\r'; break;
+                case 'b': out += '\b'; break;
+                case 'f': out += '\f'; break;
                 case 'u':
-                    // Schema strings are ASCII; keep \u escapes verbatim.
-                    out += "\\u";
+                    if (!parseCodePoint(out))
+                        return false;
                     break;
                 default: out += e; break;
                 }
@@ -187,6 +189,66 @@ class JsonParser
             }
         }
         return fail("unterminated string");
+    }
+
+    /** Four hex digits at pos_ into @p out. */
+    bool
+    hex4(unsigned &out)
+    {
+        if (text_.size() - pos_ < 4)
+            return false;
+        out = 0;
+        for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            const int digit = h >= '0' && h <= '9'   ? h - '0'
+                              : h >= 'a' && h <= 'f' ? h - 'a' + 10
+                              : h >= 'A' && h <= 'F' ? h - 'A' + 10
+                                                     : -1;
+            if (digit < 0)
+                return false;
+            out = out * 16 + static_cast<unsigned>(digit);
+        }
+        return true;
+    }
+
+    /** The code point of a \uXXXX escape (after the 'u'; a surrogate
+     *  pair spans two escapes), appended as UTF-8. */
+    bool
+    parseCodePoint(std::string &out)
+    {
+        unsigned cp = 0;
+        if (!hex4(cp))
+            return fail("bad \\u escape");
+        if (cp >= 0xDC00 && cp < 0xE000)
+            return fail("unpaired surrogate");
+        if (cp >= 0xD800 && cp < 0xDC00) {
+            unsigned low = 0;
+            if (text_.compare(pos_, 2, "\\u") != 0)
+                return fail("unpaired surrogate");
+            pos_ += 2;
+            if (!hex4(low) || low < 0xDC00 || low >= 0xE000)
+                return fail("unpaired surrogate");
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+        }
+        const auto byte = [&out](unsigned b) {
+            out += static_cast<char>(static_cast<unsigned char>(b));
+        };
+        if (cp < 0x80) {
+            byte(cp);
+        } else if (cp < 0x800) {
+            byte(0xC0 | (cp >> 6));
+            byte(0x80 | (cp & 0x3F));
+        } else if (cp < 0x10000) {
+            byte(0xE0 | (cp >> 12));
+            byte(0x80 | ((cp >> 6) & 0x3F));
+            byte(0x80 | (cp & 0x3F));
+        } else {
+            byte(0xF0 | (cp >> 18));
+            byte(0x80 | ((cp >> 12) & 0x3F));
+            byte(0x80 | ((cp >> 6) & 0x3F));
+            byte(0x80 | (cp & 0x3F));
+        }
+        return true;
     }
 
     bool

@@ -69,6 +69,14 @@ struct JsonValue
         return nullptr;
     }
 
+    /** Member lookup that also wants @p kind; nullptr when absent or of
+     *  another kind. */
+    const JsonValue *find(const std::string &key, Kind want) const
+    {
+        const JsonValue *v = find(key);
+        return v != nullptr && v->kind == want ? v : nullptr;
+    }
+
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
 };

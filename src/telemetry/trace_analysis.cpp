@@ -3,82 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <set>
+#include <type_traits>
 
 #include "telemetry/event_journal.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/json_util.hpp"
 
 namespace vpm::telemetry {
 
 namespace {
-
-/** Deterministic double formatting, mirroring the JSONL exporter's. */
-std::string
-fmtDouble(double v)
-{
-    char buf[32];
-    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15)
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    else
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-/** Value of a top-level "key":<number> pair, if present. */
-std::optional<double>
-findNumber(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    const char *start = line.c_str() + pos + needle.size();
-    char *end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start)
-        return std::nullopt;
-    return value;
-}
-
-/** Value of a top-level "key":"string" pair, if present. */
-std::optional<std::string>
-findString(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
-        const char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            out += line[++i];
-        } else if (c == '"') {
-            return out;
-        } else {
-            out += c;
-        }
-    }
-    return std::nullopt;
-}
 
 double
 usToS(std::int64_t us)
@@ -121,38 +59,34 @@ recordsFromJournal(const EventJournal &journal)
 bool
 parseJournalLine(const std::string &line, TraceRecord &out)
 {
-    if (line.empty())
+    using Kind = JsonValue::Kind;
+    JsonValue doc;
+    if (line.empty() || !parseJson(line, doc, nullptr))
         return false;
-    const auto t = findNumber(line, "t_us");
-    const auto kind = findString(line, "kind");
-    if (!t || !kind)
+    const JsonValue *t = doc.find("t_us", Kind::Number);
+    const JsonValue *kind = doc.find("kind", Kind::String);
+    if (t == nullptr || kind == nullptr)
         return false;
 
     TraceRecord rec;
-    rec.timeUs = static_cast<std::int64_t>(*t);
-    rec.kind = *kind;
-    if (const auto v = findNumber(line, "seq"))
-        rec.seq = static_cast<std::uint64_t>(*v);
-    if (const auto v = findString(line, "track"))
-        rec.track = *v;
-    if (const auto v = findNumber(line, "host"))
-        rec.host = static_cast<std::int32_t>(*v);
-    if (const auto v = findNumber(line, "vm"))
-        rec.vm = static_cast<std::int32_t>(*v);
-    if (const auto v = findNumber(line, "cause"))
-        rec.cause = static_cast<std::uint64_t>(*v);
-    if (const auto v = findNumber(line, "cause_seq"))
-        rec.causeSeq = static_cast<std::uint64_t>(*v);
-
+    rec.timeUs = static_cast<std::int64_t>(t->number);
+    rec.kind = kind->string;
     // Undo the per-kind field naming back into the JournalEvent slots.
     const auto text = [&](const char *key, std::string &slot) {
-        if (const auto v = findString(line, key))
-            slot = *v;
+        if (const JsonValue *v = doc.find(key, Kind::String))
+            slot = v->string;
     };
-    const auto num = [&](const char *key, double &slot) {
-        if (const auto v = findNumber(line, key))
-            slot = *v;
+    const auto num = [&](const char *key, auto &slot) {
+        if (const JsonValue *v = doc.find(key, Kind::Number))
+            slot = static_cast<std::remove_reference_t<decltype(slot)>>(
+                v->number);
     };
+    num("seq", rec.seq);
+    text("track", rec.track);
+    num("host", rec.host);
+    num("vm", rec.vm);
+    num("cause", rec.cause);
+    num("cause_seq", rec.causeSeq);
     if (rec.kind == "power_transition") {
         text("from", rec.textA);
         text("to", rec.textB);

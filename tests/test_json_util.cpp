@@ -1,6 +1,7 @@
 /**
  * @file The shared JSON reader (watchdog rules, sweep manifests, replay
- * specs, bench reports): a number token must be one whole number.
+ * specs, bench reports, journal lines): a number token must be one whole
+ * number, and a \u escape decodes to its UTF-8 bytes.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +36,20 @@ TEST(JsonUtilTest, RejectsNumbersWithTrailingJunk)
     EXPECT_EQ(a->array[2].number, 200.0);
     EXPECT_EQ(a->array[3].number, 0.25);
     EXPECT_EQ(a->array[4].number, 7.0);
+}
+
+TEST(JsonUtilTest, DecodesUnicodeEscapes)
+{
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(R"(["\u0001\u00e9\u20AC\ud83d\ude00\b\f"])",
+                          doc, &error))
+        << error;
+    EXPECT_EQ(doc.array.at(0).string,
+              "\x01\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\b\f");
+    for (const char *bad : {R"(["\u12"])", R"(["\uzzzz"])", R"(["\ud83d"])",
+                            R"(["\ude00"])", R"(["\ud83dA"])"})
+        EXPECT_FALSE(parseJson(bad, doc, &error)) << bad;
 }
 
 } // namespace

@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/event_journal.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/json_util.hpp"
 #include "telemetry/trace_analysis.hpp"
 
 namespace vpm::telemetry {
@@ -278,6 +281,39 @@ TEST(TraceAnalysisTest, ComponentSumToleranceIsEnforced)
     AnalyzerOptions loose;
     loose.toleranceUs = 10'000;
     EXPECT_TRUE(analysisPassesChecks(analysis, loose, &why)) << why;
+}
+
+TEST(TraceAnalysisTest, EscapedRuleNameRoundTripsExactly)
+{
+    const std::string rule = "a\tb\x01" "c\"d\\e\n";
+    EventJournal journal;
+    journal.configure(16, true);
+    journal.alert(1'000'000, rule, "above", "cluster.power.watts", 512.5,
+                  500.0, 2);
+
+    // JSONL -> parseJournalLine: the journal's own escapes decode exactly.
+    std::ostringstream jsonl;
+    writeJournalJsonl(journal, jsonl);
+    TraceRecord rec;
+    std::string line = jsonl.str();
+    line.pop_back(); // trailing newline
+    ASSERT_TRUE(parseJournalLine(line, rec)) << line;
+    EXPECT_EQ(rec.textA, rule);
+    EXPECT_EQ(rec.a, 512.5);
+
+    // -> trace_analyze --json -> parseJson: the analysis escapes it again.
+    std::istringstream in(jsonl.str());
+    const TraceAnalysis analysis = analyzeTrace(readJournalFile(in));
+    ASSERT_EQ(analysis.alerts.size(), 1u);
+    std::ostringstream json;
+    writeAnalysisJson(analysis, json);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(json.str(), doc, &error)) << error;
+    const JsonValue *alerts = doc.find("alerts");
+    ASSERT_NE(alerts, nullptr);
+    ASSERT_EQ(alerts->array.size(), 1u);
+    EXPECT_EQ(stringOr(alerts->array[0].find("rule"), ""), rule);
 }
 
 } // namespace

@@ -22,13 +22,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {
@@ -53,15 +51,6 @@ printUsage(std::FILE *out)
         "       [--advisory]                report but always exit 0\n"
         "       [--help]\n"
         "exit codes: 0 ok/advisory, 1 regression, 2 usage, 3 bad input\n");
-}
-
-bool
-parseDouble(const char *text, double &out)
-{
-    const std::optional<double> parsed = vpm::sim::parseNumber(text);
-    if (parsed)
-        out = *parsed;
-    return parsed.has_value();
 }
 
 bool
@@ -94,75 +83,16 @@ main(int argc, char **argv)
     CompareOptions options;
     bool advisory = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "bench_compare: %s needs a value\n",
-                             flag);
-                printUsage(stderr);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-
-        if (arg == "--help") {
-            printUsage(stdout);
-            return 0;
-        } else if (arg == "--advisory") {
-            advisory = true;
-        } else if (arg == "--no-ci") {
-            options.ciGate = false;
-        } else if (arg == "--threshold-pct") {
-            if (!parseDouble(value("--threshold-pct"),
-                             options.thresholdPct)) {
-                std::fprintf(stderr,
-                             "bench_compare: bad --threshold-pct value\n");
-                return 2;
-            }
-        } else if (arg == "--zone-threshold-pct") {
-            if (!parseDouble(value("--zone-threshold-pct"),
-                             options.zoneThresholdPct)) {
-                std::fprintf(
-                    stderr,
-                    "bench_compare: bad --zone-threshold-pct value\n");
-                return 2;
-            }
-        } else if (arg == "--min-zone-ms") {
-            if (!parseDouble(value("--min-zone-ms"), options.minZoneMs)) {
-                std::fprintf(stderr,
-                             "bench_compare: bad --min-zone-ms value\n");
-                return 2;
-            }
-        } else if (arg == "--rss-threshold-pct") {
-            if (!parseDouble(value("--rss-threshold-pct"),
-                             options.rssThresholdPct)) {
-                std::fprintf(
-                    stderr,
-                    "bench_compare: bad --rss-threshold-pct value\n");
-                return 2;
-            }
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "bench_compare: unknown option '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
-        } else if (base_path.empty()) {
-            base_path = arg;
-        } else if (next_path.empty()) {
-            next_path = arg;
-        } else {
-            std::fprintf(stderr, "bench_compare: unexpected argument '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
-        }
-    }
-
-    if (base_path.empty() || next_path.empty()) {
-        printUsage(stderr);
-        return 2;
-    }
+    vpm::sim::FlagParser("bench_compare", printUsage)
+        .operand("baseline.json", base_path)
+        .operand("candidate.json", next_path)
+        .flag("--threshold-pct", options.thresholdPct)
+        .flag("--zone-threshold-pct", options.zoneThresholdPct)
+        .flag("--min-zone-ms", options.minZoneMs)
+        .flag("--rss-threshold-pct", options.rssThresholdPct)
+        .flag("--no-ci", options.ciGate, false)
+        .flag("--advisory", advisory)
+        .parseOrExit(argc, argv);
 
     BenchReport base;
     BenchReport next;

@@ -37,21 +37,20 @@
  * input / runtime failure, 4 checkpoint verification failure.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "replay/checkpoint.hpp"
 #include "replay/session.hpp"
 #include "replay/trace_file.hpp"
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "simcore/random.hpp"
 #include "simcore/thread_pool.hpp"
 #include "sweep/manifest.hpp"
@@ -88,41 +87,11 @@ printUsage(std::FILE *out)
         "            4 verification failure\n");
 }
 
-[[noreturn]] void
-usageError(const char *fmt, const char *detail)
+/** A subcommand's parser: diagnostics read "replay <cmd>: <reason>". */
+vpm::sim::FlagParser
+subcommandFlags(const char *cmd)
 {
-    std::fprintf(stderr, "replay: ");
-    std::fprintf(stderr, fmt, detail);
-    std::fprintf(stderr, "\n");
-    printUsage(stderr);
-    std::exit(2);
-}
-
-long long
-parseIntArg(const char *flag, const char *text, long long min)
-{
-    const std::optional<long long> parsed = vpm::sim::parseInteger(text, min);
-    if (!parsed) {
-        std::fprintf(stderr,
-                     "replay: %s wants an integer >= %lld, got '%s'\n",
-                     flag, min, text);
-        printUsage(stderr);
-        std::exit(2);
-    }
-    return *parsed;
-}
-
-double
-parseNumArg(const char *flag, const char *text, double min)
-{
-    const std::optional<double> parsed = vpm::sim::parseNumber(text, min);
-    if (!parsed) {
-        std::fprintf(stderr, "replay: %s wants a number >= %g, got '%s'\n",
-                     flag, min, text);
-        printUsage(stderr);
-        std::exit(2);
-    }
-    return *parsed;
+    return vpm::sim::FlagParser(std::string("replay ") + cmd, printUsage);
 }
 
 std::string
@@ -197,41 +166,21 @@ cmdGenTrace(int argc, char **argv)
     std::uint64_t seed = 42;
     double load_scale = 1.0;
     double sample_interval_s = 900.0;
-    long long quantum = 10000;
-    long long chunk_samples = 512;
+    std::uint32_t quantum = 10000;
+    std::uint32_t chunk_samples = 512;
 
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (arg == "--out")
-            out_path = value("--out");
-        else if (arg == "--vms")
-            vms = static_cast<int>(parseIntArg("--vms", value("--vms"), 1));
-        else if (arg == "--hours")
-            hours = parseNumArg("--hours", value("--hours"), 1e-9);
-        else if (arg == "--seed")
-            seed = static_cast<std::uint64_t>(
-                parseIntArg("--seed", value("--seed"), 0));
-        else if (arg == "--load-scale")
-            load_scale =
-                parseNumArg("--load-scale", value("--load-scale"), 1e-9);
-        else if (arg == "--sample-interval-s")
-            sample_interval_s = parseNumArg(
-                "--sample-interval-s", value("--sample-interval-s"), 1e-9);
-        else if (arg == "--quantum")
-            quantum = parseIntArg("--quantum", value("--quantum"), 1);
-        else if (arg == "--chunk-samples")
-            chunk_samples =
-                parseIntArg("--chunk-samples", value("--chunk-samples"), 2);
-        else
-            usageError("gen-trace: unknown option '%s'", arg.c_str());
-    }
+    vpm::sim::FlagParser flags = subcommandFlags("gen-trace");
+    flags.flag("--out", out_path)
+        .flag("--vms", vms, 1)
+        .flag("--hours", hours, 1e-9)
+        .flag("--seed", seed, 0)
+        .flag("--load-scale", load_scale, 1e-9)
+        .flag("--sample-interval-s", sample_interval_s, 1e-9)
+        .flag("--quantum", quantum, 1)
+        .flag("--chunk-samples", chunk_samples, 2)
+        .parseOrExit(argc, argv);
     if (out_path.empty())
-        usageError("gen-trace needs %s", "--out");
+        flags.fail("--out is required");
 
     vpm::sim::Rng rng(seed);
     vpm::workload::MixConfig mix;
@@ -240,9 +189,7 @@ cmdGenTrace(int argc, char **argv)
         vpm::workload::makeEnterpriseMix(rng, vms, mix);
 
     vpm::replay::TraceFileWriter writer(
-        out_path, static_cast<std::uint32_t>(vms),
-        static_cast<std::uint32_t>(quantum),
-        static_cast<std::uint32_t>(chunk_samples));
+        out_path, static_cast<std::uint32_t>(vms), quantum, chunk_samples);
     if (!writer.ok()) {
         std::fprintf(stderr, "replay: cannot write '%s'\n",
                      out_path.c_str());
@@ -278,84 +225,39 @@ cmdRun(int argc, char **argv)
     std::string json_path;
     int threads = 0;
     vpm::replay::ReplaySpec spec;
-    bool have_flags = false;
 
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (arg == "--spec") {
-            spec_path = value("--spec");
-        } else if (arg == "--trace") {
-            spec.tracePath = value("--trace");
-            have_flags = true;
-        } else if (arg == "--hosts") {
-            spec.hosts = static_cast<int>(
-                parseIntArg("--hosts", value("--hosts"), 1));
-            have_flags = true;
-        } else if (arg == "--vms") {
-            spec.vms =
-                static_cast<int>(parseIntArg("--vms", value("--vms"), 0));
-            have_flags = true;
-        } else if (arg == "--policy") {
-            spec.policy = value("--policy");
-            have_flags = true;
-        } else if (arg == "--duration-hours") {
-            spec.durationHours = parseNumArg(
-                "--duration-hours", value("--duration-hours"), 1e-9);
-            have_flags = true;
-        } else if (arg == "--eval-interval-s") {
-            spec.evalIntervalS = parseNumArg(
-                "--eval-interval-s", value("--eval-interval-s"), 1e-9);
-            have_flags = true;
-        } else if (arg == "--manager-period-min") {
-            spec.managerPeriodMin =
-                parseNumArg("--manager-period-min",
-                            value("--manager-period-min"), 1e-9);
-            have_flags = true;
-        } else if (arg == "--exit-latency-s") {
-            spec.exitLatencyS = parseNumArg("--exit-latency-s",
-                                            value("--exit-latency-s"), 0.0);
-            have_flags = true;
-        } else if (arg == "--loaded-fraction") {
-            spec.loadedFraction = parseNumArg(
-                "--loaded-fraction", value("--loaded-fraction"), 1e-9);
-            have_flags = true;
-        } else if (arg == "--hierarchical") {
-            spec.hierarchical = true;
-            have_flags = true;
-        } else if (arg == "--seed") {
-            spec.seed = static_cast<std::uint64_t>(
-                parseIntArg("--seed", value("--seed"), 0));
-            have_flags = true;
-        } else if (arg == "--window-bytes") {
-            spec.windowBytes = static_cast<std::uint64_t>(
-                parseIntArg("--window-bytes", value("--window-bytes"), 1));
-            have_flags = true;
-        } else if (arg == "--governor-period-s") {
-            spec.governorPeriodS = parseNumArg(
-                "--governor-period-s", value("--governor-period-s"), 0.0);
-            have_flags = true;
-        } else if (arg == "--checkpoint") {
-            checkpoint_path = value("--checkpoint");
-        } else if (arg == "--checkpoint-hours") {
-            checkpoint_hours = parseNumArg(
-                "--checkpoint-hours", value("--checkpoint-hours"), 0.0);
-        } else if (arg == "--json") {
-            json_path = value("--json");
-        } else if (arg == "--threads") {
-            threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1));
-        } else {
-            usageError("run: unknown option '%s'", arg.c_str());
-        }
-    }
+    vpm::sim::FlagParser flags = subcommandFlags("run");
+    flags.flag("--spec", spec_path)
+        .flag("--trace", spec.tracePath)
+        .flag("--hosts", spec.hosts, 1)
+        .flag("--vms", spec.vms, 0)
+        .flag("--policy", spec.policy)
+        .flag("--duration-hours", spec.durationHours, 1e-9)
+        .flag("--eval-interval-s", spec.evalIntervalS, 1e-9)
+        .flag("--manager-period-min", spec.managerPeriodMin, 1e-9)
+        .flag("--exit-latency-s", spec.exitLatencyS, 0.0)
+        .flag("--loaded-fraction", spec.loadedFraction, 1e-9)
+        .flag("--hierarchical", spec.hierarchical)
+        .flag("--seed", spec.seed, 0)
+        .flag("--window-bytes", spec.windowBytes, 1)
+        .flag("--governor-period-s", spec.governorPeriodS, 0.0)
+        .flag("--checkpoint", checkpoint_path)
+        .flag("--checkpoint-hours", checkpoint_hours, 0.0)
+        .flag("--json", json_path)
+        .threads("--threads", threads)
+        .parseOrExit(argc, argv);
+    static constexpr const char *kSpecFlags[] = {
+        "--trace",           "--hosts",           "--vms",
+        "--policy",          "--duration-hours",  "--eval-interval-s",
+        "--manager-period-min", "--exit-latency-s",
+        "--loaded-fraction", "--hierarchical",    "--seed",
+        "--window-bytes",    "--governor-period-s"};
+    const bool have_flags =
+        std::any_of(std::begin(kSpecFlags), std::end(kSpecFlags),
+                    [&](const char *name) { return flags.seen(name); });
 
     if (!spec_path.empty() && have_flags)
-        usageError("run: %s", "--spec excludes inline spec flags");
+        flags.fail("--spec excludes inline spec flags");
     std::string error;
     if (!spec_path.empty()) {
         std::ifstream in(spec_path);
@@ -372,12 +274,12 @@ cmdRun(int argc, char **argv)
             return 3;
         }
     } else if (spec.tracePath.empty()) {
-        usageError("run needs %s", "--spec or --trace");
+        flags.fail("--spec or --trace is required");
     }
     if (!checkpoint_path.empty() && checkpoint_hours < 0.0)
-        usageError("run: %s", "--checkpoint needs --checkpoint-hours");
+        flags.fail("--checkpoint needs --checkpoint-hours");
     if (checkpoint_hours >= spec.durationHours && !checkpoint_path.empty())
-        usageError("run: %s", "--checkpoint-hours must be < duration");
+        flags.fail("--checkpoint-hours must be < duration");
 
     if (threads > 0)
         vpm::sim::setGlobalThreads(static_cast<unsigned>(threads));
@@ -426,27 +328,14 @@ cmdResume(int argc, char **argv)
     int threads = 0;
     bool verify = true;
 
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (arg == "--checkpoint")
-            checkpoint_path = value("--checkpoint");
-        else if (arg == "--json")
-            json_path = value("--json");
-        else if (arg == "--threads")
-            threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1));
-        else if (arg == "--no-verify")
-            verify = false;
-        else
-            usageError("resume: unknown option '%s'", arg.c_str());
-    }
+    vpm::sim::FlagParser flags = subcommandFlags("resume");
+    flags.flag("--checkpoint", checkpoint_path)
+        .flag("--json", json_path)
+        .threads("--threads", threads)
+        .flag("--no-verify", verify, false)
+        .parseOrExit(argc, argv);
     if (checkpoint_path.empty())
-        usageError("resume needs %s", "--checkpoint");
+        flags.fail("--checkpoint is required");
 
     if (threads > 0)
         vpm::sim::setGlobalThreads(static_cast<unsigned>(threads));
@@ -493,29 +382,15 @@ cmdBranch(int argc, char **argv)
     std::string out_dir;
     vpm::replay::BranchOptions options;
 
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (arg == "--checkpoint")
-            checkpoint_path = value("--checkpoint");
-        else if (arg == "--grid")
-            grid_path = value("--grid");
-        else if (arg == "--out")
-            out_dir = value("--out");
-        else if (arg == "--threads")
-            options.threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1));
-        else if (arg == "--no-verify")
-            options.verify = false;
-        else
-            usageError("branch: unknown option '%s'", arg.c_str());
-    }
+    vpm::sim::FlagParser flags = subcommandFlags("branch");
+    flags.flag("--checkpoint", checkpoint_path)
+        .flag("--grid", grid_path)
+        .flag("--out", out_dir)
+        .threads("--threads", options.threads)
+        .flag("--no-verify", options.verify, false)
+        .parseOrExit(argc, argv);
     if (checkpoint_path.empty() || grid_path.empty() || out_dir.empty())
-        usageError("branch needs %s", "--checkpoint, --grid and --out");
+        flags.fail("--checkpoint, --grid and --out are required");
 
     vpm::replay::CheckpointData ckpt;
     std::string error;
@@ -587,22 +462,12 @@ cmdInspect(int argc, char **argv)
 {
     std::string trace_path;
     std::string checkpoint_path;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (arg == "--trace")
-            trace_path = value("--trace");
-        else if (arg == "--checkpoint")
-            checkpoint_path = value("--checkpoint");
-        else
-            usageError("inspect: unknown option '%s'", arg.c_str());
-    }
+    vpm::sim::FlagParser flags = subcommandFlags("inspect");
+    flags.flag("--trace", trace_path)
+        .flag("--checkpoint", checkpoint_path)
+        .parseOrExit(argc, argv);
     if (trace_path.empty() == checkpoint_path.empty())
-        usageError("inspect needs %s", "exactly one of --trace/--checkpoint");
+        flags.fail("exactly one of --trace/--checkpoint is required");
 
     std::string error;
     if (!trace_path.empty()) {
@@ -653,15 +518,18 @@ main(int argc, char **argv)
         printUsage(stdout);
         return 0;
     }
+    // Each subcommand parses its own argv: argv[1] (its name) plays the
+    // part of argv[0].
     if (cmd == "gen-trace")
-        return cmdGenTrace(argc - 2, argv + 2);
+        return cmdGenTrace(argc - 1, argv + 1);
     if (cmd == "run")
-        return cmdRun(argc - 2, argv + 2);
+        return cmdRun(argc - 1, argv + 1);
     if (cmd == "resume")
-        return cmdResume(argc - 2, argv + 2);
+        return cmdResume(argc - 1, argv + 1);
     if (cmd == "branch")
-        return cmdBranch(argc - 2, argv + 2);
+        return cmdBranch(argc - 1, argv + 1);
     if (cmd == "inspect")
-        return cmdInspect(argc - 2, argv + 2);
-    usageError("unknown subcommand '%s'", cmd.c_str());
+        return cmdInspect(argc - 1, argv + 1);
+    vpm::sim::FlagParser("replay", printUsage)
+        .fail("unknown subcommand '" + cmd + "'");
 }

@@ -28,13 +28,11 @@
 
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "sweep/manifest.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -54,20 +52,6 @@ printUsage(std::FILE *out)
         "exit codes: 0 ok, 1 cells failed, 2 usage, 3 bad input\n");
 }
 
-int
-parseIntArg(const char *flag, const char *text, int min)
-{
-    const std::optional<long long> parsed =
-        vpm::sim::parseInteger(text, min, INT_MAX);
-    if (!parsed) {
-        std::fprintf(stderr, "sweep: %s wants an integer >= %d, got '%s'\n",
-                     flag, min, text);
-        printUsage(stderr);
-        std::exit(2);
-    }
-    return static_cast<int>(*parsed);
-}
-
 } // namespace
 
 int
@@ -75,96 +59,38 @@ main(int argc, char **argv)
 {
     using namespace vpm;
 
-    std::string manifest_path;
     sweep::RunOptions options;
     options.selfExe = argc > 0 ? argv[0] : "";
     bool list_only = false;
     long long cell_index = -1;
     std::string cell_out;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "sweep: %s needs a value\n", flag);
-                printUsage(stderr);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+    sim::FlagParser flags("sweep", printUsage);
+    flags.operand("manifest.json", options.manifestPath)
+        .flag("--out", options.outDir)
+        .threads("--threads", options.threads)
+        .flag("--repeats", options.repeatsOverride, 1)
+        .choice("--exec", options.exec,
+                {{"inproc", sweep::ExecMode::InProc},
+                 {"process", sweep::ExecMode::Process}})
+        .flag("--timeout-s", options.timeoutS, 0.0)
+        .flag("--resume", options.resume)
+        .flag("--list", list_only)
+        .flag("--cell", cell_index, 0, INT_MAX)
+        .flag("--cell-out", cell_out)
+        .parseOrExit(argc, argv);
 
-        if (arg == "--help") {
-            printUsage(stdout);
-            return 0;
-        } else if (arg == "--out") {
-            options.outDir = value("--out");
-        } else if (arg == "--threads") {
-            options.threads = parseIntArg("--threads", value("--threads"), 1);
-        } else if (arg == "--repeats") {
-            options.repeatsOverride =
-                parseIntArg("--repeats", value("--repeats"), 1);
-        } else if (arg == "--exec") {
-            const std::string mode = value("--exec");
-            if (mode == "inproc") {
-                options.exec = sweep::ExecMode::InProc;
-            } else if (mode == "process") {
-                options.exec = sweep::ExecMode::Process;
-            } else {
-                std::fprintf(stderr,
-                             "sweep: --exec wants inproc|process, got "
-                             "'%s'\n",
-                             mode.c_str());
-                printUsage(stderr);
-                return 2;
-            }
-        } else if (arg == "--timeout-s") {
-            const std::optional<double> timeout_s =
-                sim::parseNumber(value("--timeout-s"), 0.0);
-            if (!timeout_s) {
-                std::fprintf(stderr, "sweep: bad --timeout-s value\n");
-                return 2;
-            }
-            options.timeoutS = *timeout_s;
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (arg == "--list") {
-            list_only = true;
-        } else if (arg == "--cell") {
-            cell_index = parseIntArg("--cell", value("--cell"), 0);
-        } else if (arg == "--cell-out") {
-            cell_out = value("--cell-out");
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "sweep: unknown option '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
-        } else if (manifest_path.empty()) {
-            manifest_path = arg;
-        } else {
-            std::fprintf(stderr, "sweep: unexpected argument '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
-        }
-    }
-
-    if (manifest_path.empty()) {
-        printUsage(stderr);
-        return 2;
-    }
-    options.manifestPath = manifest_path;
-
-    std::ifstream manifest_in(manifest_path);
+    std::ifstream manifest_in(options.manifestPath);
     if (!manifest_in) {
         std::fprintf(stderr, "sweep: cannot open manifest '%s'\n",
-                     manifest_path.c_str());
+                     options.manifestPath.c_str());
         return 3;
     }
     sweep::SweepManifest manifest;
     std::string error;
     if (!sweep::parseManifest(manifest_in, manifest, &error)) {
-        std::fprintf(stderr, "sweep: '%s': %s\n", manifest_path.c_str(),
-                     error.c_str());
+        std::fprintf(stderr, "sweep: '%s': %s\n",
+                     options.manifestPath.c_str(), error.c_str());
         return 3;
     }
     const std::vector<sweep::CellSpec> cells = sweep::expandGrid(manifest);
@@ -182,10 +108,8 @@ main(int argc, char **argv)
 
     // Child-process protocol: run exactly one cell, write it, exit.
     if (cell_index >= 0) {
-        if (cell_out.empty()) {
-            std::fprintf(stderr, "sweep: --cell needs --cell-out\n");
-            return 2;
-        }
+        if (cell_out.empty())
+            flags.fail("--cell needs --cell-out");
         if (static_cast<std::size_t>(cell_index) >= cells.size()) {
             std::fprintf(stderr, "sweep: --cell %lld out of range (%zu "
                          "cells)\n", cell_index, cells.size());
@@ -206,11 +130,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (options.outDir.empty()) {
-        std::fprintf(stderr, "sweep: --out is required\n");
-        printUsage(stderr);
-        return 2;
-    }
+    if (options.outDir.empty())
+        flags.fail("--out is required");
 
     telemetry::SweepMatrix matrix;
     if (!sweep::runSweep(manifest, cells, options, matrix, std::cerr,

@@ -22,6 +22,7 @@
 #include <iostream>
 #include <string>
 
+#include "simcore/flag_parser.hpp"
 #include "telemetry/sweep_matrix.hpp"
 
 namespace {
@@ -66,34 +67,11 @@ main(int argc, char **argv)
     std::string next_path;
     bool advisory = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help") {
-            printUsage(stdout);
-            return 0;
-        } else if (arg == "--advisory") {
-            advisory = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "sweep_compare: unknown option '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
-        } else if (base_path.empty()) {
-            base_path = arg;
-        } else if (next_path.empty()) {
-            next_path = arg;
-        } else {
-            std::fprintf(stderr,
-                         "sweep_compare: unexpected argument '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
-        }
-    }
-    if (base_path.empty() || next_path.empty()) {
-        printUsage(stderr);
-        return 2;
-    }
+    vpm::sim::FlagParser("sweep_compare", printUsage)
+        .operand("baseline.json", base_path)
+        .operand("candidate.json", next_path)
+        .flag("--advisory", advisory)
+        .parseOrExit(argc, argv);
 
     SweepMatrix base;
     SweepMatrix next;

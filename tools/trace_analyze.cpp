@@ -25,14 +25,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "telemetry/trace_analysis.hpp"
 
 namespace {
@@ -56,93 +53,21 @@ usage(std::FILE *out)
         "<x>] [--quiet]\n");
 }
 
-bool
-parseArgs(int argc, char **argv, Options &opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0) {
-            usage(stdout);
-            std::exit(0);
-        }
-        if (std::strcmp(argv[i], "--version") == 0) {
-            std::printf("trace_analyze (vpm) journal schema 1\n");
-            std::exit(0);
-        }
-    }
-    if (argc < 2)
-        return false;
-    if (argv[1][0] == '-') {
-        std::fprintf(stderr, "trace_analyze: unknown option '%s'\n", argv[1]);
-        return false;
-    }
-    opts.path = argv[1];
-
-    const auto needValue = [&](int i) {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "trace_analyze: %s needs a value\n",
-                         argv[i]);
-            return false;
-        }
-        return true;
-    };
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) {
-            opts.check = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opts.quiet = true;
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            if (!needValue(i))
-                return false;
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--tolerance-us") == 0) {
-            // Strict whole-token parse: "--tolerance-us bogus" used to
-            // strtoll() to 0 and silently tighten the sum check.
-            if (!needValue(i))
-                return false;
-            const char *text = argv[++i];
-            const std::optional<long long> parsed =
-                vpm::sim::parseInteger(text, 0);
-            if (!parsed) {
-                std::fprintf(stderr,
-                             "trace_analyze: --tolerance-us wants an "
-                             "integer >= 0, got '%s'\n",
-                             text);
-                return false;
-            }
-            opts.analyzer.toleranceUs = *parsed;
-        } else if (std::strcmp(argv[i], "--respread-window-s") == 0) {
-            if (!needValue(i))
-                return false;
-            const char *text = argv[++i];
-            const std::optional<double> parsed =
-                vpm::sim::parseNumber(text, 0.0);
-            if (!parsed) {
-                std::fprintf(stderr,
-                             "trace_analyze: --respread-window-s wants a "
-                             "number >= 0, got '%s'\n",
-                             text);
-                return false;
-            }
-            opts.analyzer.respreadWindowS = *parsed;
-        } else {
-            std::fprintf(stderr, "trace_analyze: unknown option '%s'\n",
-                         argv[i]);
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage(stderr);
-        return 2;
-    }
+    vpm::sim::FlagParser("trace_analyze", usage)
+        .version("trace_analyze (vpm) journal schema 1\n")
+        .operand("journal.jsonl", opts.path)
+        .flag("--json", opts.jsonPath)
+        .flag("--check", opts.check)
+        .flag("--tolerance-us", opts.analyzer.toleranceUs, 0)
+        .flag("--respread-window-s", opts.analyzer.respreadWindowS, 0.0)
+        .flag("--quiet", opts.quiet)
+        .parseOrExit(argc, argv);
 
     std::ifstream in(opts.path);
     if (!in) {

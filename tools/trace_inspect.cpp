@@ -3,9 +3,9 @@
  * trace_inspect — filter and summarize a telemetry journal dump.
  *
  * Input is the JSONL file produced next to a Chrome trace by the benches'
- * --trace flag (one flat JSON object per line, see writeJournalJsonl).
- * The tool needs no JSON library: every field it touches is a top-level
- * "key":value pair, so it extracts values with plain string scanning.
+ * --trace flag (one flat JSON object per line, see writeJournalJsonl),
+ * read line by line through the shared JSON parser (telemetry::parseJson)
+ * so escaped strings come back exactly as the journal recorded them.
  *
  * Usage:
  *   trace_inspect <journal.jsonl> [options]
@@ -31,56 +31,35 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/json_util.hpp"
 
 namespace {
 
-/** Value of a top-level "key":<number> pair, if present. */
+using vpm::telemetry::JsonValue;
+
+/** Top-level number @p key of a parsed journal line, if present. */
 std::optional<double>
-findNumber(const std::string &line, const std::string &key)
+findNumber(const JsonValue &line, const char *key)
 {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    const char *start = line.c_str() + pos + needle.size();
-    char *end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start)
-        return std::nullopt;
-    return value;
+    if (const JsonValue *v = line.find(key, JsonValue::Kind::Number))
+        return v->number;
+    return std::nullopt;
 }
 
-/** Value of a top-level "key":"string" pair, if present (unescaped only
- *  as far as the journal's tame label vocabulary requires). */
-std::optional<std::string>
-findString(const std::string &line, const std::string &key)
+/** Top-level string @p key of a parsed journal line; nullptr if absent. */
+const std::string *
+findString(const JsonValue &line, const char *key)
 {
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
-        const char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            out += line[++i];
-        } else if (c == '"') {
-            return out;
-        } else {
-            out += c;
-        }
-    }
-    return std::nullopt;
+    const JsonValue *v = line.find(key, JsonValue::Kind::String);
+    return v != nullptr ? &v->string : nullptr;
 }
 
 /** Running min/mean/max over a stream of samples. */
@@ -141,23 +120,17 @@ using vpm::telemetry::csvQuote;
 /** One CSV cell: the field's value, quoted when necessary, or empty when
  *  the kind does not populate the column. */
 std::string
-csvCell(const std::string &line, const char *key)
+csvCell(const JsonValue &line, const char *key)
 {
-    if (const auto s = findString(line, key))
+    if (const std::string *s = findString(line, key))
         return csvQuote(*s);
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return {};
-    std::size_t i = pos + needle.size();
-    std::string out;
-    while (i < line.size() && line[i] != ',' && line[i] != '}')
-        out += line[i++];
-    return csvQuote(out);
+    if (const std::optional<double> v = findNumber(line, key))
+        return vpm::telemetry::fmtDouble(*v);
+    return {};
 }
 
 void
-printCsvRow(const std::string &line)
+printCsvRow(const JsonValue &line)
 {
     std::string row;
     bool first = true;
@@ -182,109 +155,23 @@ usage(std::FILE *out)
         "                     [--format jsonl|csv]\n");
 }
 
-bool
-parseArgs(int argc, char **argv, Options &opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0) {
-            usage(stdout);
-            std::exit(0);
-        }
-        if (std::strcmp(argv[i], "--version") == 0) {
-            std::printf("trace_inspect (vpm) journal schema 1\n");
-            std::exit(0);
-        }
-    }
-    if (argc < 2)
-        return false;
-    if (argv[1][0] == '-') {
-        std::fprintf(stderr, "trace_inspect: unknown option '%s'\n", argv[1]);
-        return false;
-    }
-    opts.path = argv[1];
-
-    const auto needValue = [&](int i) {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "trace_inspect: %s needs a value\n",
-                         argv[i]);
-            return false;
-        }
-        return true;
-    };
-    // Strict integer values: "--limit banana" used to run as --limit 0
-    // and "--since-us 5x" as --since-us 5.
-    const auto intValue = [&](int &i,
-                              long long min) -> std::optional<long long> {
-        if (!needValue(i))
-            return std::nullopt;
-        const char *flag = argv[i++];
-        const std::optional<long long> parsed =
-            vpm::sim::parseInteger(argv[i], min);
-        if (!parsed)
-            std::fprintf(stderr,
-                         "trace_inspect: %s wants an integer >= %lld, got "
-                         "'%s'\n",
-                         flag, min, argv[i]);
-        return parsed;
-    };
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--summary") == 0) {
-            opts.summary = true;
-        } else if (std::strcmp(argv[i], "--kind") == 0) {
-            if (!needValue(i))
-                return false;
-            opts.kind = argv[++i];
-        } else if (std::strcmp(argv[i], "--track") == 0) {
-            if (!needValue(i))
-                return false;
-            opts.track = argv[++i];
-        } else if (std::strcmp(argv[i], "--since-us") == 0) {
-            const std::optional<long long> t = intValue(i, LLONG_MIN);
-            if (!t)
-                return false;
-            opts.sinceUs = *t;
-        } else if (std::strcmp(argv[i], "--until-us") == 0) {
-            const std::optional<long long> t = intValue(i, LLONG_MIN);
-            if (!t)
-                return false;
-            opts.untilUs = *t;
-        } else if (std::strcmp(argv[i], "--limit") == 0) {
-            const std::optional<long long> n = intValue(i, 0);
-            if (!n)
-                return false;
-            opts.limit = static_cast<std::uint64_t>(*n);
-        } else if (std::strcmp(argv[i], "--format") == 0) {
-            if (!needValue(i))
-                return false;
-            const char *format = argv[++i];
-            if (std::strcmp(format, "csv") == 0) {
-                opts.csv = true;
-            } else if (std::strcmp(format, "jsonl") != 0) {
-                std::fprintf(stderr,
-                             "trace_inspect: unknown format '%s' (want "
-                             "jsonl or csv)\n",
-                             format);
-                return false;
-            }
-        } else {
-            std::fprintf(stderr, "trace_inspect: unknown option '%s'\n",
-                         argv[i]);
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage(stderr);
-        return 2;
-    }
+    vpm::sim::FlagParser("trace_inspect", usage)
+        .version("trace_inspect (vpm) journal schema 1\n")
+        .operand("journal.jsonl", opts.path)
+        .flag("--summary", opts.summary)
+        .flag("--kind", opts.kind)
+        .flag("--track", opts.track)
+        .flag("--since-us", opts.sinceUs, LLONG_MIN)
+        .flag("--until-us", opts.untilUs, LLONG_MIN)
+        .flag("--limit", opts.limit, 0)
+        .choice("--format", opts.csv, {{"jsonl", false}, {"csv", true}})
+        .parseOrExit(argc, argv);
 
     std::ifstream in(opts.path);
     if (!in) {
@@ -318,10 +205,12 @@ main(int argc, char **argv)
             continue;
         ++seen;
 
-        const auto t = findNumber(line, "t_us");
-        const auto kind = findString(line, "kind");
-        const auto track = findString(line, "track");
-        if (!t || !kind) {
+        JsonValue doc;
+        const bool parsed = vpm::telemetry::parseJson(line, doc, nullptr);
+        const auto t = findNumber(doc, "t_us");
+        const std::string *kind = findString(doc, "kind");
+        const std::string *track = findString(doc, "track");
+        if (!parsed || !t || !kind) {
             std::fprintf(stderr,
                          "trace_inspect: skipping malformed line %llu\n",
                          static_cast<unsigned long long>(seen));
@@ -353,7 +242,7 @@ main(int argc, char **argv)
                         }
                         std::puts(header.c_str());
                     }
-                    printCsvRow(line);
+                    printCsvRow(doc);
                 } else {
                     std::puts(line.c_str());
                 }
@@ -366,26 +255,25 @@ main(int argc, char **argv)
         if (track)
             ++by_track[*track];
         if (*kind == "power_transition") {
-            const auto from = findString(line, "from");
-            const auto dur = findNumber(line, "dur_s");
+            const std::string *from = findString(doc, "from");
+            const auto dur = findNumber(doc, "dur_s");
             if (from && dur)
                 phase_durations[*from].add(*dur);
         } else if (*kind == "migration_finish") {
-            if (const auto dur = findNumber(line, "dur_s"))
+            if (const auto dur = findNumber(doc, "dur_s"))
                 migration_durations.add(*dur);
         } else if (*kind == "idle_transition") {
-            const auto level = findString(line, "level");
-            const auto from = findString(line, "from");
-            const auto dur = findNumber(line, "dur_s");
+            const std::string *level = findString(doc, "level");
+            const std::string *from = findString(doc, "from");
+            const auto dur = findNumber(doc, "dur_s");
             if (level && from && dur)
                 idle_spans[*level + ":" + *from].add(*dur);
         } else if (*kind == "alert") {
-            const auto rule = findString(line, "rule");
-            if (rule) {
+            if (const std::string *rule = findString(doc, "rule")) {
                 AlertStats &stats = alerts[*rule];
                 if (stats.count == 0) {
                     stats.firstUs = t_us;
-                    if (const auto cause = findNumber(line, "cause"))
+                    if (const auto cause = findNumber(doc, "cause"))
                         stats.firstCause =
                             static_cast<std::uint64_t>(*cause);
                 }

@@ -13,21 +13,16 @@
  *   vpm_sim --policy s3 --churn 6 --dvfs --hours 24
  */
 
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 
 #include "core/scenario.hpp"
 #include "power/spec_file.hpp"
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/table.hpp"
+#include "telemetry/sink_flags.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -54,11 +49,11 @@ struct Options
     std::string watchdogPath;
 };
 
-[[noreturn]] void
-usage(const char *argv0, int code)
+void
+printUsage(const char *argv0, std::FILE *out)
 {
     std::fprintf(
-        code == 0 ? stdout : stderr,
+        out,
         "usage: %s [options]\n"
         "  --policy <nopm|drm|s5|s3|adaptive>   management policy "
         "(default s3)\n"
@@ -87,125 +82,45 @@ usage(const char *argv0, int code)
         "                        seal (implies --timeseries store)\n"
         "  --help                this text\n",
         argv0);
-    std::exit(code);
-}
-
-/**
- * Strict numeric flag values: the whole token must parse, in range.
- * `--hosts banana` or `--threads 0` used to sail through atoi() as 0 and
- * either die later in the scenario builder or silently run the wrong
- * experiment; now every malformed value prints the reason plus usage and
- * exits 2 (the usage-error convention the benches and tools/replay use).
- */
-long long
-parseIntValue(const char *argv0, const char *flag, const char *text,
-              long long min)
-{
-    const std::optional<long long> parsed = vpm::sim::parseInteger(text, min);
-    if (!parsed) {
-        std::fprintf(stderr, "%s wants an integer >= %lld, got '%s'\n\n",
-                     flag, min, text);
-        usage(argv0, 2);
-    }
-    return *parsed;
-}
-
-double
-parseNumValue(const char *argv0, const char *flag, const char *text,
-              double min)
-{
-    const std::optional<double> parsed = vpm::sim::parseNumber(text, min);
-    if (!parsed) {
-        std::fprintf(stderr, "%s wants a number >= %g, got '%s'\n\n",
-                     flag, min, text);
-        usage(argv0, 2);
-    }
-    return *parsed;
-}
-
-mgmt::PolicyKind
-parsePolicy(const std::string &name, const char *argv0)
-{
-    if (name == "nopm")
-        return mgmt::PolicyKind::NoPM;
-    if (name == "drm")
-        return mgmt::PolicyKind::DrmOnly;
-    if (name == "s5")
-        return mgmt::PolicyKind::PmS5;
-    if (name == "s3")
-        return mgmt::PolicyKind::PmS3;
-    if (name == "adaptive")
-        return mgmt::PolicyKind::PmAdaptive;
-    std::fprintf(stderr, "unknown policy '%s'\n\n", name.c_str());
-    usage(argv0, 1);
 }
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    const auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n\n", argv[i]);
-            usage(argv[0], 2);
-        }
-        return argv[++i];
-    };
+    sim::FlagParser flags("vpm_sim", [argv0 = argv[0]](std::FILE *out) {
+        printUsage(argv0, out);
+    });
+    flags.helpAlias("-h")
+        .choice("--policy", opts.policy,
+                {{"nopm", mgmt::PolicyKind::NoPM},
+                 {"drm", mgmt::PolicyKind::DrmOnly},
+                 {"s5", mgmt::PolicyKind::PmS5},
+                 {"s3", mgmt::PolicyKind::PmS3},
+                 {"adaptive", mgmt::PolicyKind::PmAdaptive}})
+        .flag("--hosts", opts.hosts, 1)
+        .flag("--vms", opts.vms, 0)
+        .flag("--hours", opts.hours, 1e-9)
+        .flag("--load-scale", opts.loadScale, 0.0)
+        .flag("--seed", opts.seed, 0)
+        .flag("--period", opts.managerMinutes, 1.0)
+        .flag("--churn", opts.churnPerHour, 0.0)
+        .flag("--dvfs", opts.dvfs)
+        .flag("--legacy-mix", opts.legacyMix)
+        .flag("--weekend", opts.weekendFactor, 0.0)
+        .threads("--threads", opts.threads)
+        .flag("--csv", opts.csvPath)
+        .flag("--spec", opts.specPath)
+        .flag("--timeseries", opts.timeseriesPath)
+        .flag("--watchdog", opts.watchdogPath)
+        .parseOrExit(argc, argv);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h")
-            usage(argv[0], 0);
-        else if (arg == "--policy")
-            opts.policy = parsePolicy(need_value(i), argv[0]);
-        else if (arg == "--hosts")
-            opts.hosts = static_cast<int>(std::min<long long>(
-                parseIntValue(argv[0], "--hosts", need_value(i), 1),
-                INT_MAX));
-        else if (arg == "--vms")
-            opts.vms = static_cast<int>(std::min<long long>(
-                parseIntValue(argv[0], "--vms", need_value(i), 0),
-                INT_MAX));
-        else if (arg == "--hours")
-            opts.hours =
-                parseNumValue(argv[0], "--hours", need_value(i), 1e-9);
-        else if (arg == "--load-scale")
-            opts.loadScale = parseNumValue(argv[0], "--load-scale",
-                                           need_value(i), 0.0);
-        else if (arg == "--seed")
-            opts.seed = static_cast<std::uint64_t>(
-                parseIntValue(argv[0], "--seed", need_value(i), 0));
-        else if (arg == "--period")
-            opts.managerMinutes =
-                parseNumValue(argv[0], "--period", need_value(i), 1.0);
-        else if (arg == "--churn")
-            opts.churnPerHour =
-                parseNumValue(argv[0], "--churn", need_value(i), 0.0);
-        else if (arg == "--dvfs")
-            opts.dvfs = true;
-        else if (arg == "--legacy-mix")
-            opts.legacyMix = true;
-        else if (arg == "--weekend")
-            opts.weekendFactor =
-                parseNumValue(argv[0], "--weekend", need_value(i), 0.0);
-        else if (arg == "--threads")
-            opts.threads = static_cast<int>(std::min<long long>(
-                parseIntValue(argv[0], "--threads", need_value(i), 1),
-                1u << 16));
-        else if (arg == "--csv")
-            opts.csvPath = need_value(i);
-        else if (arg == "--spec")
-            opts.specPath = need_value(i);
-        else if (arg == "--timeseries")
-            opts.timeseriesPath = need_value(i);
-        else if (arg == "--watchdog")
-            opts.watchdogPath = need_value(i);
-        else {
-            std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-            usage(argv[0], 2);
-        }
-    }
-
+    // Live telemetry: enable the downsampling store (and watchdog rules)
+    // before any simulator objects exist, like the benches do.
+    std::string error;
+    if (!telemetry::configureGlobalSinks({}, opts.timeseriesPath,
+                                         opts.watchdogPath, &error))
+        flags.fail(error);
     return opts;
 }
 
@@ -216,37 +131,6 @@ main(int argc, char **argv)
 {
     const Options opts = parseArgs(argc, argv);
     sim::setGlobalThreads(static_cast<unsigned>(opts.threads));
-
-    // Live telemetry: enable the downsampling store (and watchdog rules)
-    // before any simulator objects exist, like the benches do.
-    if (!opts.timeseriesPath.empty() || !opts.watchdogPath.empty()) {
-        telemetry::TelemetryConfig tel_config;
-        tel_config.enabled = true;
-        tel_config.timeseriesEnabled = true;
-        // The compressed store holds the history; per-tick metric rows
-        // would only duplicate it (vpm_sim's --csv has its own sampler).
-        tel_config.seriesRowsEnabled = false;
-        telemetry::global().configure(tel_config);
-        if (!opts.timeseriesPath.empty())
-            telemetry::global().setSnapshotTarget(opts.timeseriesPath);
-        if (!opts.watchdogPath.empty()) {
-            std::ifstream rules_in(opts.watchdogPath);
-            if (!rules_in) {
-                std::fprintf(stderr, "cannot read watchdog rules '%s'\n",
-                             opts.watchdogPath.c_str());
-                return 1;
-            }
-            std::ostringstream rules;
-            rules << rules_in.rdbuf();
-            std::string error;
-            if (!telemetry::global().watchdog().configure(rules.str(),
-                                                          &error)) {
-                std::fprintf(stderr, "--watchdog %s: %s\n",
-                             opts.watchdogPath.c_str(), error.c_str());
-                return 1;
-            }
-        }
-    }
 
     mgmt::ScenarioConfig config;
     config.hostCount = opts.hosts;

@@ -26,11 +26,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -38,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "simcore/parse_number.hpp"
+#include "simcore/flag_parser.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace {
@@ -56,11 +53,11 @@ struct Options
     int watchSeconds = 0; ///< 0: render once
 };
 
-[[noreturn]] void
-usage(const char *argv0, int code)
+void
+printUsage(const char *argv0, std::FILE *out)
 {
     std::fprintf(
-        code == 0 ? stdout : stderr,
+        out,
         "usage: %s <snapshot.ts> [options]\n"
         "  --query <m[,m...]>  dump the named series' buckets and exit\n"
         "  --range <t0:t1>     clip to [t0, t1] simulated microseconds\n"
@@ -70,7 +67,6 @@ usage(const char *argv0, int code)
         "                      seconds (default 2) until interrupted\n"
         "  --help              this text\n",
         argv0);
-    std::exit(code);
 }
 
 /** Deterministic number formatting: integral values print without a
@@ -135,63 +131,25 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    const auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n\n", argv[i]);
-            usage(argv[0], 2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0], 0);
-        } else if (arg == "--query") {
-            opts.query = splitCsvList(need_value(i));
-            if (opts.query.empty()) {
-                std::fprintf(stderr, "--query wants metric names\n\n");
-                usage(argv[0], 2);
-            }
-        } else if (arg == "--range") {
-            if (!parseRange(need_value(i), opts.rangeBeginUs,
-                            opts.rangeEndUs)) {
-                std::fprintf(stderr, "--range wants 't0:t1'\n\n");
-                usage(argv[0], 2);
-            }
-        } else if (arg == "--format") {
-            const std::string format = need_value(i);
-            if (format == "json")
-                opts.json = true;
-            else if (format != "csv") {
-                std::fprintf(stderr, "--format wants csv or json\n\n");
-                usage(argv[0], 2);
-            }
-        } else if (arg == "--watch") {
-            opts.watchSeconds = 2;
-            // Optional numeric operand.
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                if (const std::optional<long long> n =
-                        vpm::sim::parseInteger(argv[i + 1], 1, INT_MAX)) {
-                    opts.watchSeconds = static_cast<int>(*n);
-                    ++i;
-                }
-            }
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-            usage(argv[0], 2);
-        } else if (opts.path.empty()) {
-            opts.path = arg;
-        } else {
-            std::fprintf(stderr, "unexpected operand '%s'\n\n",
-                         arg.c_str());
-            usage(argv[0], 2);
-        }
-    }
-    if (opts.path.empty()) {
-        std::fprintf(stderr, "missing snapshot path\n\n");
-        usage(argv[0], 2);
-    }
+    vpm::sim::FlagParser("vpm_top",
+                         [argv0 = argv[0]](std::FILE *out) {
+                             printUsage(argv0, out);
+                         })
+        .helpAlias("-h")
+        .operand("snapshot.ts", opts.path)
+        .flag("--query", {"metric names",
+                          [&opts](const char *text) {
+                              opts.query = splitCsvList(text);
+                              return !opts.query.empty();
+                          }})
+        .flag("--range", {"'t0:t1'",
+                          [&opts](const char *text) {
+                              return parseRange(text, opts.rangeBeginUs,
+                                                opts.rangeEndUs);
+                          }})
+        .choice("--format", opts.json, {{"csv", false}, {"json", true}})
+        .optionalValue("--watch", opts.watchSeconds, 2, 1)
+        .parseOrExit(argc, argv);
     return opts;
 }
 
