@@ -1,8 +1,8 @@
 /**
  * @file
  * F12 — Hyperscale fleet mode: 100k hosts / 1M VMs through the SoA fleet
- * store and the hierarchical rack/pod manager, at >1M simulator events
- * per second of wall clock.
+ * store and the hierarchical rack/pod manager, with every host's idle
+ * governor ticking every 5 minutes.
  *
  * Paper analogue: the scalability claim behind the management design —
  * power management that stays cheap enough to run fleet-wide. F7 shows
@@ -22,11 +22,13 @@
  *  - VMs are striped over the first 80% of hosts; the empty tail is the
  *    consolidation headroom the hierarchical manager sleeps at night and
  *    re-wakes for the morning ramp.
- *  - Every host runs a self-rescheduling idle-governor event on a
- *    staggered 5-minute cadence — the OS tick that reports busy cores to
- *    the C-state hierarchy and demotes the idle ones. That is the event
- *    mass a real fleet puts on the engine (100k hosts x 288 ticks/day
- *    = ~29M events/simulated-day), each doing real per-host bookkeeping.
+ *  - Every host's idle governor ticks on a staggered 5-minute cadence —
+ *    the OS tick that reports busy cores to the C-state hierarchy and
+ *    demotes the idle ones: 100k hosts x 288 ticks/day = 28.8M ticks per
+ *    simulated day. The rig sweeps each whole-second cohort of hosts in
+ *    one event (300 cohorts x 288 = 86,400 events/day), so the table's
+ *    "sim events" column counts cohort sweeps, evaluations and manager
+ *    events, not ticks.
  *
  * Determinism: everything is scheduled from the main thread; evaluation
  * threads only touch shard-ordered folds, so the policy table, --json

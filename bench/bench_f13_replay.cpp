@@ -15,10 +15,10 @@
  *    the trace file is hundreds of MB while the decoded-chunk cache stays
  *    at the configured window (default 8 MiB), which is the whole point;
  *  - quick: 2k hosts / 20k VMs, same dynamics at CI cost;
- *  - the per-host idle-governor rig (spec.governorPeriodS) supplies the
- *    fleet-of-governors event mass F12 established (hosts x 288
- *    ticks/day), so --bench-json events/sec measures the engine, not an
- *    idle event queue.
+ *  - the rig's idle governors (spec.governorPeriodS) tick every host
+ *    every 5 minutes (hosts x 288 ticks/day), swept as one event per
+ *    whole-second cohort, so the "sim events" count is cohort sweeps plus
+ *    evaluations and manager events, not one event per tick.
  *
  * Determinism: the trace is seeded, the session is spec-built, and all
  * scheduling is main-thread — the policy table and --json report are

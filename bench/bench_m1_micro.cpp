@@ -6,15 +6,18 @@
  * in the simulator core show up before they distort experiment runtimes.
  *
  * Two modes share the same micro bodies:
- *  - default: google-benchmark (statistical timing, --benchmark_* flags);
- *  - harness: any shared bench flag (--profile, --bench-json, --quick, …)
- *    runs one fixed pass per micro under the common measurement harness,
- *    which is what produces the machine-readable BENCH_m1_micro.json that
- *    bench_compare gates on.
+ *  - default: google-benchmark (statistical timing), when every argument
+ *    is one of its --benchmark_* flags;
+ *  - harness: any other argument hands the whole argv to the shared bench
+ *    parser (--quick, --threads, --bench-json, …; a --benchmark_* flag
+ *    mixed in is then a usage error) and runs one fixed pass per micro
+ *    under the common measurement harness, which is what produces the
+ *    machine-readable BENCH_m1_micro.json that bench_compare gates on.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -228,19 +231,12 @@ runBody(const bench::BenchArgs &args)
 int
 main(int argc, char **argv)
 {
-    // Harness mode when any shared bench flag appears; otherwise fall
-    // through to google-benchmark untouched (--benchmark_filter etc.).
-    const bool harness = [&] {
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg == "--quick" || arg == "--profile" ||
-                arg == "--help" || arg == "--trace" || arg == "--json" ||
-                arg == "--bench-json" || arg == "--profile-trace" ||
-                arg == "--repeat" || arg == "--warmup")
-                return true;
-        }
-        return false;
-    }();
+    // Harness mode unless every argument is google-benchmark's own
+    // (--benchmark_filter=... etc.), which then passes through untouched.
+    const bool harness =
+        std::any_of(argv + 1, argv + argc, [](const char *arg) {
+            return !std::string_view(arg).starts_with("--benchmark_");
+        });
     if (harness) {
         const bench::BenchArgs args =
             bench::parseArgs("m1_micro", argc, argv);

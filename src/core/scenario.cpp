@@ -160,27 +160,40 @@ void
 Rig::startIdleGovernors(sim::SimTime period)
 {
     // Scheduled from the main thread, so the event stream — and every
-    // replay checkpoint — is deterministic.
+    // replay checkpoint — is deterministic. The offset is non-decreasing
+    // in h, so one pass splits the fleet into its cohorts.
     governorPeriod_ = period;
     const std::size_t count = cluster_.hostCount();
     const auto spread =
         static_cast<std::size_t>(std::max(1.0, period.toSeconds()));
-    for (std::size_t h = 0; h < count; ++h) {
-        const auto offset = sim::SimTime::seconds(
-            static_cast<double>(h * spread / count));
-        const auto id = static_cast<dc::HostId>(h);
-        simulator_.schedule(offset, [this, id] { governorTick(id); },
-                            "idle-governor");
+    std::size_t begin = 0;
+    while (begin < count) {
+        const std::size_t slot = begin * spread / count;
+        std::size_t end = begin + 1;
+        while (end < count && end * spread / count == slot)
+            ++end;
+        const auto first = static_cast<dc::HostId>(begin);
+        const auto last = static_cast<dc::HostId>(end);
+        simulator_.schedule(
+            sim::SimTime::seconds(static_cast<double>(slot)),
+            [this, first, last] { governorSweep(first, last); },
+            "idle-governor");
+        begin = end;
     }
 }
 
 void
-Rig::governorTick(dc::HostId h)
+Rig::governorSweep(dc::HostId begin, dc::HostId end)
 {
-    // A tick that would change nothing commands nothing: steady-state
-    // ticks cost a read and a reschedule.
-    cluster_.host(h).idleGovernorTick();
-    simulator_.schedule(governorPeriod_, [this, h] { governorTick(h); },
+    // Host-id order on the main thread, as the per-host events fired. A
+    // tick that would change nothing commands nothing: a steady host
+    // costs a read.
+    const auto &hosts = cluster_.hosts();
+    for (auto h = static_cast<std::size_t>(begin);
+         h < static_cast<std::size_t>(end); ++h)
+        hosts[h]->idleGovernorTick();
+    simulator_.schedule(governorPeriod_,
+                        [this, begin, end] { governorSweep(begin, end); },
                         "idle-governor");
 }
 

@@ -204,11 +204,14 @@ class Rig
     Rig &operator=(const Rig &) = delete;
 
     /**
-     * Give every host a self-rescheduling idle-governor tick on
-     * @p period: the OS tick that reports busy cores to the C-state
-     * hierarchy and demotes the idle ones. First ticks are staggered over
-     * one period in contiguous host blocks, so governors that fire
-     * together walk sequential fleet-store rows. Call at most once.
+     * Give every host an idle-governor tick on @p period: the OS tick
+     * that reports busy cores to the C-state hierarchy and demotes the
+     * idle ones. Host h's first tick is at floor(h * spread / hosts)
+     * seconds, spread = max(1, whole seconds of @p period), so the hosts
+     * of one offset — a cohort — are a contiguous id range. Each cohort is
+     * one self-rescheduling event that ticks its hosts in id order on the
+     * main thread; the ticks fire exactly where and in the order a
+     * per-host event each would fire them. Call at most once.
      */
     void startIdleGovernors(sim::SimTime period);
 
@@ -225,7 +228,9 @@ class Rig
     JointPolicyController *joint() { return joint_.get(); }
 
   private:
-    void governorTick(dc::HostId h);
+    /** Tick hosts [begin, end) — one cohort — then reschedule the sweep
+     *  one period on. */
+    void governorSweep(dc::HostId begin, dc::HostId end);
 
     sim::Simulator &simulator_;
     dc::Cluster &cluster_;

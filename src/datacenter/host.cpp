@@ -164,10 +164,13 @@ Host::idleGovernorTick()
         cores, static_cast<int>(std::ceil(utilization() * cores)));
     const int core_depth = static_cast<int>(hier->spec().coreStates.size());
     const int pkg_depth = static_cast<int>(hier->spec().packageStates.size());
-    if (hier->wouldChange(busy, core_depth, pkg_depth)) {
+    // Each command is issued only when it moves a level. Both would run
+    // at this instant, so a skipped one's residency accrual adds nothing
+    // and its refresh rewrites the same wake latency: skipping is exact.
+    if (busy != hier->busyCores())
         hier->setBusyCores(busy);
+    if (hier->wouldChange(busy, core_depth, pkg_depth))
         hier->requestDepth(core_depth, pkg_depth);
-    }
 }
 
 void

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 #include "simcore/byte_append.hpp"
 
@@ -11,7 +12,9 @@ namespace vpm::replay {
 namespace {
 
 constexpr char kMagic[8] = {'v', 'p', 'm', 'c', 'k', 'p', '1', '\n'};
-constexpr std::uint32_t kVersion = 1;
+/** 2: one idle-governor event per cohort slot, not per host, so the
+ *  "events" section of a version-1 file can never verify. */
+constexpr std::uint32_t kVersion = 2;
 
 template <typename T>
 bool
@@ -107,7 +110,7 @@ readCheckpoint(const std::string &path, CheckpointData &out,
         (std::istreambuf_iterator<char>(in)),
         std::istreambuf_iterator<char>());
 
-    const auto fail = [&](const char *what) {
+    const auto fail = [&](const std::string &what) {
         if (error != nullptr)
             *error = "'" + path + "': " + what;
         return false;
@@ -125,8 +128,15 @@ readCheckpoint(const std::string &path, CheckpointData &out,
 
     std::size_t pos = sizeof(kMagic);
     std::uint32_t version = 0, section_count = 0, spec_len = 0;
-    if (!readScalar(buf, pos, version) || version != kVersion)
-        return fail("unsupported vpm-ckpt-1 version");
+    if (!readScalar(buf, pos, version))
+        return fail("truncated header");
+    if (version < kVersion)
+        return fail("vpm-ckpt version " + std::to_string(version) +
+                    " was written by an older build; re-run the replay "
+                    "with this build to checkpoint it");
+    if (version != kVersion)
+        return fail("unsupported vpm-ckpt version " +
+                    std::to_string(version));
     if (!readScalar(buf, pos, section_count) ||
         !readScalar(buf, pos, out.timeUs) ||
         !readScalar(buf, pos, out.eventsProcessed) ||

@@ -17,14 +17,18 @@
  * Layout (host-endian, single-machine artifact):
  *
  *     char[8] magic "vpmckp1\n"
- *     u32 version (1), u32 section_count
+ *     u32 version (2), u32 section_count
  *     i64 time_us, u64 events_processed
  *     u32 spec_len, spec bytes (vpm-replay-spec-1 JSON)
  *     section_count x { u32 name_len, name bytes, u64 size, bytes }
  *     u64 fnv1a checksum of everything above
  *
  * Section order is fixed by the producer (fleet, tree, events, rng,
- * policy, telemetry) and byte-compared in order on restore.
+ * policy, telemetry) and byte-compared in order on restore. The version
+ * moves whenever a section's bytes for the same run change: version 2
+ * holds one pending idle-governor event per cohort slot where version 1
+ * held one per host, so a version-1 file is refused as written by an
+ * older build rather than failing verification.
  */
 
 #ifndef VPM_REPLAY_CHECKPOINT_HPP
@@ -69,7 +73,8 @@ bool writeCheckpoint(const CheckpointData &ckpt, const std::string &path,
                      std::string *error);
 
 /** Read and checksum-verify @p path. @return false with @p error set on
- *  a missing file, bad magic/version, truncation, or checksum mismatch. */
+ *  a missing file, bad magic, an older or unknown version, truncation,
+ *  or checksum mismatch. */
 bool readCheckpoint(const std::string &path, CheckpointData &out,
                     std::string *error);
 

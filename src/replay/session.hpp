@@ -95,12 +95,13 @@ struct ReplaySpec
     std::uint64_t windowBytes = 8ull << 20;
 
     /**
-     * > 0: every host runs a self-rescheduling idle-governor tick on this
-     * period (staggered across the fleet) — the OS tick that reports busy
-     * cores to the C-state hierarchy and demotes the idle ones. This is
-     * the fleet-of-governors event mass the hyperscale bench (F12/F13)
-     * measures the engine under; it requires a hierarchy preset. Part of
-     * the spec, so checkpoints rebuild the exact same event schedule.
+     * > 0: every host runs an idle-governor tick on this period
+     * (mgmt::Rig::startIdleGovernors: staggered across the fleet, one
+     * event per whole-second cohort of hosts) — the OS tick that reports
+     * busy cores to the C-state hierarchy and demotes the idle ones. This
+     * is the fleet-of-governors load the hyperscale benches (F12/F13) run
+     * under; it requires a hierarchy preset. Part of the spec, so
+     * checkpoints rebuild the exact same event schedule.
      */
     double governorPeriodS = 0.0;
 };

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -232,6 +234,55 @@ TEST(ReplaySessionTest, CheckpointFileRoundTripsAndRejectsCorruption)
     CheckpointData corrupt;
     EXPECT_FALSE(readCheckpoint(path, corrupt, &error));
     EXPECT_FALSE(error.empty());
+    std::filesystem::remove(path);
+    std::filesystem::remove(trace);
+}
+
+TEST(ReplaySessionTest, CheckpointFromAnOlderBuildIsRefused)
+{
+    const std::string trace = writeTestTrace("version", 8, 1.0);
+    const std::string path = tempFile("version", ".vpmckp");
+    std::string error;
+    std::unique_ptr<ReplaySession> session =
+        ReplaySession::create(baseSpec(trace), &error);
+    ASSERT_NE(session, nullptr) << error;
+    session->runTo(sim::SimTime::seconds(300.0));
+    ASSERT_TRUE(writeCheckpoint(session->capture(), path, &error)) << error;
+
+    // Rewrite the header's u32 version (after the 8-byte magic) and seal
+    // the file with a valid trailer, as the build that wrote it would.
+    const auto rewriteVersion = [&](std::uint32_t version) {
+        std::ifstream in(path, std::ios::binary);
+        std::vector<std::uint8_t> buf(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        in.close();
+        std::memcpy(buf.data() + 8, &version, sizeof version);
+        const std::uint64_t sum = fnv1a(buf.data(), buf.size() - 8);
+        std::memcpy(buf.data() + buf.size() - 8, &sum, sizeof sum);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(buf.data()),
+                  static_cast<std::streamsize>(buf.size()));
+    };
+
+    CheckpointData loaded;
+    rewriteVersion(1);
+    error.clear();
+    EXPECT_FALSE(readCheckpoint(path, loaded, &error));
+    EXPECT_NE(error.find("version 1 was written by an older build"),
+              std::string::npos)
+        << error;
+
+    rewriteVersion(3);
+    error.clear();
+    EXPECT_FALSE(readCheckpoint(path, loaded, &error));
+    EXPECT_NE(error.find("unsupported vpm-ckpt version 3"),
+              std::string::npos)
+        << error;
+
+    rewriteVersion(2);
+    error.clear();
+    EXPECT_TRUE(readCheckpoint(path, loaded, &error)) << error;
     std::filesystem::remove(path);
     std::filesystem::remove(trace);
 }

@@ -164,23 +164,26 @@ TEST(ReplayGoldenTest, PresetOutcomesMatchRecordedMatrix)
          " hostWakes=0 events=289 energyKwh=84.885181567241844"
          " offered=0.42155203755696624 idealKwh=55.037834023437497"
          " idleJ=2.2325000000000017 wakeP99=0"},
+        // joint and hier tick the idle governors: their events= and the
+        // digest (which folds the event count and the pending-event list)
+        // count one governor event per cohort slot, not per host.
         {"joint", 60.0,
-         "digest=30c5b1463f48055a cycles=33 migrations=202"
+         "digest=afb0707116610331 cycles=33 migrations=202"
          " balance=129 evacuations=17 abandoned=0 cancelled=1"
          " sleeps=9 wakes=3 parked=15 unparked=3 capDenied=0"
          " shortfall=3 haRestarts=0 completed=192 powerActions=12"
          " arrivals=0 departures=0 dvfs=0 jointSpeed=627"
          " jointIdle=5481 idle=11173 crossRack=0 crashes=0 repairs=0"
-         " hostWakes=3 events=31022 energyKwh=81.522359435523967"
+         " hostWakes=3 events=29101 energyKwh=81.522359435523967"
          " offered=0.42155203755696624 idealKwh=55.037834023437497"
          " idleJ=7.4728000000000145 wakeP99=15"},
         {"hier", 60.0,
-         "digest=0678a34c10266cfa cycles=33 migrations=0 balance=0"
+         "digest=134cfb886513eedf cycles=33 migrations=0 balance=0"
          " evacuations=0 abandoned=0 cancelled=0 sleeps=26 wakes=13"
          " parked=0 unparked=0 capDenied=0 shortfall=5 haRestarts=0"
          " completed=0 powerActions=39 arrivals=0 departures=0"
          " dvfs=0 jointSpeed=0 jointIdle=4342 idle=8813 crossRack=0"
-         " crashes=0 repairs=0 hostWakes=13 events=30858"
+         " crashes=0 repairs=0 hostWakes=13 events=28937"
          " energyKwh=76.125062531465232 offered=0.42155203755696624"
          " idealKwh=55.037834023437497 idleJ=5.5664000000000078"
          " wakeP99=15"},
