@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "datacenter/sample_pass.hpp"
@@ -10,6 +12,7 @@
 #include "simcore/thread_pool.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
+#include "workload/demand_trace.hpp"
 
 namespace vpm::dc {
 
@@ -287,14 +290,30 @@ DatacenterSim::evaluate()
     // touch hosts of any host shard), so this partitioning produces the
     // identical columns and flags as the historical per-host interleaved
     // refresh.
+    //
+    // A shard whose cached expiry lies after now holds no VM due for a
+    // re-sample, so the kernel would change nothing there and is skipped.
+    // The cache goes when the placed list is rebuilt (placedVms()), the
+    // shard count moves, or a validity write outside the kernel moves
+    // the store's span generation. Each shard writes only its own slot.
     const std::int64_t now_us = now.micros();
     {
         PROF_ZONE("dcsim.evaluate.refresh");
+        const std::size_t refresh_shards =
+            sim::ThreadPool::shardCount(placed.size(), kVmRefreshShardGrain);
+        if (refreshExpiry_.size() != refresh_shards ||
+            refreshGeneration_ != fleet.spanGeneration()) {
+            refreshExpiry_.assign(refresh_shards,
+                                  std::numeric_limits<std::int64_t>::min());
+            refreshGeneration_ = fleet.spanGeneration();
+        }
         pool.parallelFor(
             placed.size(), kVmRefreshShardGrain,
-            [&](std::size_t, std::size_t begin, std::size_t end) {
-                fleet.refreshPlacedDemand(placedIds_.data() + begin,
-                                          end - begin, now_us);
+            [&](std::size_t shard, std::size_t begin, std::size_t end) {
+                if (now_us < refreshExpiry_[shard])
+                    return;
+                refreshExpiry_[shard] = fleet.refreshPlacedDemand(
+                    placedIds_.data() + begin, end - begin, now_us);
             });
     }
 
@@ -369,6 +388,29 @@ DatacenterSim::evaluate()
     }
     PROF_ZONE("dcsim.evaluate.sample");
 
+    // Latency histogram, one add per host: every VM on host h samples the
+    // same factor and the counts are integers, so one copy per VM on h
+    // leaves the buckets exactly as one add per VM did. Placed VMs whose
+    // host id lies outside [0, hostCount) read the starved ceiling.
+    {
+        const double *factor_col = fleet.latencyFactorData();
+        const std::uint32_t *count_col = fleet.hostVmCountData();
+        const std::size_t host_count = fleet.hostCount();
+        stats::Histogram::Batch hist(latencyHist_);
+        std::size_t hosted = 0;
+        for (std::size_t i = 0; i < host_count; ++i) {
+            if (count_col[i] == 0)
+                continue;
+            hist.add(factor_col[i], count_col[i]);
+            hosted += count_col[i];
+        }
+        assert(hosted <= placed.size() &&
+               "a VM with a host id is missing from the placed list");
+        if (placed.size() > hosted)
+            hist.add(kStarvedLatencyFactor, placed.size() - hosted);
+        hist.commit();
+    }
+
     // VM pass: one SLA sample per placed VM, sharded over VM ranges into
     // per-shard accumulators. The shard structure depends only on the VM
     // count, never the thread count. Stats accumulate in the per-shard
@@ -395,9 +437,8 @@ DatacenterSim::evaluate()
         // the exact code path (and FP summation order) of the historical
         // sequential implementation.
         sampleVmRange(fleet, placedIds_.data(), placedIds_.size(), now_us,
-                      {sla_, latencyWeighted_, latencyHist_, nullptr,
-                       journal_on, ts_on ? &seqSeriesRec_ : nullptr,
-                       tsViolSat_});
+                      {sla_, latency_, nullptr, journal_on,
+                       ts_on ? &seqSeriesRec_ : nullptr, tsViolSat_});
         if (ts_on)
             tstore.mergeRecorder(seqSeriesRec_, now.micros());
         return;
@@ -411,8 +452,7 @@ DatacenterSim::evaluate()
             ShardSample &acc = shardSamples_[shard];
             sampleVmRange(fleet, placedIds_.data() + begin, end - begin,
                           now_us,
-                          {acc.sla, acc.latencyWeighted, acc.latencyHist,
-                           &acc.stage, journal_on,
+                          {acc.sla, acc.latency, &acc.stage, journal_on,
                            ts_on ? &acc.seriesRec : nullptr, tsViolSat_});
         });
     for (std::size_t shard = 0; shard < shards; ++shard)
@@ -439,11 +479,45 @@ DatacenterSim::collectShardSamples()
     for (ShardSample &acc : shardSamples_) {
         sla_.merge(acc.sla);
         acc.sla.reset();
-        latencyWeighted_.merge(acc.latencyWeighted);
-        acc.latencyWeighted.reset();
-        latencyHist_.merge(acc.latencyHist);
-        acc.latencyHist.reset();
+        latency_.merge(acc.latency);
+        acc.latency = {};
     }
+}
+
+std::string
+DatacenterSim::auditRefreshExpiry() const
+{
+    const FleetStore &fleet = cluster_.fleet();
+    const std::size_t shards = refreshExpiry_.size();
+    if (shards == 0 || refreshGeneration_ != fleet.spanGeneration() ||
+        placedEpoch_ != cluster_.placementEpoch() ||
+        shards != sim::ThreadPool::shardCount(placedIds_.size(),
+                                              kVmRefreshShardGrain))
+        return {};
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+        const auto [begin, end] =
+            sim::ThreadPool::shardRange(placedIds_.size(), shards, shard);
+        std::int64_t expiry = std::numeric_limits<std::int64_t>::max();
+        VmId earliest = -1;
+        for (std::size_t k = begin; k < end; ++k) {
+            const VmId v = placedIds_[k];
+            const workload::DemandTrace *trace = fleet.vmTrace(v);
+            const std::int64_t until =
+                trace != nullptr && trace->pointSpan()
+                    ? std::numeric_limits<std::int64_t>::min()
+                    : fleet.vmValidUntilUs(v);
+            if (until < expiry) {
+                expiry = until;
+                earliest = v;
+            }
+        }
+        if (expiry != refreshExpiry_[shard])
+            return "refresh range " + std::to_string(shard) +
+                   " caches expiry " + std::to_string(refreshExpiry_[shard]) +
+                   " us, but VM " + std::to_string(earliest) +
+                   " is valid until " + std::to_string(expiry) + " us";
+    }
+    return {};
 }
 
 const std::vector<Vm *> &
@@ -460,6 +534,7 @@ DatacenterSim::placedVms()
             }
         }
         placedEpoch_ = epoch;
+        refreshExpiry_.clear();
     }
     return placedVms_;
 }
@@ -560,7 +635,9 @@ DatacenterSim::metrics()
     m.p5Performance = sla_.performancePercentile(0.05);
     m.worstPerformance = sla_.worstPerformance();
     m.meanLatencyFactor =
-        latencyWeighted_.count() > 0 ? latencyWeighted_.mean() : 1.0;
+        latency_.count > 0
+            ? latency_.sum / static_cast<double>(latency_.count)
+            : 1.0;
     m.p95LatencyFactor =
         latencyHist_.count() > 0 ? latencyHist_.percentile(0.95) : 1.0;
     m.averageHostsOn = hostsOnTracker_.average();

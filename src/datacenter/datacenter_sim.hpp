@@ -21,6 +21,7 @@
 
 #include "datacenter/cluster.hpp"
 #include "datacenter/migration.hpp"
+#include "datacenter/sample_pass.hpp"
 #include "simcore/simulator.hpp"
 #include "stats/histogram.hpp"
 #include "stats/sla_tracker.hpp"
@@ -61,6 +62,10 @@ struct RunMetrics
      * roughly 1/(1 - rho). 1.0 = an idle machine; large values mean the
      * consolidation packed hosts so tight that latency suffers even when
      * throughput (satisfaction) is still fine.
+     *
+     * meanLatencyFactor averages the VM samples with demand > 0 as a
+     * plain sum / count, accumulated in VM order and merged in shard
+     * order.
      */
     double meanLatencyFactor = 1.0;  ///< demand-weighted mean inflation
     double p95LatencyFactor = 1.0;   ///< 95th pct of per-VM inflation
@@ -125,6 +130,20 @@ class DatacenterSim
      *  current. */
     const stats::SlaTracker &sla() const { return sla_; }
 
+    /** Latency factor of every VM sample so far; current after every
+     *  evaluation (it has no per-shard partials). */
+    const stats::Histogram &latencyHistogram() const { return latencyHist_; }
+
+    /**
+     * Audit of the refresh-range expiry cache (see evaluate()): recompute
+     * each range's earliest validUntil from the store and compare with
+     * the cached value. "" when they match or nothing is cached, else the
+     * first range that differs and its earliest VM. A range skipped with
+     * a VM due (validUntil <= now) shows up here as a cached expiry past
+     * that VM's. Call between evaluations.
+     */
+    std::string auditRefreshExpiry() const;
+
     /** Register a hook fired after every periodic evaluation. */
     void addEvaluationHook(EvaluationHook hook);
 
@@ -151,13 +170,12 @@ class DatacenterSim
     void sampleTelemetry();
 
     /**
-     * Fold every shard's pending stats partials into sla_ /
-     * latencyWeighted_ / latencyHist_ in shard index order and reset the
-     * partials. Deliberately lazy — called from metrics() and sla(), not
-     * per tick — because merging the trackers' multi-thousand-bucket
-     * histograms every tick dominates the evaluation loop. Fold points
-     * are simulation-event-driven, so the summation order is still
-     * independent of the thread count.
+     * Fold every shard's pending stats partials into sla_ / latency_ in
+     * shard index order and reset the partials. Deliberately lazy —
+     * called from metrics() and sla(), not per tick — because merging the
+     * SLA trackers' multi-thousand-bucket histograms every tick dominates
+     * the evaluation loop. Fold points are simulation-event-driven, so
+     * the summation order is still independent of the thread count.
      */
     void collectShardSamples();
 
@@ -168,7 +186,9 @@ class DatacenterSim
 
     stats::SlaTracker sla_;
     stats::TimeWeighted hostsOnTracker_;
-    stats::Summary latencyWeighted_;
+    LatencySum latency_;
+    /** Filled once per host per tick, with the host's VM count as the
+     *  copy count (see evaluate()). */
     stats::Histogram latencyHist_{1.0, 21.0, 800};
     bool started_ = false;
     sim::SimTime startedAt_;
@@ -179,6 +199,16 @@ class DatacenterSim
     std::vector<Vm *> placedVms_;
     std::vector<VmId> placedIds_;
     std::uint64_t placedEpoch_ = ~0ull;
+
+    /**
+     * Refresh-range expiry: per shard of the demand-refresh pass, the
+     * earliest validUntil its last refreshPlacedDemand() call returned;
+     * the pass skips the shard while now is before it. Emptied when the
+     * placed list is rebuilt, and rebuilt when the shard count or the
+     * store's span generation (refreshGeneration_) no longer matches.
+     */
+    std::vector<std::int64_t> refreshExpiry_;
+    std::uint64_t refreshGeneration_ = 0;
 
     /**
      * @name Idle-hierarchy occupancy accumulation, allocation-free per tick
@@ -227,16 +257,14 @@ class DatacenterSim
      * persistent trackers only by collectShardSamples(); the journal
      * stage is flushed (and thereby emptied) every tick, because record
      * order is observable per tick while stats merges commute across
-     * ticks as long as the shard order is fixed. The histogram layout
-     * must match latencyHist_ and the tracker threshold must match sla_,
-     * or merge() panics.
+     * ticks as long as the shard order is fixed. The tracker threshold
+     * must match sla_, or merge() panics.
      */
     struct ShardSample
     {
         explicit ShardSample(double threshold) : sla(threshold) {}
         stats::SlaTracker sla;
-        stats::Summary latencyWeighted;
-        stats::Histogram latencyHist{1.0, 21.0, 800};
+        LatencySum latency;
         telemetry::JournalStage stage;
         /** Time-series partials (violation satisfaction); folded into the
          *  store in shard index order every tick, like the stage. */

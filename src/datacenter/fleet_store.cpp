@@ -80,6 +80,7 @@ FleetStore::growHosts(std::size_t n)
     growColumn(hostQueued_, hostCount_, cap, std::uint8_t{0});
     growColumn(hostPhase_, hostCount_, cap, kPhaseOn);
     growColumn(hostHasHierarchy_, hostCount_, cap, std::uint8_t{0});
+    growColumn(hostVmCount_, hostCount_, cap, std::uint32_t{0});
     hostCap_ = cap;
 }
 
@@ -120,6 +121,57 @@ FleetStore::registerHost(HostId id, double cpu_capacity_mhz)
     hostFlags_[idx(id)].store(kAllDirty | kFactorDirty,
                               std::memory_order_relaxed);
     queueAllocDirty(id);
+    // Only hand-built test fleets name a host before registering it.
+    if (strayVmHosts_ > 0)
+        recountHostVms();
+}
+
+void
+FleetStore::setVmHost(VmId v, HostId h)
+{
+    HostId &slot = vmHost_[idx(v)];
+    countVmOnHost(slot, -1);
+    countVmOnHost(h, +1);
+    slot = h;
+}
+
+void
+FleetStore::countVmOnHost(HostId h, int delta)
+{
+    if (h < 0)
+        return;
+    if (idx(h) < hostCount_)
+        hostVmCount_[idx(h)] += static_cast<std::uint32_t>(delta);
+    else
+        strayVmHosts_ += static_cast<std::size_t>(delta);
+}
+
+void
+FleetStore::recountHostVms()
+{
+    std::fill(hostVmCount_.get(), hostVmCount_.get() + hostCount_, 0u);
+    strayVmHosts_ = 0;
+    for (std::size_t v = 0; v < vmCount_; ++v)
+        countVmOnHost(vmHost_[v], +1);
+}
+
+std::string
+FleetStore::auditHostVmCounts() const
+{
+    std::vector<std::uint32_t> counts(hostCount_, 0);
+    for (std::size_t v = 0; v < vmCount_; ++v) {
+        const HostId h = vmHost_[v];
+        if (h >= 0 && idx(h) < hostCount_)
+            ++counts[idx(h)];
+    }
+    for (std::size_t h = 0; h < hostCount_; ++h) {
+        if (counts[h] != hostVmCount_[h])
+            return "host " + std::to_string(h) + " caches " +
+                   std::to_string(hostVmCount_[h]) +
+                   " VMs, the host column names it " +
+                   std::to_string(counts[h]) + " times";
+    }
+    return {};
 }
 
 void
@@ -157,11 +209,12 @@ FleetStore::setHostPhase(HostId h, std::uint8_t phase)
     hostPhase_[idx(h)] = phase;
 }
 
-void
+std::int64_t
 FleetStore::refreshPlacedDemand(const VmId *ids, std::size_t n,
                                 std::int64_t now_us)
 {
     const sim::SimTime now = sim::SimTime::micros(now_us);
+    std::int64_t expiry = std::numeric_limits<std::int64_t>::max();
     for (std::size_t k = 0; k < n; ++k) {
         // Look ahead within this call's id range only (the owner-shard
         // rule: a VM's trace cursor belongs to the shard that lists it).
@@ -180,11 +233,15 @@ FleetStore::refreshPlacedDemand(const VmId *ids, std::size_t n,
             // the span path would produce, minus the span struct and the
             // validity read/write.
             demand = vmTrace_[v]->utilizationAt(now) * vmCpuMhz_[v];
+            expiry = std::numeric_limits<std::int64_t>::min();
         } else {
-            if (now_us < vmValidUntilUs_[v])
+            if (now_us < vmValidUntilUs_[v]) {
+                expiry = std::min(expiry, vmValidUntilUs_[v]);
                 continue;
+            }
             const workload::DemandSpan span = vmTrace_[v]->spanAt(now);
             vmValidUntilUs_[v] = span.validUntil.micros();
+            expiry = std::min(expiry, vmValidUntilUs_[v]);
             demand = span.utilization * vmCpuMhz_[v];
         }
         if (demand == vmDemand_[v])
@@ -207,6 +264,7 @@ FleetStore::refreshPlacedDemand(const VmId *ids, std::size_t n,
                 markHost(h, bits);
         }
     }
+    return expiry;
 }
 
 void

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace vpm::workload {
@@ -101,16 +102,28 @@ class FleetStore
     void setVmGrantedMhz(VmId v, double mhz) { vmGranted_[idx(v)] = mhz; }
 
     HostId vmHost(VmId v) const { return vmHost_[idx(v)]; }
-    void setVmHost(VmId v, HostId h) { vmHost_[idx(v)] = h; }
+    /** The only writer of the host column; keeps hostVmCountData() in
+     *  step. */
+    void setVmHost(VmId v, HostId h);
 
     std::int64_t vmValidUntilUs(VmId v) const
     {
         return vmValidUntilUs_[idx(v)];
     }
+    /** Overwrite a VM's span horizon from outside the refresh kernel;
+     *  moves spanGeneration(). */
     void setVmValidUntilUs(VmId v, std::int64_t us)
     {
         vmValidUntilUs_[idx(v)] = us;
+        ++spanGeneration_;
     }
+
+    /**
+     * Moves on every setVmValidUntilUs() call — every write of the
+     * validity column except the refresh kernel's own. A cache of
+     * refreshPlacedDemand() results stays valid while this is unchanged.
+     */
+    std::uint64_t spanGeneration() const { return spanGeneration_; }
 
     double vmCpuMhz(VmId v) const { return vmCpuMhz_[idx(v)]; }
     const workload::DemandTrace *vmTrace(VmId v) const
@@ -126,9 +139,14 @@ class FleetStore
      * Re-samples are per-VM independent and idempotent, so any shard
      * partition of the placed-VM list yields identical columns and flags.
      * Host marking crosses host shards, hence the atomic flag bytes.
+     *
+     * @return The earliest time a listed VM needs a re-sample: the least
+     *         validUntil over the ids, INT64_MIN when one is point-span.
+     *         Until then, and while neither the id list nor
+     *         spanGeneration() moves, a call on the same ids does nothing.
      */
-    void refreshPlacedDemand(const VmId *ids, std::size_t n,
-                             std::int64_t now_us);
+    std::int64_t refreshPlacedDemand(const VmId *ids, std::size_t n,
+                                     std::int64_t now_us);
 
     /** @name Per-host columns */
     ///@{
@@ -200,6 +218,13 @@ class FleetStore
     {
         hostHeldWatts_[idx(h)] = watts;
     }
+
+    /**
+     * Recompute every host's VM count from the host column and compare
+     * with hostVmCountData(): "" when all match, else the first host that
+     * differs, with both counts. A test-callable audit of that cache.
+     */
+    std::string auditHostVmCounts() const;
 
     /** Latency-factor scratch written by the evaluate() host pass and
      *  gathered by the VM sampling pass; sized at registration, not per
@@ -358,6 +383,13 @@ class FleetStore
     }
     const HostId *vmHostData() const { return vmHost_.get(); }
     const double *latencyFactorData() const { return latencyFactor_.get(); }
+    /** Per host, the number of VMs whose host column names it; kept by
+     *  setVmHost(). A VM carrying an id outside [0, hostCount()) counts
+     *  on no host; a host registered later under that id picks it up. */
+    const std::uint32_t *hostVmCountData() const
+    {
+        return hostVmCount_.get();
+    }
     ///@}
 
   private:
@@ -374,6 +406,12 @@ class FleetStore
      *  kind. New rows get the documented defaults. */
     void growHosts(std::size_t n);
     void growVms(std::size_t n);
+
+    /** Count (@p delta +1) or uncount (-1) one VM on host @p h. */
+    void countVmOnHost(HostId h, int delta);
+
+    /** Rebuild hostVmCount_ and strayVmHosts_ from the host column. */
+    void recountHostVms();
 
     template <typename T>
     static void growColumn(std::unique_ptr<T[]> &col, std::size_t old_count,
@@ -414,6 +452,12 @@ class FleetStore
     std::unique_ptr<std::uint8_t[]> hostQueued_;
     std::unique_ptr<std::uint8_t[]> hostPhase_;
     std::unique_ptr<std::uint8_t[]> hostHasHierarchy_;
+    /** VMs per host (see hostVmCountData()); derived from vmHost_, so
+     *  left out of appendSnapshot(). */
+    std::unique_ptr<std::uint32_t[]> hostVmCount_;
+    /** VMs whose host id is >= hostCount_, counted on no host. */
+    std::size_t strayVmHosts_ = 0;
+    std::uint64_t spanGeneration_ = 0;
 
     int hostsOn_ = 0;
     int hostsAsleep_ = 0;

@@ -8,9 +8,9 @@ void
 sampleVmRange(const FleetStore &fleet, const VmId *ids, std::size_t n,
               std::int64_t now_us, const VmSampleSinks &sinks)
 {
-    // Store-direct: raw columns, no Vm object. The batches keep every
-    // running total in registers: stores through the trackers' own
-    // members could alias the column loads, so per-sample record()/add()
+    // Store-direct: raw columns, no Vm object. The batch and the locals
+    // keep every running total in registers: stores through the sinks'
+    // own members could alias the column loads, so per-sample record()
     // calls would round-trip each total through memory.
     const double *demand_col = fleet.vmDemandData();
     const double *granted_col = fleet.vmGrantedData();
@@ -19,8 +19,8 @@ sampleVmRange(const FleetStore &fleet, const VmId *ids, std::size_t n,
     const std::size_t host_count = fleet.hostCount();
     const double threshold = sinks.sla.threshold();
     stats::SlaTracker::Batch sla(sinks.sla);
-    stats::Summary::Batch latency_weighted(sinks.latencyWeighted);
-    stats::Histogram::Batch latency_hist(sinks.latencyHist);
+    double latency_sum = sinks.latency.sum;
+    std::uint64_t latency_count = sinks.latency.count;
     for (std::size_t k = 0; k < n; ++k) {
         const auto v = static_cast<std::size_t>(ids[k]);
         const double demand = demand_col[v];
@@ -45,18 +45,18 @@ sampleVmRange(const FleetStore &fleet, const VmId *ids, std::size_t n,
         // VMs (host off, or rho pinned at the cap) land at the ceiling —
         // as does a VM carrying a stale host id (e.g. its host was just
         // removed), which used to index the factor array out of bounds.
-        const HostId host_id = host_col[v];
-        const auto host_index = static_cast<std::size_t>(host_id);
-        const double factor = host_id >= 0 && host_index < host_count
-                                  ? factor_col[host_index]
-                                  : kStarvedLatencyFactor;
-        latency_hist.add(factor);
-        if (demand > 0.0)
-            latency_weighted.add(factor);
+        if (demand > 0.0) {
+            const HostId host_id = host_col[v];
+            const auto host_index = static_cast<std::size_t>(host_id);
+            latency_sum += host_id >= 0 && host_index < host_count
+                               ? factor_col[host_index]
+                               : kStarvedLatencyFactor;
+            ++latency_count;
+        }
     }
     sla.commit();
-    latency_weighted.commit();
-    latency_hist.commit();
+    sinks.latency.sum = latency_sum;
+    sinks.latency.count = latency_count;
 }
 
 } // namespace vpm::dc

@@ -12,9 +12,7 @@
 #include <cstdint>
 
 #include "datacenter/fleet_store.hpp"
-#include "stats/histogram.hpp"
 #include "stats/sla_tracker.hpp"
-#include "stats/summary.hpp"
 #include "telemetry/event_journal.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -28,6 +26,22 @@ inline constexpr double kUtilizationCap = 0.95;
  *  value substituted when a VM carries a stale/out-of-range host id. */
 inline constexpr double kStarvedLatencyFactor = 1.0 / (1.0 - kUtilizationCap);
 
+/**
+ * Plain running sum of the latency factor over VM samples with demand > 0;
+ * RunMetrics::meanLatencyFactor is sum / count.
+ */
+struct LatencySum
+{
+    double sum = 0.0;
+    std::uint64_t count = 0;
+
+    void merge(const LatencySum &other)
+    {
+        sum += other.sum;
+        count += other.count;
+    }
+};
+
 /** Where one range of the VM sampling pass lands (see sampleVmRange). */
 struct VmSampleSinks
 {
@@ -35,9 +49,7 @@ struct VmSampleSinks
      *  which samples are SLA violations. */
     stats::SlaTracker &sla;
     /** The latency factor of every VM with demand > 0. */
-    stats::Summary &latencyWeighted;
-    /** The latency factor of every VM. */
-    stats::Histogram &latencyHist;
+    LatencySum &latency;
     /** With journalOn, violations are staged here, or journaled straight
      *  into the global journal when this is null. */
     telemetry::JournalStage *stage = nullptr;
@@ -49,13 +61,14 @@ struct VmSampleSinks
 };
 
 /**
- * The VM sampling kernel of DatacenterSim::evaluate(): one SLA sample and
- * one latency-factor sample for each of the @p n VMs in @p ids, read
- * straight from @p fleet's demand, granted, host and latency-factor
- * columns. A VM whose host id lies outside [0, hostCount) reads
- * kStarvedLatencyFactor. The trackers' state stays in locals across the
- * range (their Batch entry points) and is written back once at the end;
- * the result is bit-identical to per-sample record()/add() calls.
+ * The VM sampling kernel of DatacenterSim::evaluate(): one SLA sample for
+ * each of the @p n VMs in @p ids and, when its demand is > 0, its latency
+ * factor into the sum, read straight from @p fleet's demand, granted,
+ * host and latency-factor columns. A VM whose host id lies outside
+ * [0, hostCount) reads kStarvedLatencyFactor. The running state stays in
+ * locals across the range (SlaTracker::Batch) and is written back once
+ * at the end; the result is bit-identical to per-sample record() calls
+ * and a plain `sum += factor` loop.
  */
 void sampleVmRange(const FleetStore &fleet, const VmId *ids, std::size_t n,
                    std::int64_t now_us, const VmSampleSinks &sinks);

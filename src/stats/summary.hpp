@@ -39,9 +39,7 @@ double medianExact(std::vector<double> samples);
 class Summary
 {
   public:
-    /** Add one sample. Inline: this is the per-VM-per-tick hot path of
-     *  the evaluation sweep, and the call itself costs as much as the
-     *  arithmetic. */
+    /** Add one sample. */
     void add(double x)
     {
         ++count_;
@@ -51,15 +49,6 @@ class Summary
         min_ = std::min(min_, x);
         max_ = std::max(max_, x);
     }
-
-    /**
-     * Batch entry point: a local copy of the summary that a sweep add()s
-     * into across a whole range of samples, written back once by commit().
-     * Nothing the sweep loads or stores can alias the copy, so its state
-     * stays in registers; add() is the reference add() above, so the
-     * result is bit-identical to calling add() on the summary itself.
-     */
-    class Batch;
 
     /** Merge another summary into this one (parallel-combine rule). */
     void merge(const Summary &other);
@@ -87,18 +76,6 @@ class Summary
     double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-class Summary::Batch
-{
-  public:
-    explicit Batch(Summary &target) : target_(target), local_(target) {}
-    void add(double x) { local_.add(x); }
-    void commit() { target_ = local_; }
-
-  private:
-    Summary &target_;
-    Summary local_;
 };
 
 /**

@@ -108,20 +108,23 @@ void
 EventJournal::registerTrack(TrackDomain domain, std::int32_t track,
                             std::string_view name)
 {
+    const std::lock_guard<std::mutex> lock(trackMutex_);
     trackNames_[trackKey(domain, track)] = std::string(name);
 }
 
 std::int32_t
 EventJournal::allocateTrack(TrackDomain domain, std::string_view name)
 {
+    const std::lock_guard<std::mutex> lock(trackMutex_);
     const std::int32_t track = nextAllocatedTrack_++;
-    registerTrack(domain, track, name);
+    trackNames_[trackKey(domain, track)] = std::string(name);
     return track;
 }
 
 const std::string &
 EventJournal::trackName(TrackDomain domain, std::int32_t track) const
 {
+    const std::lock_guard<std::mutex> lock(trackMutex_);
     const auto it = trackNames_.find(trackKey(domain, track));
     if (it == trackNames_.end())
         return kEmpty;

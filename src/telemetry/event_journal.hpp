@@ -19,6 +19,7 @@
 #define VPM_TELEMETRY_EVENT_JOURNAL_HPP
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -294,6 +295,14 @@ class EventJournal
     std::vector<std::string> labels_{std::string()};
     std::unordered_map<std::string, LabelId> labelIndex_{{std::string(), 0}};
 
+    /**
+     * Guards trackNames_ and nextAllocatedTrack_: concurrent fleet builds
+     * (replay branches, sweep cells) name their hosts' tracks in the one
+     * global journal. Setup and export only; record() never takes it. A
+     * name reference handed out stays valid (map nodes do not move), but
+     * re-registering that track replaces the string it refers to.
+     */
+    mutable std::mutex trackMutex_;
     std::unordered_map<std::uint64_t, std::string> trackNames_;
     std::int32_t nextAllocatedTrack_ = 1 << 20;
 };

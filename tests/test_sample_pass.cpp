@@ -1,6 +1,6 @@
 /**
  * @file The batched VM sampling kernel (sampleVmRange) against the
- * per-sample SlaTracker::record / Summary::add / Histogram::add calls it
+ * per-sample SlaTracker::record calls and plain latency-factor sum it
  * stands for: every accumulator must come out bit-identical.
  */
 
@@ -35,13 +35,10 @@ expectSameHistogram(const stats::Histogram &a, const stats::Histogram &b)
 }
 
 void
-expectSameSummary(const stats::Summary &a, const stats::Summary &b)
+expectSameLatency(const LatencySum &a, const LatencySum &b)
 {
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_SAME_BITS(a.mean(), b.mean());
-    EXPECT_SAME_BITS(a.variance(), b.variance());
-    EXPECT_SAME_BITS(a.min(), b.min());
-    EXPECT_SAME_BITS(a.max(), b.max());
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_SAME_BITS(a.sum, b.sum);
 }
 
 void
@@ -65,17 +62,15 @@ struct Accumulators
     merge(const Accumulators &shard)
     {
         sla.merge(shard.sla);
-        weighted.merge(shard.weighted);
-        hist.merge(shard.hist);
+        latency.merge(shard.latency);
     }
 
     stats::SlaTracker sla;
-    stats::Summary weighted;
-    stats::Histogram hist{1.0, 21.0, 800};
+    LatencySum latency;
     telemetry::JournalStage stage;
 };
 
-/** The sampling pass as one record()/add() call per sample. */
+/** The sampling pass as one record() call and one `+=` per sample. */
 void
 referenceSample(const FleetStore &fleet, const VmId *ids, std::size_t n,
                 std::int64_t now_us, Accumulators &acc)
@@ -95,9 +90,10 @@ referenceSample(const FleetStore &fleet, const VmId *ids, std::size_t n,
             h >= 0 && static_cast<std::size_t>(h) < fleet.hostCount()
                 ? fleet.latencyFactor(h)
                 : kStarvedLatencyFactor;
-        acc.hist.add(factor);
-        if (demand > 0.0)
-            acc.weighted.add(factor);
+        if (demand > 0.0) {
+            acc.latency.sum += factor;
+            ++acc.latency.count;
+        }
     }
 }
 
@@ -204,8 +200,8 @@ TEST_P(SamplePassEquivalenceTest, BatchedKernelMatchesPerSampleCalls)
                 sim::ThreadPool::shardRange(placed.size(), shards, s);
             Accumulators &acc = batched[s];
             sampleVmRange(fleet, placed.data() + begin, end - begin, now_us,
-                          {acc.sla, acc.weighted, acc.hist, &acc.stage, true,
-                           nullptr, 0});
+                          {acc.sla, acc.latency, &acc.stage, true, nullptr,
+                           0});
             referenceSample(fleet, placed.data() + begin, end - begin,
                             now_us, reference[s]);
         }
@@ -220,22 +216,18 @@ TEST_P(SamplePassEquivalenceTest, BatchedKernelMatchesPerSampleCalls)
     for (std::size_t s = 0; s < shards; ++s) {
         SCOPED_TRACE("shard " + std::to_string(s));
         expectSameSla(batched[s].sla, reference[s].sla);
-        expectSameSummary(batched[s].weighted, reference[s].weighted);
-        expectSameHistogram(batched[s].hist, reference[s].hist);
+        expectSameLatency(batched[s].latency, reference[s].latency);
         batched_total.merge(batched[s]);
         reference_total.merge(reference[s]);
     }
     expectSameSla(batched_total.sla, reference_total.sla);
-    expectSameSummary(batched_total.weighted, reference_total.weighted);
-    expectSameHistogram(batched_total.hist, reference_total.hist);
+    expectSameLatency(batched_total.latency, reference_total.latency);
 
     // The inputs reached every branch.
     const stats::SlaTracker &sla = reference_total.sla;
     EXPECT_GT(sla.violations(), 0u);
     EXPECT_LT(sla.worstPerformance(), 1.0);
-    EXPECT_GT(reference_total.hist.underflow(), 0u);
-    EXPECT_GT(reference_total.hist.overflow(), 0u);
-    EXPECT_LT(reference_total.weighted.count(), reference_total.hist.count());
+    EXPECT_LT(reference_total.latency.count, sla.samples());
 
     const auto batched_events = batched_journal.sortedEvents();
     const auto reference_events = reference_journal.sortedEvents();
