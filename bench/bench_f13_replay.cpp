@@ -1,7 +1,7 @@
 /**
  * @file
- * F13 — Production replay at scale: stream a 1M-VM-day vpm-trace-1
- * demand file through the bounded-window reader while the hierarchical
+ * F13 — Production replay at scale: stream a 1M-VM-day vpm-trace-2
+ * demand file through the time-major block feed while the hierarchical
  * manager and a fleet of per-host idle governors run the day on top.
  *
  * Paper analogue: none directly — this is the systems claim behind the
@@ -12,8 +12,8 @@
  * then drives a full ReplaySession day off it:
  *
  *  - full: 100k hosts / 1M VMs x 24 h = 1M VM-days, ~100M breakpoints —
- *    the trace file is hundreds of MB while the decoded-chunk cache stays
- *    at the configured window (default 8 MiB), which is the whole point;
+ *    the trace file is hundreds of MB while the reader holds one block
+ *    and a 16-byte span per series, which is the whole point;
  *  - quick: 2k hosts / 20k VMs, same dynamics at CI cost;
  *  - the rig's idle governors (spec.governorPeriodS) tick every host
  *    every 5 minutes (hosts x 288 ticks/day), swept as one event per
@@ -22,7 +22,7 @@
  *
  * Determinism: the trace is seeded, the session is spec-built, and all
  * scheduling is main-thread — the policy table and --json report are
- * byte-identical at any --threads. Wall-clock facts (peak RSS, chunk
+ * byte-identical at any --threads. Wall-clock facts (peak RSS, block
  * loads) go to stderr and --bench-json only.
  */
 
@@ -110,7 +110,7 @@ runBody(const vpm::bench::BenchArgs &args, const std::string &trace_path)
         std::to_string(hosts) + " hosts, " + std::to_string(vms) +
             " VMs, 24 h from a " +
             std::to_string(file_bytes >> 20) +
-            " MiB vpm-trace-1 file through a " +
+            " MiB vpm-trace-2 file through a " +
             std::to_string(spec.windowBytes >> 20) +
             " MiB window; hierarchical manager + 5-min idle governors" +
             (args.quick ? " [--quick: 2k hosts]" : ""));
@@ -124,6 +124,11 @@ runBody(const vpm::bench::BenchArgs &args, const std::string &trace_path)
     }
 
     const mgmt::ScenarioResult result = session->finish();
+    if (!session->error().empty()) {
+        std::fprintf(stderr, "bench_f13_replay: %s\n",
+                     session->error().c_str());
+        std::exit(1);
+    }
 
     bench::JsonReport report(args.jsonPath, "F13");
     report.add("Hier@" + std::to_string(hosts), result);
@@ -148,10 +153,8 @@ runBody(const vpm::bench::BenchArgs &args, const std::string &trace_path)
     table.print(std::cout);
 
     std::fprintf(stderr,
-                 "[bench_f13_replay] streaming: %zu cache slots, "
-                 "%llu chunk loads, peak RSS %lld KiB (trace file %llu "
-                 "KiB)\n",
-                 session->trace().cacheSlots(),
+                 "[bench_f13_replay] streaming: %llu block loads, peak "
+                 "RSS %lld KiB (trace file %llu KiB)\n",
                  static_cast<unsigned long long>(
                      session->trace().chunkLoads()),
                  static_cast<long long>(

@@ -86,6 +86,8 @@ DatacenterSim::evaluationTick()
 {
     PROF_ZONE("dcsim.tick");
     evaluate();
+    if (!feedError_.empty())
+        return;
     for (const EvaluationHook &hook : hooks_)
         hook();
     sampleTelemetry();
@@ -274,10 +276,21 @@ void
 DatacenterSim::evaluate()
 {
     PROF_ZONE("dcsim.evaluate");
+    const sim::SimTime now = simulator_.now();
+    bool fed = true;
+    if (demandFeed_) {
+        PROF_ZONE("dcsim.evaluate.feed");
+        fed = feedError_.empty() && demandFeed_(now, &feedError_);
+    }
+    if (!fed) {
+        if (feedError_.empty())
+            feedError_ = "demand feed failed";
+        simulator_.requestStop();
+        return;
+    }
     // Only placed VMs demand CPU: retired VMs are gone, and pending
     // arrivals have not started working (their wait shows up in the
     // provisioning engine's placement-delay stats, not in the SLA).
-    const sim::SimTime now = simulator_.now();
     const std::vector<Vm *> &placed = placedVms();
     const auto &hosts = cluster_.hosts();
     FleetStore &fleet = cluster_.fleet();

@@ -82,6 +82,13 @@ class DatacenterSim
     /** Observer fired after each periodic evaluation completes. */
     using EvaluationHook = std::function<void()>;
 
+    /**
+     * Advances the span slots some VMs' traces publish
+     * (DemandTrace::spanSlot()) to the given instant. @return false with
+     * the error set when it cannot (e.g. a corrupt trace block).
+     */
+    using DemandFeed = std::function<bool(sim::SimTime, std::string *)>;
+
     DatacenterSim(sim::Simulator &simulator, Cluster &cluster,
                   MigrationEngine &migration,
                   const DatacenterConfig &config = {});
@@ -147,6 +154,17 @@ class DatacenterSim
     /** Register a hook fired after every periodic evaluation. */
     void addEvaluationHook(EvaluationHook hook);
 
+    /**
+     * Set the feed evaluate() runs on the main thread before the demand
+     * refresh, so every span slot holds its span at now. A failed feed
+     * stops the simulator and ends the periodic evaluation; feedError()
+     * then says why.
+     */
+    void setDemandFeed(DemandFeed feed) { demandFeed_ = std::move(feed); }
+
+    /** What stopped the demand feed, "" while it runs. */
+    const std::string &feedError() const { return feedError_; }
+
     const DatacenterConfig &config() const { return config_; }
 
   private:
@@ -193,6 +211,8 @@ class DatacenterSim
     bool started_ = false;
     sim::SimTime startedAt_;
     std::vector<EvaluationHook> hooks_;
+    DemandFeed demandFeed_;
+    std::string feedError_;
 
     /** Cached placed-VM list (and the parallel id list the store-direct
      *  passes index with); valid while the epoch matches. */

@@ -21,10 +21,6 @@ static_assert(static_cast<int>(power::PowerPhase::Asleep) == 2,
 static_assert(static_cast<int>(power::PowerPhase::Exiting) == 3,
               "FleetStore phase byte encoding must match PowerPhase");
 
-/** How many VMs ahead the demand-refresh kernel hints the next due span
- *  lookup, so a streamed trace's payload fetch overlaps the VMs between. */
-static constexpr std::size_t kRefreshLookAhead = 16;
-
 template <typename T>
 void
 FleetStore::growColumn(std::unique_ptr<T[]> &col, std::size_t old_count,
@@ -99,7 +95,9 @@ FleetStore::growVms(std::size_t n)
     growColumn<const workload::DemandTrace *>(vmTrace_, vmCount_, cap,
                                               nullptr);
     growColumn(vmPointSpan_, vmCount_, cap, std::uint8_t{0});
-    growColumn(vmSpanPrefetch_, vmCount_, cap, std::uint8_t{0});
+    if (vmSpanSlot_)
+        growColumn<const workload::SpanSlot *>(vmSpanSlot_, vmCount_, cap,
+                                               nullptr);
     vmCap_ = cap;
 }
 
@@ -187,8 +185,14 @@ FleetStore::registerVm(VmId id, double cpu_mhz, double memory_mb,
     vmCpuMhz_[idx(id)] = cpu_mhz;
     vmTrace_[idx(id)] = trace;
     vmPointSpan_[idx(id)] = trace != nullptr && trace->pointSpan() ? 1 : 0;
-    vmSpanPrefetch_[idx(id)] =
-        trace != nullptr && trace->hasSpanPrefetch() ? 1 : 0;
+    const workload::SpanSlot *slot =
+        trace != nullptr ? trace->spanSlot() : nullptr;
+    if (slot != nullptr && !vmSpanSlot_) {
+        vmSpanSlot_.reset(new const workload::SpanSlot *[vmCap_]);
+        std::fill(vmSpanSlot_.get(), vmSpanSlot_.get() + vmCap_, nullptr);
+    }
+    if (vmSpanSlot_)
+        vmSpanSlot_[idx(id)] = slot;
 }
 
 void
@@ -214,17 +218,9 @@ FleetStore::refreshPlacedDemand(const VmId *ids, std::size_t n,
                                 std::int64_t now_us)
 {
     const sim::SimTime now = sim::SimTime::micros(now_us);
+    const workload::SpanSlot *const *slots = vmSpanSlot_.get();
     std::int64_t expiry = std::numeric_limits<std::int64_t>::max();
     for (std::size_t k = 0; k < n; ++k) {
-        // Look ahead within this call's id range only (the owner-shard
-        // rule: a VM's trace cursor belongs to the shard that lists it).
-        // Gating on the prefetch column rather than on !point keeps the
-        // branch predictable on fleets that mix point and span traces.
-        if (k + kRefreshLookAhead < n) {
-            const std::size_t ahead = idx(ids[k + kRefreshLookAhead]);
-            if (vmSpanPrefetch_[ahead] && now_us >= vmValidUntilUs_[ahead])
-                vmTrace_[ahead]->prefetchSpan();
-        }
         const std::size_t v = idx(ids[k]);
         double demand;
         if (vmPointSpan_[v]) {
@@ -239,10 +235,19 @@ FleetStore::refreshPlacedDemand(const VmId *ids, std::size_t n,
                 expiry = std::min(expiry, vmValidUntilUs_[v]);
                 continue;
             }
-            const workload::DemandSpan span = vmTrace_[v]->spanAt(now);
-            vmValidUntilUs_[v] = span.validUntil.micros();
+            double utilization;
+            if (const workload::SpanSlot *slot =
+                    slots != nullptr ? slots[v] : nullptr) {
+                // A fed span table (replay): the slot is spanAt(now).
+                vmValidUntilUs_[v] = slot->validUntilUs;
+                utilization = slot->utilization;
+            } else {
+                const workload::DemandSpan span = vmTrace_[v]->spanAt(now);
+                vmValidUntilUs_[v] = span.validUntil.micros();
+                utilization = span.utilization;
+            }
             expiry = std::min(expiry, vmValidUntilUs_[v]);
-            demand = span.utilization * vmCpuMhz_[v];
+            demand = utilization * vmCpuMhz_[v];
         }
         if (demand == vmDemand_[v])
             continue;

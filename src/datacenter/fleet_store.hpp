@@ -38,6 +38,7 @@
 
 namespace vpm::workload {
 class DemandTrace;
+struct SpanSlot;
 }
 
 namespace vpm::dc {
@@ -136,6 +137,8 @@ class FleetStore
      * The flat demand-refresh kernel: re-sample each listed VM's demand
      * from its trace unless the cached span still covers @p now_us, and
      * mark the resident host demand+alloc dirty when the value changed.
+     * A VM whose trace has a span slot (DemandTrace::spanSlot()) reads
+     * the slot, which its feed must have advanced to @p now_us.
      * Re-samples are per-VM independent and idempotent, so any shard
      * partition of the placed-VM list yields identical columns and flags.
      * Host marking crosses host shards, hence the atomic flag bytes.
@@ -433,10 +436,11 @@ class FleetStore
      *  refresh kernel then resamples unconditionally and skips the span
      *  struct and the validity column. */
     std::unique_ptr<std::uint8_t[]> vmPointSpan_;
-    /** 1 when the trace has a span prefetch
-     *  (DemandTrace::hasSpanPrefetch()): only these VMs get the refresh
-     *  kernel's look-ahead. Derived at registration, so not snapshotted. */
-    std::unique_ptr<std::uint8_t[]> vmSpanPrefetch_;
+    /** The trace's fed span slot (DemandTrace::spanSlot()), or nullptr:
+     *  the refresh kernel reads it instead of calling spanAt(). Allocated
+     *  with the first VM that has one, so other fleets pay nothing.
+     *  Derived at registration, so not snapshotted. */
+    std::unique_ptr<const workload::SpanSlot *[]> vmSpanSlot_;
 
     // Per-host columns.
     std::unique_ptr<double[]> hostCapMhz_;

@@ -58,22 +58,6 @@ Vm::setCurrentDemandMhz(double mhz)
         hostPtr_->markLoadChanged();
 }
 
-bool
-Vm::refreshDemand(sim::SimTime now)
-{
-    if (now.micros() < store_->vmValidUntilUs(id_))
-        return false;
-    const workload::DemandSpan span = spec_.trace->spanAt(now);
-    store_->setVmValidUntilUs(id_, span.validUntil.micros());
-    const double demand = span.utilization * spec_.cpuMhz;
-    if (demand == store_->vmDemandMhz(id_))
-        return false;
-    store_->setVmDemandMhz(id_, demand);
-    if (hostPtr_)
-        hostPtr_->markLoadChanged();
-    return true;
-}
-
 void
 Vm::setGrantedMhz(double mhz)
 {

@@ -85,15 +85,6 @@ class Vm
     /** Overwrite the captured demand, dropping any cached trace span. */
     void setCurrentDemandMhz(double mhz);
 
-    /**
-     * Re-sample demand from the trace at @p now unless the cached span
-     * still covers it. Returns true when the value actually changed (the
-     * resident host's aggregates are invalidated in that case). Main-
-     * thread only — the evaluation engine's sharded refresh goes through
-     * FleetStore::refreshPlacedDemand instead.
-     */
-    bool refreshDemand(sim::SimTime now);
-
     /** End of the cached demand span, exclusive (exposed for tests). */
     sim::SimTime demandValidUntil() const
     {

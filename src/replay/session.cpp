@@ -365,7 +365,7 @@ ReplaySession::buildFleet(std::string *error)
         vm_spec.name = "vm" + std::to_string(v);
         vm_spec.cpuMhz = spec_.vmCpuMhz;
         vm_spec.memoryMb = spec_.vmMemoryMb;
-        vm_spec.trace = trace_->vmTrace(
+        vm_spec.trace = trace_->seriesTrace(
             static_cast<std::uint32_t>(v) % trace_vms);
         cluster_->addVm(std::move(vm_spec));
     }
@@ -380,12 +380,18 @@ ReplaySession::buildFleet(std::string *error)
     // The governor ticks are scheduled here, ahead of the first
     // evaluation, which dcsim's start() schedules at the first runTo().
     rig_ = std::make_unique<mgmt::Rig>(simulator_, *cluster_, config);
+    // The trace's span table advances with the evaluation clock; the
+    // demand refresh reads it.
+    rig_->dcsim().setDemandFeed(
+        [trace = trace_](sim::SimTime now, std::string *feed_error) {
+            return trace->feedTo(now, feed_error);
+        });
     if (spec_.governorPeriodS > 0.0)
         rig_->startIdleGovernors(
             sim::SimTime::seconds(spec_.governorPeriodS));
 }
 
-void
+bool
 ReplaySession::runTo(sim::SimTime t)
 {
     if (finished_)
@@ -396,7 +402,15 @@ ReplaySession::runTo(sim::SimTime t)
         rig_->dcsim().start();
         started_ = true;
     }
-    simulator_.runUntil(t);
+    if (error().empty())
+        simulator_.runUntil(t);
+    return error().empty();
+}
+
+const std::string &
+ReplaySession::error() const
+{
+    return rig_->dcsim().feedError();
 }
 
 CheckpointData
@@ -572,7 +586,11 @@ restoreCheckpoint(const CheckpointData &ckpt, bool verify,
         ReplaySession::create(spec, error);
     if (!session)
         return nullptr;
-    session->runTo(sim::SimTime::micros(ckpt.timeUs));
+    if (!session->runTo(sim::SimTime::micros(ckpt.timeUs))) {
+        if (error != nullptr)
+            *error = session->error();
+        return nullptr;
+    }
     if (!verify)
         return session;
 
@@ -733,13 +751,21 @@ runBranches(const CheckpointData &ckpt,
                 ReplaySession::create(spec, &cell_error);
             bool ok = session != nullptr;
             if (ok) {
-                session->runTo(sim::SimTime::micros(ckpt.timeUs));
-                if (cell_spec.policy != "joint")
+                ok = session->runTo(sim::SimTime::micros(ckpt.timeUs));
+                if (!ok)
+                    cell_error = session->error();
+                else if (cell_spec.policy != "joint")
                     ok = session->applyVariant(cell_spec.policy,
                                                &cell_error);
             }
+            mgmt::ScenarioResult result;
             if (ok) {
-                const mgmt::ScenarioResult result = session->finish();
+                result = session->finish();
+                ok = session->error().empty();
+                if (!ok)
+                    cell_error = session->error();
+            }
+            if (ok) {
                 const auto t1 = std::chrono::steady_clock::now();
                 const double ms =
                     std::chrono::duration<double, std::milli>(t1 - t0)

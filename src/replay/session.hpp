@@ -1,7 +1,7 @@
 /**
  * @file
  * ReplaySession: a fully-described, checkpointable simulation run driven
- * by a vpm-trace-1 demand file.
+ * by a vpm-trace-2 demand file.
  *
  * Where runScenario() draws its fleet from the stochastic enterprise mix,
  * a replay session is built from a ReplaySpec — a small, serializable
@@ -54,7 +54,7 @@ struct ReplaySpec
 {
     std::string name = "replay";
 
-    /** vpm-trace-1 demand file; VM v samples trace (v % trace VM count). */
+    /** vpm-trace-2 demand file; VM v samples series (v % series count). */
     std::string tracePath;
 
     int hosts = 8;
@@ -91,7 +91,8 @@ struct ReplaySpec
 
     std::uint64_t seed = 42;
 
-    /** Decoded-chunk cache budget for the streaming trace reader. */
+    /** Slice-cache budget of the trace reader's per-series views (the
+     *  session's own VMs read the fed span table instead). */
     std::uint64_t windowBytes = 8ull << 20;
 
     /**
@@ -137,8 +138,13 @@ class ReplaySession
     sim::SimTime duration() const;
 
     /** Advance simulation to @p t (>= now). Never closes meters, so any
-     *  number of pauses leaves the run bit-identical to an unpaused one. */
-    void runTo(sim::SimTime t);
+     *  number of pauses leaves the run bit-identical to an unpaused one.
+     *  @return false, with error() set, once the trace feed failed (a
+     *  corrupt block); the run stops there and goes no further. */
+    bool runTo(sim::SimTime t);
+
+    /** Why the run stopped early ("" while it is sound). */
+    const std::string &error() const;
 
     /** Snapshot all determinism-bearing state (see checkpoint.hpp).
      *  Read-only: capturing does not perturb the run. */
@@ -159,7 +165,8 @@ class ReplaySession
     bool applyVariant(const std::string &policy, std::string *error);
 
     /** Run to the configured duration and close out metrics. Call
-     *  exactly once; the session is read-only afterwards. */
+     *  exactly once; the session is read-only afterwards. The result is
+     *  meaningless when error() is set afterwards. */
     mgmt::ScenarioResult finish();
 
     /** Streaming-reader diagnostics (bench reporting). */

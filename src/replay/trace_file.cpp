@@ -3,68 +3,62 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <mutex>
+#include <numeric>
+#include <tuple>
+#include <unordered_map>
 
 #include "simcore/logging.hpp"
-#include "simcore/random.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define VPM_TRACE_HAVE_PREAD 1
-#else
-#define VPM_TRACE_HAVE_PREAD 0
-#endif
 
 namespace vpm::replay {
 
 namespace {
 
-constexpr char kMagic[8] = {'v', 'p', 'm', 't', 'r', 'c', '1', '\n'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 40;
-constexpr std::size_t kChunkHeaderBytes = 32;
-constexpr std::size_t kIndexEntryBytes = 24;
-constexpr std::int64_t kOpenEnd =
-    std::numeric_limits<std::int64_t>::max();
+constexpr char kMagic[8] = {'v', 'p', 'm', 't', 'r', 'c', '2', '\n'};
+constexpr char kMagicV1[8] = {'v', 'p', 'm', 't', 'r', 'c', '1', '\n'};
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kHeaderBytes = 56;
+constexpr std::uint32_t kGroupSeries = 256;
+constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
+/** A bucket's tail spills once it holds this many bytes. */
+constexpr std::size_t kSpillBytes = 64 << 10;
 
+/** Append one record's four fields as LEB128 varints, in one insert. */
 void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+putRecord(std::vector<std::uint8_t> &out, std::uint64_t a, std::uint64_t b,
+          std::uint64_t c, std::uint64_t d)
 {
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
+    std::uint8_t buf[40];
+    std::size_t n = 0;
+    for (std::uint64_t v : {a, b, c, d}) {
+        while (v >= 0x80) {
+            buf[n++] = static_cast<std::uint8_t>(v) | 0x80;
+            v >>= 7;
+        }
+        buf[n++] = static_cast<std::uint8_t>(v);
     }
-    out.push_back(static_cast<std::uint8_t>(v));
+    out.insert(out.end(), buf, buf + n);
 }
 
-std::uint64_t
-zigzag(std::int64_t v)
+/** Decode one LEB128 varint from [p, end); false on truncation or a
+ *  varint longer than 64 bits' worth of groups. */
+inline bool
+readVarint(const std::uint8_t *&p, const std::uint8_t *end,
+           std::uint64_t &out)
 {
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v >> 1) ^
-           -static_cast<std::int64_t>(v & 1);
-}
-
-/** Decode one varint; returns false on truncation/overflow. */
-bool
-getVarint(const std::uint8_t *data, std::size_t n, std::size_t &pos,
-          std::uint64_t &out)
-{
+    if (p < end && *p < 0x80) {
+        out = *p++;
+        return true;
+    }
     std::uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
-        if (pos >= n)
+        if (p >= end)
             return false;
-        const std::uint8_t byte = data[pos++];
+        const std::uint8_t byte = *p++;
         v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
         if ((byte & 0x80) == 0) {
             out = v;
@@ -97,76 +91,95 @@ getRaw(const std::uint8_t *p)
 TraceFileWriter::TraceFileWriter(const std::string &path,
                                  std::uint32_t vm_count,
                                  std::uint32_t quantum,
-                                 std::uint32_t samples_per_chunk)
-    : out_(path, std::ios::binary | std::ios::trunc), vmCount_(vm_count),
-      quantum_(quantum), samplesPerChunk_(samples_per_chunk),
-      index_(vm_count)
+                                 std::int64_t block_us)
+    : out_(path, std::ios::binary | std::ios::trunc),
+      spillPath_(path + ".spill"), vmCount_(vm_count), quantum_(quantum),
+      blockUs_(block_us), unitUs_(block_us)
 {
     if (vm_count == 0)
         sim::fatal("TraceFileWriter: need at least one VM");
     if (quantum == 0)
         sim::fatal("TraceFileWriter: quantum must be >= 1");
-    if (samples_per_chunk < 2)
-        sim::fatal("TraceFileWriter: samples per chunk must be >= 2");
-    // Placeholder header; finish() seeks back and patches the real one.
-    out_.write(kMagic, sizeof(kMagic));
-    putRaw<std::uint32_t>(out_, kVersion);
-    putRaw<std::uint32_t>(out_, vmCount_);
-    putRaw<std::uint32_t>(out_, quantum_);
-    putRaw<std::uint32_t>(out_, samplesPerChunk_);
-    putRaw<std::uint64_t>(out_, 0); // index_offset
-    putRaw<std::uint64_t>(out_, 0); // total_samples
+    if (block_us < 1 || block_us > kMaxBlockUs)
+        sim::fatal("TraceFileWriter: block length must be in [1, %lld] us",
+                   static_cast<long long>(kMaxBlockUs));
 }
 
-void
-TraceFileWriter::flushChunk(const PendingChunk &chunk,
-                            std::int64_t end_ts_us)
+TraceFileWriter::~TraceFileWriter()
 {
-    std::vector<std::uint8_t> payload;
-    payload.reserve(chunk.ts.size() * 3);
-    putVarint(payload, chunk.level[0]);
-    for (std::size_t i = 1; i < chunk.ts.size(); ++i) {
-        putVarint(payload,
-                  static_cast<std::uint64_t>(chunk.ts[i] - chunk.ts[i - 1]));
-        putVarint(payload,
-                  zigzag(static_cast<std::int64_t>(chunk.level[i]) -
-                         static_cast<std::int64_t>(chunk.level[i - 1])));
+    if (spill_.is_open()) {
+        spill_.close();
+        std::remove(spillPath_.c_str());
     }
+}
 
-    IndexEntry &entry = index_[static_cast<std::size_t>(currentVm_)];
-    if (entry.chunkCount == 0)
-        entry.firstChunkOffset = static_cast<std::uint64_t>(out_.tellp());
-    putRaw<std::uint32_t>(out_, static_cast<std::uint32_t>(currentVm_));
-    putRaw<std::uint32_t>(out_, static_cast<std::uint32_t>(chunk.ts.size()));
-    putRaw<std::uint32_t>(out_, static_cast<std::uint32_t>(payload.size()));
-    putRaw<std::uint32_t>(out_, 0);
-    putRaw<std::int64_t>(out_, chunk.ts[0]);
-    putRaw<std::int64_t>(out_, end_ts_us);
-    out_.write(reinterpret_cast<const char *>(payload.data()),
-               static_cast<std::streamsize>(payload.size()));
-
-    ++entry.chunkCount;
-    entry.totalSamples += static_cast<std::uint32_t>(chunk.ts.size());
-    entry.byteLen += kChunkHeaderBytes + payload.size();
-    totalSamples_ += chunk.ts.size();
+bool
+TraceFileWriter::spillBucket(Bucket &bucket)
+{
+    if (!spill_.is_open()) {
+        spill_.open(spillPath_, std::ios::binary | std::ios::in |
+                                    std::ios::out | std::ios::trunc);
+        if (!spill_.is_open())
+            return false;
+    }
+    spill_.seekp(static_cast<std::streamoff>(spillBytes_));
+    spill_.write(reinterpret_cast<const char *>(bucket.tail.data()),
+                 static_cast<std::streamsize>(bucket.tail.size()));
+    bucket.segments.emplace_back(spillBytes_, bucket.tail.size());
+    spillBytes_ += bucket.tail.size();
+    bucket.tail.clear();
+    return spill_.good();
 }
 
 void
-TraceFileWriter::finishCurrentVm()
+TraceFileWriter::emit(std::uint32_t series, std::int64_t start,
+                      std::uint32_t level, std::int64_t end)
+{
+    const std::int64_t block = start / blockUs_;
+    if (block >= kMaxBlocks)
+        sim::fatal("TraceFileWriter: a breakpoint at %lld us lies past "
+                   "block %lld; raise the block length",
+                   static_cast<long long>(start),
+                   static_cast<long long>(kMaxBlocks));
+    if (buckets_.size() <= static_cast<std::size_t>(block))
+        buckets_.resize(static_cast<std::size_t>(block) + 1);
+    Bucket &bucket = buckets_[static_cast<std::size_t>(block)];
+    // Spill records keep raw microseconds: unit_us, the gcd of block_us
+    // and every offset and length stored, is known only at the end.
+    const std::int64_t offset = start - block * blockUs_;
+    const std::int64_t len = end == kForever ? 0 : end - start;
+    putRecord(bucket.tail, series - bucket.lastSeries,
+              static_cast<std::uint64_t>(offset), level,
+              static_cast<std::uint64_t>(len));
+    bucket.lastSeries = series;
+    if (offset != 0)
+        unitUs_ = std::gcd(unitUs_, offset);
+    // Sampled traces repeat one span length: skip the gcd on a repeat.
+    if (len != lastLen_) {
+        unitUs_ = std::gcd(unitUs_, len);
+        lastLen_ = len;
+    }
+    if (bucket.tail.size() >= kSpillBytes && spillOk_)
+        spillOk_ = spillBucket(bucket);
+}
+
+void
+TraceFileWriter::closeCurrentVm()
 {
     if (currentVm_ < 0)
         return;
-    // The held chunk's span ends where the open chunk begins; the last
-    // chunk of the VM is open-ended (its final level holds forever).
-    if (haveHeld_) {
-        flushChunk(held_, open_.ts.empty() ? kOpenEnd : open_.ts.front());
-        held_ = PendingChunk{};
-        haveHeld_ = false;
-    }
-    if (!open_.ts.empty()) {
-        flushChunk(open_, kOpenEnd);
-        open_ = PendingChunk{};
-    }
+    emit(static_cast<std::uint32_t>(currentVm_), openStart_, openLevel_,
+         kForever);
+    nextSeries_ = static_cast<std::uint32_t>(currentVm_) + 1;
+    currentVm_ = -1;
+}
+
+void
+TraceFileWriter::emitEmptyUpTo(std::uint32_t upto)
+{
+    // A series without breakpoints holds level 0 forever.
+    for (; nextSeries_ < upto; ++nextSeries_)
+        emit(nextSeries_, 0, 0, kForever);
 }
 
 void
@@ -182,40 +195,143 @@ TraceFileWriter::append(std::uint32_t vm, std::int64_t ts_us,
         sim::fatal("TraceFileWriter: vm ids must be nondecreasing "
                    "(%u after %lld)", vm,
                    static_cast<long long>(currentVm_));
-
-    if (static_cast<std::int64_t>(vm) != currentVm_) {
-        finishCurrentVm();
-        currentVm_ = static_cast<std::int64_t>(vm);
-        haveLast_ = false;
-    }
-    if (haveLast_ && ts_us <= lastTs_)
-        sim::fatal("TraceFileWriter: timestamps must be strictly "
-                   "increasing within a VM (vm %u, %lld after %lld)", vm,
-                   static_cast<long long>(ts_us),
-                   static_cast<long long>(lastTs_));
+    if (ts_us < 0)
+        sim::fatal("TraceFileWriter: timestamps must be >= 0 (vm %u, "
+                   "%lld)", vm, static_cast<long long>(ts_us));
 
     const double clamped = std::clamp(utilization, 0.0, 1.0);
     const std::uint32_t level = static_cast<std::uint32_t>(
         std::lround(clamped * static_cast<double>(quantum_)));
 
-    // Run-length merge: an unchanged level just extends the prior span.
-    if (haveLast_ && level == lastLevel_) {
+    if (static_cast<std::int64_t>(vm) != currentVm_) {
+        closeCurrentVm();
+        emitEmptyUpTo(vm);
+        currentVm_ = static_cast<std::int64_t>(vm);
+        // The first span is backward-extended: it starts at 0.
+        openStart_ = 0;
+        openLevel_ = level;
         lastTs_ = ts_us;
+        ++totalSamples_;
         return;
     }
-    haveLast_ = true;
+    if (ts_us <= lastTs_)
+        sim::fatal("TraceFileWriter: timestamps must be strictly "
+                   "increasing within a VM (vm %u, %lld after %lld)", vm,
+                   static_cast<long long>(ts_us),
+                   static_cast<long long>(lastTs_));
     lastTs_ = ts_us;
-    lastLevel_ = level;
+    // Run-length merge: an unchanged level just extends the open span.
+    if (level == openLevel_)
+        return;
+    emit(vm, openStart_, openLevel_, ts_us);
+    openStart_ = ts_us;
+    openLevel_ = level;
+    ++totalSamples_;
+}
 
-    open_.ts.push_back(ts_us);
-    open_.level.push_back(level);
-    if (open_.ts.size() >= samplesPerChunk_) {
-        if (haveHeld_)
-            flushChunk(held_, open_.ts.front());
-        held_ = std::move(open_);
-        haveHeld_ = true;
-        open_ = PendingChunk{};
+bool
+TraceFileWriter::writeBlock(const Bucket &bucket, std::uint32_t block,
+                            std::string *error)
+{
+    const auto fail = [&](const std::string &what) {
+        if (error != nullptr)
+            *error = what;
+        return false;
+    };
+    const std::uint64_t group_count =
+        (vmCount_ + std::uint64_t{kGroupSeries} - 1) / kGroupSeries;
+    std::vector<std::uint32_t> directory(group_count, 0);
+    std::vector<std::uint8_t> payload;
+    std::uint64_t open_group = 0;
+    std::uint64_t prev_series = 0;
+    std::uint32_t series = 0;
+
+    // Re-encode the spilled records with unit_us and the group deltas.
+    const auto unit = static_cast<std::uint64_t>(unitUs_);
+    const auto encode = [&](const std::vector<std::uint8_t> &bytes) {
+        const std::uint8_t *p = bytes.data();
+        const std::uint8_t *end = p + bytes.size();
+        while (p < end) {
+            std::uint64_t ds = 0, off = 0, level = 0, len = 0;
+            if (!readVarint(p, end, ds) || !readVarint(p, end, off) ||
+                !readVarint(p, end, level) || !readVarint(p, end, len))
+                return false;
+            series += static_cast<std::uint32_t>(ds);
+            const std::uint64_t group = series / kGroupSeries;
+            while (open_group < group) {
+                directory[open_group++] =
+                    static_cast<std::uint32_t>(payload.size());
+                prev_series = open_group * kGroupSeries;
+            }
+            putRecord(payload, series - prev_series, off / unit, level,
+                      len / unit);
+            prev_series = series;
+        }
+        return true;
+    };
+    std::vector<std::uint8_t> segment;
+    for (const auto &[offset, bytes] : bucket.segments) {
+        segment.resize(static_cast<std::size_t>(bytes));
+        spill_.seekg(static_cast<std::streamoff>(offset));
+        spill_.read(reinterpret_cast<char *>(segment.data()),
+                    static_cast<std::streamsize>(bytes));
+        if (!spill_.good() || !encode(segment))
+            return fail("trace spill read failed ('" + spillPath_ + "')");
     }
+    if (!encode(bucket.tail))
+        return fail("trace spill is corrupt");
+    if (payload.size() > std::numeric_limits<std::uint32_t>::max())
+        return fail("trace block " + std::to_string(block) +
+                    " exceeds 4 GiB; shorten the block length");
+    while (open_group < group_count)
+        directory[open_group++] = static_cast<std::uint32_t>(payload.size());
+    out_.write(reinterpret_cast<const char *>(directory.data()),
+               static_cast<std::streamsize>(directory.size() *
+                                            sizeof(std::uint32_t)));
+    out_.write(reinterpret_cast<const char *>(payload.data()),
+               static_cast<std::streamsize>(payload.size()));
+    return true;
+}
+
+bool
+TraceFileWriter::writeAll(std::string *error)
+{
+    if (!spillOk_) {
+        if (error != nullptr)
+            *error = "cannot write the trace spill '" + spillPath_ + "'";
+        return false;
+    }
+    const auto block_count = static_cast<std::uint32_t>(buckets_.size());
+    out_.write(kMagic, sizeof(kMagic));
+    putRaw<std::uint32_t>(out_, kVersion);
+    putRaw<std::uint32_t>(out_, vmCount_);
+    putRaw<std::uint32_t>(out_, quantum_);
+    putRaw<std::uint32_t>(out_, kGroupSeries);
+    putRaw<std::int64_t>(out_, blockUs_);
+    putRaw<std::int64_t>(out_, unitUs_);
+    putRaw<std::uint64_t>(out_, totalSamples_);
+    putRaw<std::uint32_t>(out_, block_count);
+    putRaw<std::uint32_t>(out_, 0);
+
+    // Block offsets are patched in once every block is written.
+    std::vector<std::uint64_t> offsets(block_count + 1ull, 0);
+    const auto table_at = static_cast<std::streamoff>(out_.tellp());
+    out_.write(reinterpret_cast<const char *>(offsets.data()),
+               static_cast<std::streamsize>(offsets.size() *
+                                            sizeof(std::uint64_t)));
+    for (std::uint32_t b = 0; b < block_count; ++b) {
+        offsets[b] = static_cast<std::uint64_t>(out_.tellp());
+        if (!writeBlock(buckets_[b], b, error))
+            return false;
+        buckets_[b] = Bucket{};
+    }
+    offsets[block_count] = static_cast<std::uint64_t>(out_.tellp());
+    out_.seekp(table_at);
+    out_.write(reinterpret_cast<const char *>(offsets.data()),
+               static_cast<std::streamsize>(offsets.size() *
+                                            sizeof(std::uint64_t)));
+    out_.flush();
+    return true;
 }
 
 bool
@@ -224,20 +340,16 @@ TraceFileWriter::finish(std::string *error)
     if (finished_)
         sim::panic("TraceFileWriter::finish called twice");
     finished_ = true;
-    finishCurrentVm();
+    closeCurrentVm();
+    emitEmptyUpTo(vmCount_);
 
-    const std::uint64_t index_offset =
-        static_cast<std::uint64_t>(out_.tellp());
-    for (const IndexEntry &entry : index_) {
-        putRaw<std::uint64_t>(out_, entry.firstChunkOffset);
-        putRaw<std::uint64_t>(out_, entry.byteLen);
-        putRaw<std::uint32_t>(out_, entry.chunkCount);
-        putRaw<std::uint32_t>(out_, entry.totalSamples);
+    const bool written = writeAll(error);
+    if (spill_.is_open()) {
+        spill_.close();
+        std::remove(spillPath_.c_str());
     }
-    out_.seekp(static_cast<std::streamoff>(sizeof(kMagic)) + 16);
-    putRaw<std::uint64_t>(out_, index_offset);
-    putRaw<std::uint64_t>(out_, totalSamples_);
-    out_.flush();
+    if (!written)
+        return false;
     if (!out_.good()) {
         if (error != nullptr)
             *error = "trace write failed (disk full or unwritable path?)";
@@ -252,292 +364,192 @@ namespace detail {
 
 namespace {
 
-/** Longest LEB128 varint getVarint() accepts (64 bits / 7, rounded up). */
-constexpr std::uint64_t kMaxVarintBytes = 10;
-
-/** Two's-complement addition without signed-overflow UB: only a corrupt
- *  payload that passes the format checks can make it wrap. */
-std::int64_t
-wrapAdd(std::int64_t a, std::uint64_t b)
+/** One span of one series, as decoded from a block. */
+struct Record
 {
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) + b);
-}
+    std::uint32_t series = 0;
+    std::uint32_t level = 0;
+    std::int64_t start = 0;
+    std::int64_t end = kForever;
+};
 
-/** Decode one varint of a payload already validated on load. */
-std::uint64_t
-readVarint(const std::uint8_t *&p)
+/** One group's records of one block, decoded and validated, with each
+ *  series' first record: series base + i owns [first[i], first[i + 1]). */
+struct Slice
 {
-    std::uint64_t v = *p++;
-    if (v < 0x80)
-        return v;
-    v &= 0x7f;
-    for (int shift = 7;; shift += 7) {
-        const std::uint8_t byte = *p++;
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
-    }
-}
+    std::vector<Record> records;
+    std::vector<std::uint32_t> first;
+};
+
+/** A view's position: the span of its series that it stands on. */
+struct Cursor
+{
+    std::int64_t start = 0;
+    std::int64_t end = 0;
+    std::uint32_t level = 0;
+    bool valid = false;
+};
 
 } // namespace
 
 /**
- * One chunk exactly as stored — its 32-byte header followed by the raw
- * LEB128 payload — plus the header facts the cursor needs. Validated in
- * full when loaded and immutable afterwards; shared so a cache eviction
- * never invalidates a cursor that still points into it.
+ * The table-fed trace of one series. spanSlot() is the table entry; at
+ * the fed instant and until the span ends, spanAt() reads it too, and
+ * anywhere else it walks the file from block 0 (exact, just slower).
  */
-struct EncodedChunk
+class SeriesTrace final : public workload::DemandTrace
 {
-    std::uint32_t vm = 0;
-    std::uint32_t chunkIdx = 0;
-    std::uint32_t sampleCount = 0;
-    std::uint32_t firstLevel = 0;
-    /** Offset in bytes of the first (dt, dl) pair, after the first level. */
-    std::uint32_t pairsBegin = 0;
-    std::uint64_t nextOffset = 0; ///< file offset of the next chunk
-    std::int64_t firstTs = 0;
-    std::int64_t endTs = kOpenEnd;
-    std::vector<std::uint8_t> bytes;
+  public:
+    SeriesTrace(TraceFileImpl *impl, std::uint32_t series)
+        : impl_(impl), series_(series)
+    {
+    }
 
-    const std::uint8_t *pairs() const { return bytes.data() + pairsBegin; }
+    double utilizationAt(sim::SimTime t) const override
+    {
+        return spanAt(t).utilization;
+    }
+
+    workload::DemandSpan spanAt(sim::SimTime t) const override;
+    const workload::SpanSlot *spanSlot() const override;
+
+  private:
+    TraceFileImpl *impl_;
+    std::uint32_t series_;
 };
 
-class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
+class TraceFileImpl
 {
   public:
     TraceFileInfo info;
-    struct VmMeta
-    {
-        std::uint64_t firstChunkOffset = 0;
-        std::uint64_t byteLen = 0;
-        std::uint32_t chunkCount = 0;
-        std::uint32_t totalSamples = 0;
-    };
-    std::vector<VmMeta> vms;
-    std::size_t slotCount = 0;
-    /** Size of the file in bytes, as found by openFile(). */
+    std::string path;
+    std::vector<std::uint64_t> blockOffsets;
+    std::uint64_t groupCount = 0;
     std::uint64_t fileBytes = 0;
+    std::size_t windowBytes = 0;
+    /** The span of every series at fedUs_ (see feedTo). */
+    std::vector<workload::SpanSlot> table;
+    /** seriesTrace(s) of every series, reading table[s]. */
+    std::vector<SeriesTrace> seriesTraces;
 
-    ~TraceFileImpl()
-    {
-#if VPM_TRACE_HAVE_PREAD
-        if (fd_ >= 0)
-            ::close(fd_);
-#endif
-    }
-
-    bool openFile(const std::string &path, std::string *error);
+    bool openFile(std::string *error);
+    /** Read [offset, offset + n) of the file; false past its end. */
     bool readAt(std::uint64_t offset, void *dst, std::size_t n);
 
-    /**
-     * The encoded chunk (vm, chunk_idx) whose header lives at @p offset.
-     * Served from the direct-mapped cache when present; otherwise loaded
-     * with one read of header and payload, validated, and cached
-     * (evicting the slot's previous occupant). Fatal on a corrupt chunk
-     * — by open()-validation this only happens when the file changed
-     * underneath a running simulation.
-     */
-    std::shared_ptr<const EncodedChunk>
-    chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
-            std::uint64_t offset);
+    /** Move @p c onto @p series' span covering @p t. @return false, with
+     *  error() set, on a corrupt slice. */
+    bool walk(std::uint32_t series, Cursor &c, std::int64_t t);
+
+    bool feedTo(std::int64_t now, std::string *error);
+
+    /** The instant the table holds (kNotFed before the first feed and
+     *  after a failed one). */
+    std::int64_t fedUs() const { return fedUs_; }
+
+    double utilization(std::uint32_t level) const
+    {
+        return static_cast<double>(level) /
+               static_cast<double>(info.quantum);
+    }
 
     std::uint64_t loads() const
     {
         return loads_.load(std::memory_order_relaxed);
     }
 
-    void configureCache(std::size_t window_bytes)
+    std::string firstError() const
     {
-        // Budget 16 bytes per breakpoint (what a decoded i64 ts + double
-        // util once cost); a canonically encoded breakpoint takes at most
-        // 14 (9-byte dt + 5-byte zigzag dl), so a full cache stays under
-        // the budget and the slot count is unchanged.
-        const std::size_t per_chunk =
-            static_cast<std::size_t>(info.samplesPerChunk) * 16;
-        slotCount = std::max<std::size_t>(
-            8, per_chunk > 0 ? window_bytes / per_chunk : 8);
-        slots_ = std::vector<Slot>(slotCount);
+        std::lock_guard<std::mutex> lock(errorMutex_);
+        return error_;
     }
+
+    static constexpr std::int64_t kNotFed = kForever;
 
   private:
-    struct Slot
+    /** Decode the slice [p, end) of group @p group in block @p block,
+     *  calling @p emit(record, continues) per record (continues: the
+     *  previous record was the same series'). @return nullptr or what is
+     *  wrong with the bytes. */
+    template <typename Emit>
+    const char *parseSlice(std::uint32_t block, std::uint64_t group,
+                           const std::uint8_t *p, const std::uint8_t *end,
+                           Emit &&emit) const;
+
+    /** Read and decode group @p group's slice of @p block into @p out.
+     *  @return false, with the error recorded, on a corrupt one. */
+    bool loadSlice(std::uint32_t block, std::uint64_t group, Slice &out);
+    /** Set @p c to @p series' span starting at @p start in @p block,
+     *  through the slice cache. */
+    bool findSpan(std::uint32_t series, std::uint32_t block,
+                  std::int64_t start, Cursor &c);
+    void recordError(const std::string &what);
+
+    bool decodeBlock(std::uint32_t block, std::int64_t now,
+                     std::string &what);
+    void applyPending(std::int64_t now);
+    void apply(const Record &r)
     {
-        std::shared_ptr<const EncodedChunk> chunk;
-    };
-    static constexpr std::size_t kStripes = 64;
+        table[r.series] = {utilization(r.level), r.end};
+    }
 
-    /** Check every varint, dt > 0, the level range and trailing bytes of
-     *  @p chunk's payload; fill in firstLevel and pairsBegin. */
-    void validate(EncodedChunk &chunk, std::uint32_t payload_bytes) const;
-
-    std::vector<Slot> slots_;
-    std::mutex stripes_[kStripes];
     std::atomic<std::uint64_t> loads_{0};
 
-#if VPM_TRACE_HAVE_PREAD
-    int fd_ = -1;
-#else
+    // Views: the slice cache, first-in first-out within the window.
+    std::mutex cacheMutex_;
+    std::unordered_map<std::uint64_t, Slice> cache_;
+    std::deque<std::pair<std::uint64_t, std::size_t>> fifo_;
+    std::size_t cachedBytes_ = 0;
+    mutable std::mutex errorMutex_;
+    std::string error_;
+
+    // Feed state (main thread).
+    std::int64_t fedUs_ = kNotFed;
+    std::uint32_t nextBlock_ = 0;
+    /** Set once the feed failed; it stays failed. */
+    std::string feedError_;
+    std::vector<std::uint8_t> blockBuf_;
+    /** Records of the current block that start after fedUs_. */
+    std::vector<Record> pending_;
+    std::int64_t pendingMin_ = kForever;
+    /** Spans ending in each block: each needs its successor there. */
+    std::vector<std::uint64_t> endsIn_;
+
+
     std::ifstream stream_;
     std::mutex streamMutex_;
-#endif
 };
 
-bool
-TraceFileImpl::openFile(const std::string &path, std::string *error)
+workload::DemandSpan
+SeriesTrace::spanAt(sim::SimTime t) const
 {
-#if VPM_TRACE_HAVE_PREAD
-    fd_ = ::open(path.c_str(), O_RDONLY);
-    struct stat st;
-    if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
-        if (error != nullptr)
-            *error = "cannot open '" + path + "'";
-        return false;
-    }
-    fileBytes = static_cast<std::uint64_t>(st.st_size);
-#else
-    stream_.open(path, std::ios::binary | std::ios::ate);
-    if (!stream_.good()) {
-        if (error != nullptr)
-            *error = "cannot open '" + path + "'";
-        return false;
-    }
-    fileBytes = static_cast<std::uint64_t>(stream_.tellg());
-#endif
-    return true;
+    const std::int64_t us = t.micros();
+    const workload::SpanSlot &slot = impl_->table[series_];
+    if (impl_->fedUs() <= us && us < slot.validUntilUs)
+        return {slot.utilization, sim::SimTime::micros(slot.validUntilUs)};
+    Cursor c;
+    if (!impl_->walk(series_, c, us))
+        return {0.0, sim::SimTime::max()};
+    return {impl_->utilization(c.level), sim::SimTime::micros(c.end)};
 }
 
-bool
-TraceFileImpl::readAt(std::uint64_t offset, void *dst, std::size_t n)
+const workload::SpanSlot *
+SeriesTrace::spanSlot() const
 {
-#if VPM_TRACE_HAVE_PREAD
-    std::size_t done = 0;
-    while (done < n) {
-        const ssize_t got =
-            ::pread(fd_, static_cast<char *>(dst) + done, n - done,
-                    static_cast<off_t>(offset + done));
-        if (got <= 0)
-            return false;
-        done += static_cast<std::size_t>(got);
-    }
-    return true;
-#else
-    std::lock_guard<std::mutex> lock(streamMutex_);
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(offset));
-    stream_.read(static_cast<char *>(dst),
-                 static_cast<std::streamsize>(n));
-    return stream_.gcount() == static_cast<std::streamsize>(n);
-#endif
-}
-
-void
-TraceFileImpl::validate(EncodedChunk &chunk,
-                        std::uint32_t payload_bytes) const
-{
-    const std::uint8_t *payload = chunk.bytes.data() + kChunkHeaderBytes;
-    std::size_t pos = 0;
-    std::uint64_t raw = 0;
-    if (!getVarint(payload, payload_bytes, pos, raw) || raw > info.quantum)
-        sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", chunk.vm,
-                   chunk.chunkIdx);
-    chunk.firstLevel = static_cast<std::uint32_t>(raw);
-    chunk.pairsBegin = static_cast<std::uint32_t>(kChunkHeaderBytes + pos);
-    std::int64_t level = static_cast<std::int64_t>(raw);
-    for (std::uint32_t i = 1; i < chunk.sampleCount; ++i) {
-        std::uint64_t dt = 0, dl = 0;
-        if (!getVarint(payload, payload_bytes, pos, dt) ||
-            !getVarint(payload, payload_bytes, pos, dl))
-            sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", chunk.vm,
-                       chunk.chunkIdx);
-        level = wrapAdd(level, static_cast<std::uint64_t>(unzigzag(dl)));
-        if (dt == 0 || level < 0 ||
-            level > static_cast<std::int64_t>(info.quantum))
-            sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", chunk.vm,
-                       chunk.chunkIdx);
-    }
-    if (pos != payload_bytes)
-        sim::fatal("vpm-trace-1: trailing payload bytes (vm %u #%u)",
-                   chunk.vm, chunk.chunkIdx);
-}
-
-std::shared_ptr<const EncodedChunk>
-TraceFileImpl::chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
-                       std::uint64_t offset)
-{
-    const std::size_t slot_idx = static_cast<std::size_t>(
-        sim::hashMix(vm, chunk_idx) % slotCount);
-    std::mutex &stripe = stripes_[slot_idx % kStripes];
-    {
-        std::lock_guard<std::mutex> lock(stripe);
-        const std::shared_ptr<const EncodedChunk> &cached =
-            slots_[slot_idx].chunk;
-        if (cached && cached->vm == vm && cached->chunkIdx == chunk_idx)
-            return cached;
-    }
-
-    // One read covers header and payload: the rest of the VM's run (from
-    // the index, which open() bounded inside the file), capped at the
-    // largest chunk validate() could accept.
-    const VmMeta &meta = vms[vm];
-    const std::uint64_t run_end = meta.firstChunkOffset + meta.byteLen;
-    const std::uint64_t max_chunk =
-        kChunkHeaderBytes + kMaxVarintBytes +
-        2 * kMaxVarintBytes * (info.samplesPerChunk - 1ull);
-    const std::uint64_t want =
-        offset < run_end ? std::min(run_end - offset, max_chunk) : 0;
-    auto chunk = std::make_shared<EncodedChunk>();
-    chunk->vm = vm;
-    chunk->chunkIdx = chunk_idx;
-    chunk->bytes.resize(static_cast<std::size_t>(want));
-    if (want < kChunkHeaderBytes ||
-        !readAt(offset, chunk->bytes.data(), chunk->bytes.size()))
-        sim::fatal("vpm-trace-1: short read at chunk header (vm %u #%u)",
-                   vm, chunk_idx);
-    const std::uint8_t *header = chunk->bytes.data();
-    const std::uint32_t header_vm = getRaw<std::uint32_t>(header);
-    chunk->sampleCount = getRaw<std::uint32_t>(header + 4);
-    const std::uint32_t payload_bytes = getRaw<std::uint32_t>(header + 8);
-    chunk->firstTs = getRaw<std::int64_t>(header + 16);
-    chunk->endTs = getRaw<std::int64_t>(header + 24);
-    if (header_vm != vm || chunk->sampleCount == 0 ||
-        chunk->sampleCount > info.samplesPerChunk)
-        sim::fatal("vpm-trace-1: corrupt chunk header (vm %u #%u)", vm,
-                   chunk_idx);
-    const std::uint64_t chunk_bytes = kChunkHeaderBytes + payload_bytes;
-    if (chunk_bytes > want)
-        sim::fatal("vpm-trace-1: short read at chunk payload (vm %u #%u)",
-                   vm, chunk_idx);
-    // A non-final chunk's read ran into its successor; keep only its own
-    // bytes so a pinned chunk costs what it stores.
-    if (chunk_bytes < want) {
-        chunk->bytes.resize(static_cast<std::size_t>(chunk_bytes));
-        chunk->bytes.shrink_to_fit();
-    }
-    chunk->nextOffset = offset + chunk_bytes;
-    validate(*chunk, payload_bytes);
-    loads_.fetch_add(1, std::memory_order_relaxed);
-
-    std::lock_guard<std::mutex> lock(stripe);
-    slots_[slot_idx].chunk = chunk;
-    return chunk;
+    return &impl_->table[series_];
 }
 
 /**
- * One VM's series as a DemandTrace: a forward cursor over its pinned
- * encoded chunk. spanAt() decodes one (dt, dl) pair per breakpoint it
- * passes and reads only the cursor's own fields unless it crosses into
- * another chunk or seeks backward. The cursor is mutable under the
- * owner-shard rule (a VM is only sampled by the shard that owns it, and
- * every VM gets its own view object), mirroring the contract the rest of
- * the evaluation engine already relies on.
+ * One series as a DemandTrace with its own cursor. spanAt() answers from
+ * the cursor while the query stays inside its span, else walks forward
+ * (or restarts at block 0 for an earlier time). The cursor is mutable
+ * under the owner-shard rule: a VM is only sampled by the shard that
+ * owns it, and every VM gets its own view.
  */
-class StreamedVmTrace final : public workload::DemandTrace
+class SeriesView final : public workload::DemandTrace
 {
   public:
-    StreamedVmTrace(std::shared_ptr<const TraceFileImpl> impl,
-                    std::uint32_t vm)
-        : impl_(std::move(impl)), vm_(vm)
+    SeriesView(std::shared_ptr<TraceFileImpl> impl, std::uint32_t series)
+        : impl_(std::move(impl)), series_(series)
     {
     }
 
@@ -549,92 +561,347 @@ class StreamedVmTrace final : public workload::DemandTrace
     workload::DemandSpan spanAt(sim::SimTime t) const override
     {
         const std::int64_t us = t.micros();
-        if (!chunk_) {
-            const TraceFileImpl::VmMeta &meta = impl_->vms[vm_];
-            if (meta.chunkCount == 0)
-                return {0.0, sim::SimTime::max()};
-            load(0, meta.firstChunkOffset);
-        }
-        if (us < curTs_) {
-            // Backward seek (a what-if branch replaying from a checkpoint
-            // earlier than this cursor): an earlier chunk restarts from
-            // the first chunk, an earlier breakpoint from this chunk's
-            // start. Before the VM's first breakpoint the cursor stays on
-            // it: StepTrace semantics, the first level applies.
-            if (us < chunk_->firstTs && chunkIdx_ > 0)
-                load(0, impl_->vms[vm_].firstChunkOffset);
-            else
-                rewind();
-        }
-        while (endTs_ != kOpenEnd && us >= endTs_)
-            load(chunkIdx_ + 1, chunk_->nextOffset);
-        while (left_ > 0 && us >= nextTs_) {
-            // Unsigned wrap keeps a corrupt delta free of UB; validation
-            // proved every level of the chunk lies in [0, quantum].
-            level_ += static_cast<std::uint32_t>(unzigzag(readVarint(pos_)));
-            curTs_ = nextTs_;
-            seekNext();
-        }
-        return {static_cast<double>(level_) /
-                    static_cast<double>(impl_->info.quantum),
-                nextTs_ == kOpenEnd ? sim::SimTime::max()
-                                    : sim::SimTime::micros(nextTs_)};
+        if (!(cursor_.valid && cursor_.start <= us && us < cursor_.end) &&
+            !impl_->walk(series_, cursor_, us))
+            return {0.0, sim::SimTime::max()};
+        return {impl_->utilization(cursor_.level),
+                sim::SimTime::micros(cursor_.end)};
     }
-
-    void prefetchSpan() const override
-    {
-#if defined(__GNUC__)
-        __builtin_prefetch(pos_);
-#endif
-    }
-
-    bool hasSpanPrefetch() const override { return true; }
 
   private:
-    /** Pin chunk @p idx (header at @p offset) and rewind onto it. */
-    void load(std::uint32_t idx, std::uint64_t offset) const
-    {
-        // chunkAt is const-observable but mutates the shared cache; the
-        // impl owns that synchronization.
-        chunk_ = const_cast<TraceFileImpl *>(impl_.get())
-                     ->chunkAt(vm_, idx, offset);
-        chunkIdx_ = idx;
-        endTs_ = chunk_->endTs;
-        rewind();
-    }
-
-    /** Move the cursor onto the pinned chunk's first breakpoint. */
-    void rewind() const
-    {
-        pos_ = chunk_->pairs();
-        level_ = chunk_->firstLevel;
-        curTs_ = chunk_->firstTs;
-        left_ = chunk_->sampleCount;
-        seekNext();
-    }
-
-    /** Count the current breakpoint off and decode the next one's
-     *  timestamp (the chunk's end once none is left). */
-    void seekNext() const
-    {
-        nextTs_ = --left_ > 0 ? wrapAdd(curTs_, readVarint(pos_)) : endTs_;
-    }
-
-    // One view per VM, so the cursor is kept small: the chunk's first_ts
-    // and first level are read from the chunk on the (cold) rewind path.
-    std::shared_ptr<const TraceFileImpl> impl_;
-    mutable std::shared_ptr<const EncodedChunk> chunk_;
-    /** Next undecoded payload byte: the next breakpoint's dl varint. */
-    mutable const std::uint8_t *pos_ = nullptr;
-    mutable std::int64_t curTs_ = 0;
-    mutable std::int64_t nextTs_ = 0;
-    mutable std::int64_t endTs_ = kOpenEnd;
-    std::uint32_t vm_;
-    mutable std::uint32_t chunkIdx_ = 0;
-    /** Breakpoints of the chunk after the current one. */
-    mutable std::uint32_t left_ = 0;
-    mutable std::uint32_t level_ = 0;
+    std::shared_ptr<TraceFileImpl> impl_;
+    std::uint32_t series_;
+    mutable Cursor cursor_;
 };
+
+bool
+TraceFileImpl::openFile(std::string *error)
+{
+    // Unbuffered: every read is one exact seek and read, no 8 KiB fill.
+    stream_.rdbuf()->pubsetbuf(nullptr, 0);
+    stream_.open(path, std::ios::binary | std::ios::ate);
+    if (!stream_.good()) {
+        if (error != nullptr)
+            *error = "cannot open '" + path + "'";
+        return false;
+    }
+    fileBytes = static_cast<std::uint64_t>(stream_.tellg());
+    return true;
+}
+
+bool
+TraceFileImpl::readAt(std::uint64_t offset, void *dst, std::size_t n)
+{
+    if (offset > fileBytes || n > fileBytes - offset)
+        return false;
+    std::lock_guard<std::mutex> lock(streamMutex_);
+    stream_.clear();
+    stream_.seekg(static_cast<std::streamoff>(offset));
+    stream_.read(static_cast<char *>(dst), static_cast<std::streamsize>(n));
+    return stream_.gcount() == static_cast<std::streamsize>(n);
+}
+
+void
+TraceFileImpl::recordError(const std::string &what)
+{
+    std::lock_guard<std::mutex> lock(errorMutex_);
+    if (error_.empty())
+        error_ = "'" + path + "': vpm-trace-2 " + what;
+}
+
+template <typename Emit>
+const char *
+TraceFileImpl::parseSlice(std::uint32_t block, std::uint64_t group,
+                          const std::uint8_t *p, const std::uint8_t *end,
+                          Emit &&emit) const
+{
+    const std::uint64_t first = group * info.groupSeries;
+    const std::uint64_t limit =
+        std::min<std::uint64_t>(first + info.groupSeries, info.vmCount);
+    const std::int64_t block_start =
+        static_cast<std::int64_t>(block) * info.blockUs;
+    // open() bounded blockCount * blockUs by INT64_MAX / 2, so a start
+    // inside the file plus a span no longer than it cannot overflow.
+    const std::int64_t horizon =
+        static_cast<std::int64_t>(info.blockCount) * info.blockUs;
+    const auto unit = static_cast<std::uint64_t>(info.unitUs);
+    const std::uint64_t max_len = static_cast<std::uint64_t>(horizon) / unit;
+    const std::uint64_t units_per_block =
+        static_cast<std::uint64_t>(info.blockUs) / unit;
+    std::uint64_t series = first;
+    bool have = false;
+    std::int64_t prev_end = 0;
+    while (p < end) {
+        std::uint64_t ds = 0, off = 0, level = 0, len = 0;
+        if (!readVarint(p, end, ds) || !readVarint(p, end, off) ||
+            !readVarint(p, end, level) || !readVarint(p, end, len))
+            return "record truncated";
+        if (ds >= limit - series)
+            return "record names a series outside its group";
+        const bool continues = have && ds == 0;
+        series += ds;
+        if (off >= units_per_block)
+            return "span starts outside its block";
+        Record r;
+        r.series = static_cast<std::uint32_t>(series);
+        r.start = block_start + static_cast<std::int64_t>(off * unit);
+        if (continues && r.start != prev_end)
+            return "spans of a series leave a gap or overlap";
+        if (level > info.quantum)
+            return "level above the quantum";
+        r.level = static_cast<std::uint32_t>(level);
+        if (len != 0) {
+            r.end = r.start + static_cast<std::int64_t>(
+                                  std::min(len, max_len) * unit);
+            if (len > max_len || r.end >= horizon)
+                return "span ends after the last block";
+        }
+        if (!emit(r, continues))
+            return "span does not start where its predecessor ends";
+        have = true;
+        prev_end = r.end;
+    }
+    return nullptr;
+}
+
+bool
+TraceFileImpl::loadSlice(std::uint32_t block, std::uint64_t group,
+                         Slice &out)
+{
+    const auto fail = [&](const char *what) {
+        recordError("block " + std::to_string(block) + " group " +
+                    std::to_string(group) + ": " + what);
+        return false;
+    };
+    // The directory entries before and of this group bound its slice.
+    const std::uint64_t block_at = blockOffsets[block];
+    const std::uint64_t block_bytes = blockOffsets[block + 1] - block_at;
+    const std::uint64_t dir_bytes = groupCount * sizeof(std::uint32_t);
+    std::uint32_t bounds[2] = {0, 0};
+    const bool first = group == 0;
+    if (!readAt(block_at + (first ? 0 : (group - 1) * 4),
+                first ? &bounds[1] : &bounds[0], first ? 4 : 8))
+        return fail("directory unreadable");
+    if (bounds[0] > bounds[1] || bounds[1] > block_bytes - dir_bytes)
+        return fail("directory out of bounds");
+    std::vector<std::uint8_t> bytes(bounds[1] - bounds[0]);
+    if (!readAt(block_at + dir_bytes + bounds[0], bytes.data(), bytes.size()))
+        return fail("slice unreadable");
+    const std::uint64_t base = group * info.groupSeries;
+    const char *what = parseSlice(
+        block, group, bytes.data(), bytes.data() + bytes.size(),
+        [&](const Record &r, bool) {
+            while (out.first.size() <= r.series - base)
+                out.first.push_back(
+                    static_cast<std::uint32_t>(out.records.size()));
+            out.records.push_back(r);
+            return true;
+        });
+    if (what != nullptr)
+        return fail(what);
+    out.first.resize(info.groupSeries + 1ull,
+                     static_cast<std::uint32_t>(out.records.size()));
+    loads_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+}
+
+bool
+TraceFileImpl::findSpan(std::uint32_t series, std::uint32_t block,
+                        std::int64_t start, Cursor &c)
+{
+    const std::uint64_t group = series / info.groupSeries;
+    const std::uint64_t key = (std::uint64_t{block} << 32) | group;
+    std::unique_lock<std::mutex> lock(cacheMutex_);
+    auto it = cache_.find(key);
+    if (it == cache_.end()) {
+        lock.unlock();
+        Slice loaded;
+        if (!loadSlice(block, group, loaded))
+            return false;
+        const std::size_t cost = loaded.records.size() * sizeof(Record) +
+                                 loaded.first.size() * sizeof(std::uint32_t);
+        lock.lock();
+        bool inserted = false;
+        std::tie(it, inserted) = cache_.emplace(key, std::move(loaded));
+        if (inserted) {
+            fifo_.emplace_back(key, cost);
+            cachedBytes_ += cost;
+            // First in, first out, never the slice just loaded.
+            while (cachedBytes_ > windowBytes && fifo_.size() > 1) {
+                cache_.erase(fifo_.front().first);
+                cachedBytes_ -= fifo_.front().second;
+                fifo_.pop_front();
+            }
+        }
+    }
+    const Slice &slice = it->second;
+    const std::uint64_t i = series - group * info.groupSeries;
+    const auto begin = slice.records.begin() + slice.first[i];
+    const auto end = slice.records.begin() + slice.first[i + 1];
+    const auto found = std::find_if(
+        begin, end, [start](const Record &r) { return r.start == start; });
+    if (found == end) {
+        lock.unlock();
+        recordError("block " + std::to_string(block) + ": series " +
+                    std::to_string(series) + " has no span starting at " +
+                    std::to_string(start) + " us");
+        return false;
+    }
+    c.start = found->start;
+    c.end = found->end;
+    c.level = found->level;
+    c.valid = true;
+    return true;
+}
+
+bool
+TraceFileImpl::walk(std::uint32_t series, Cursor &c, std::int64_t t)
+{
+    if (!c.valid || t < c.start) {
+        // Restart on the first span, which block 0 stores at start 0 and
+        // which also covers every earlier time.
+        if (!findSpan(series, 0, 0, c))
+            return (c.valid = false);
+        c.start = std::numeric_limits<std::int64_t>::min();
+    }
+    while (t >= c.end) {
+        if (!findSpan(series, static_cast<std::uint32_t>(c.end / info.blockUs),
+                      c.end, c))
+            return (c.valid = false);
+    }
+    return true;
+}
+
+void
+TraceFileImpl::applyPending(std::int64_t now)
+{
+    if (pending_.empty() || now < pendingMin_)
+        return;
+    std::size_t keep = 0;
+    std::int64_t next_min = kForever;
+    for (const Record &r : pending_) {
+        if (r.start <= now) {
+            apply(r);
+        } else {
+            pending_[keep++] = r;
+            next_min = std::min(next_min, r.start);
+        }
+    }
+    pending_.resize(keep);
+    pendingMin_ = next_min;
+}
+
+bool
+TraceFileImpl::decodeBlock(std::uint32_t block, std::int64_t now,
+                           std::string &what)
+{
+    const std::uint64_t block_at = blockOffsets[block];
+    const std::uint64_t bytes = blockOffsets[block + 1] - block_at;
+    blockBuf_.resize(static_cast<std::size_t>(bytes));
+    if (!readAt(block_at, blockBuf_.data(), blockBuf_.size())) {
+        what = "block unreadable";
+        return false;
+    }
+    loads_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint8_t *dir = blockBuf_.data();
+    const std::uint64_t dir_bytes = groupCount * sizeof(std::uint32_t);
+    const std::uint8_t *payload = dir + dir_bytes;
+    const std::uint64_t payload_bytes = bytes - dir_bytes;
+
+    const std::int64_t block_end =
+        (static_cast<std::int64_t>(block) + 1) * info.blockUs;
+    std::uint64_t records = 0;
+    std::uint32_t slice_begin = 0;
+    for (std::uint64_t g = 0; g < groupCount; ++g) {
+        const auto slice_end = getRaw<std::uint32_t>(dir + g * 4);
+        if (slice_end < slice_begin || slice_end > payload_bytes) {
+            what = "directory out of bounds";
+            return false;
+        }
+        const char *bad = parseSlice(
+            block, g, payload + slice_begin, payload + slice_end,
+            [&](const Record &r, bool continues) {
+                // A series' first span in this block succeeds the one
+                // the table holds: every earlier block is applied.
+                if (!continues && r.start != table[r.series].validUntilUs)
+                    return false;
+                ++records;
+                // A span mostly ends in this block or the next: compare
+                // before dividing.
+                if (r.end < block_end)
+                    ++endsIn_[block];
+                else if (r.end < block_end + info.blockUs)
+                    ++endsIn_[block + 1];
+                else if (r.end != kForever)
+                    ++endsIn_[static_cast<std::size_t>(r.end / info.blockUs)];
+                if (r.start <= now) {
+                    apply(r);
+                } else {
+                    pending_.push_back(r);
+                    pendingMin_ = std::min(pendingMin_, r.start);
+                }
+                return true;
+            });
+        if (bad != nullptr) {
+            what = "group " + std::to_string(g) + ": " + bad;
+            return false;
+        }
+        slice_begin = slice_end;
+    }
+    if (slice_begin != payload_bytes) {
+        what = "trailing bytes after the last group";
+        return false;
+    }
+    // Every span that ends in this block has its successor here, and
+    // each record succeeds exactly one span, so the counts agree.
+    if (records != endsIn_[block]) {
+        what = "holds " + std::to_string(records) + " spans, but " +
+               std::to_string(endsIn_[block]) + " end in it";
+        return false;
+    }
+    return true;
+}
+
+bool
+TraceFileImpl::feedTo(std::int64_t now, std::string *error)
+{
+    const auto fail = [&](const std::string &what) {
+        fedUs_ = kNotFed;
+        feedError_ = "'" + path + "': vpm-trace-2 " + what;
+        if (error != nullptr)
+            *error = feedError_;
+        return false;
+    };
+    if (!feedError_.empty()) {
+        if (error != nullptr)
+            *error = feedError_;
+        return false;
+    }
+    if (now < 0)
+        return fail("feed time must be >= 0");
+    if (fedUs_ != kNotFed && now < fedUs_)
+        return fail("feed cannot move back in time (" +
+                    std::to_string(now) + " us after " +
+                    std::to_string(fedUs_) + " us)");
+    if (endsIn_.empty()) {
+        // Every series opens with its first span in block 0.
+        endsIn_.assign(info.blockCount, 0);
+        endsIn_[0] = info.vmCount;
+    }
+    const std::int64_t target = std::clamp<std::int64_t>(
+        now / info.blockUs, 0, static_cast<std::int64_t>(info.blockCount) - 1);
+    while (static_cast<std::int64_t>(nextBlock_) <= target) {
+        // The previous block's spans all start before this block.
+        applyPending(kForever);
+        std::string what;
+        if (!decodeBlock(nextBlock_, now, what))
+            return fail("block " + std::to_string(nextBlock_) + ": " + what);
+        ++nextBlock_;
+    }
+    applyPending(now);
+    fedUs_ = now;
+    return true;
+}
 
 } // namespace detail
 
@@ -649,82 +916,78 @@ std::shared_ptr<TraceFile>
 TraceFile::open(const std::string &path, std::size_t window_bytes,
                 std::string *error)
 {
+    const auto fail = [&](const std::string &what) {
+        if (error != nullptr)
+            *error = "'" + path + "': " + what;
+        return nullptr;
+    };
     auto impl = std::make_shared<detail::TraceFileImpl>();
-    if (!impl->openFile(path, error))
+    impl->path = path;
+    impl->windowBytes = window_bytes;
+    if (!impl->openFile(error))
         return nullptr;
 
-    std::uint8_t header[kHeaderBytes];
-    if (!impl->readAt(0, header, sizeof(header))) {
-        if (error != nullptr)
-            *error = "'" + path + "': too short for a vpm-trace-1 header";
-        return nullptr;
-    }
-    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
-        if (error != nullptr)
-            *error = "'" + path + "': not a vpm-trace-1 file (bad magic)";
-        return nullptr;
-    }
-    if (getRaw<std::uint32_t>(header + 8) != kVersion) {
-        if (error != nullptr)
-            *error = "'" + path + "': unsupported vpm-trace-1 version";
-        return nullptr;
-    }
-    impl->info.vmCount = getRaw<std::uint32_t>(header + 12);
-    impl->info.quantum = getRaw<std::uint32_t>(header + 16);
-    impl->info.samplesPerChunk = getRaw<std::uint32_t>(header + 20);
-    const std::uint64_t index_offset = getRaw<std::uint64_t>(header + 24);
-    impl->info.totalSamples = getRaw<std::uint64_t>(header + 32);
-    if (impl->info.vmCount == 0 || impl->info.quantum == 0 ||
-        impl->info.samplesPerChunk < 2 || index_offset < kHeaderBytes) {
-        if (error != nullptr)
-            *error = "'" + path + "': corrupt vpm-trace-1 header";
-        return nullptr;
-    }
+    std::uint8_t header[kHeaderBytes] = {};
+    if (impl->fileBytes >= sizeof(kMagicV1) &&
+        impl->readAt(0, header, sizeof(kMagicV1)) &&
+        std::memcmp(header, kMagicV1, sizeof(kMagicV1)) == 0)
+        return fail("a vpm-trace-1 file; this build reads vpm-trace-2 only "
+                    "(regenerate it with `replay gen-trace`)");
+    if (!impl->readAt(0, header, sizeof(header)))
+        return fail("too short for a vpm-trace-2 header");
+    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
+        return fail("not a vpm-trace-2 file (bad magic)");
+    const auto version = getRaw<std::uint32_t>(header + 8);
+    if (version != kVersion)
+        return fail("unsupported vpm-trace-2 version " +
+                    std::to_string(version));
+    TraceFileInfo &info = impl->info;
+    info.vmCount = getRaw<std::uint32_t>(header + 12);
+    info.quantum = getRaw<std::uint32_t>(header + 16);
+    info.groupSeries = getRaw<std::uint32_t>(header + 20);
+    info.blockUs = getRaw<std::int64_t>(header + 24);
+    info.unitUs = getRaw<std::int64_t>(header + 32);
+    info.totalSamples = getRaw<std::uint64_t>(header + 40);
+    info.blockCount = getRaw<std::uint32_t>(header + 48);
+    if (info.vmCount == 0 || info.quantum == 0 || info.groupSeries == 0 ||
+        info.blockUs < 1 || info.unitUs < 1 ||
+        info.blockUs % info.unitUs != 0 || info.blockCount == 0 ||
+        info.blockCount >
+            std::numeric_limits<std::int64_t>::max() / 2 / info.blockUs)
+        return fail("corrupt vpm-trace-2 header");
 
-    // The index must lie inside the file before anything is sized from
-    // vm_count: a corrupt count would otherwise allocate a buffer of up
-    // to ~100 GB.
-    if (index_offset > impl->fileBytes ||
-        (impl->fileBytes - index_offset) / kIndexEntryBytes <
-            impl->info.vmCount) {
-        if (error != nullptr)
-            *error = "'" + path + "': vpm-trace-1 index extends past the "
-                     "end of the file";
-        return nullptr;
+    // The block table must lie inside the file before anything is sized
+    // from block_count or series_count.
+    const std::uint64_t table_bytes =
+        (std::uint64_t{info.blockCount} + 1) * sizeof(std::uint64_t);
+    if (impl->fileBytes - kHeaderBytes < table_bytes)
+        return fail("vpm-trace-2 block table extends past the end of the "
+                    "file");
+    impl->blockOffsets.resize(info.blockCount + 1ull);
+    if (!impl->readAt(kHeaderBytes, impl->blockOffsets.data(), table_bytes))
+        return fail("truncated vpm-trace-2 block table");
+    impl->groupCount =
+        (std::uint64_t{info.vmCount} + info.groupSeries - 1) / info.groupSeries;
+    const std::uint64_t dir_bytes = impl->groupCount * sizeof(std::uint32_t);
+    const std::vector<std::uint64_t> &offsets = impl->blockOffsets;
+    if (offsets.front() != kHeaderBytes + table_bytes ||
+        offsets.back() != impl->fileBytes)
+        return fail("vpm-trace-2 blocks do not span the file (truncated?)");
+    for (std::uint32_t b = 0; b < info.blockCount; ++b) {
+        if (offsets[b + 1] < offsets[b] ||
+            offsets[b + 1] - offsets[b] < dir_bytes)
+            return fail("vpm-trace-2 block " + std::to_string(b) +
+                        " out of bounds");
     }
-    impl->vms.resize(impl->info.vmCount);
-    std::vector<std::uint8_t> raw(impl->info.vmCount * kIndexEntryBytes);
-    if (!impl->readAt(index_offset, raw.data(), raw.size())) {
-        if (error != nullptr)
-            *error = "'" + path + "': truncated vpm-trace-1 index";
-        return nullptr;
-    }
-    std::uint64_t sum = 0;
-    for (std::uint32_t v = 0; v < impl->info.vmCount; ++v) {
-        const std::uint8_t *p = raw.data() + v * kIndexEntryBytes;
-        detail::TraceFileImpl::VmMeta &meta = impl->vms[v];
-        meta.firstChunkOffset = getRaw<std::uint64_t>(p);
-        meta.byteLen = getRaw<std::uint64_t>(p + 8);
-        meta.chunkCount = getRaw<std::uint32_t>(p + 16);
-        meta.totalSamples = getRaw<std::uint32_t>(p + 20);
-        sum += meta.totalSamples;
-        if (meta.chunkCount > 0 &&
-            (meta.firstChunkOffset < kHeaderBytes ||
-             meta.firstChunkOffset + meta.byteLen > index_offset)) {
-            if (error != nullptr)
-                *error = "'" + path + "': vpm-trace-1 index entry out of "
-                         "bounds";
-            return nullptr;
-        }
-    }
-    if (sum != impl->info.totalSamples) {
-        if (error != nullptr)
-            *error = "'" + path + "': vpm-trace-1 sample counts "
-                     "inconsistent";
-        return nullptr;
-    }
+    // Block 0 holds every series' first span, at least 4 bytes each.
+    if ((offsets[1] - offsets[0] - dir_bytes) / 4 < info.vmCount)
+        return fail("vpm-trace-2 block 0 is too small for " +
+                    std::to_string(info.vmCount) + " series");
 
-    impl->configureCache(window_bytes);
+    impl->table.assign(info.vmCount, workload::SpanSlot{});
+    impl->seriesTraces.reserve(info.vmCount);
+    for (std::uint32_t s = 0; s < info.vmCount; ++s)
+        impl->seriesTraces.emplace_back(impl.get(), s);
     return std::shared_ptr<TraceFile>(new TraceFile(std::move(impl)));
 }
 
@@ -734,33 +997,41 @@ TraceFile::info() const
     return impl_->info;
 }
 
-std::uint64_t
-TraceFile::vmSampleCount(std::uint32_t vm) const
-{
-    if (vm >= impl_->info.vmCount)
-        sim::fatal("TraceFile::vmSampleCount: vm %u out of range", vm);
-    return impl_->vms[vm].totalSamples;
-}
-
 workload::TracePtr
 TraceFile::vmTrace(std::uint32_t vm) const
 {
     if (vm >= impl_->info.vmCount)
         sim::fatal("TraceFile::vmTrace: vm %u out of range (%u)", vm,
                    impl_->info.vmCount);
-    return std::make_shared<detail::StreamedVmTrace>(impl_, vm);
+    return std::make_shared<detail::SeriesView>(impl_, vm);
 }
 
-std::size_t
-TraceFile::cacheSlots() const
+workload::TracePtr
+TraceFile::seriesTrace(std::uint32_t series) const
 {
-    return impl_->slotCount;
+    if (series >= impl_->info.vmCount)
+        sim::fatal("TraceFile::seriesTrace: series %u out of range (%u)",
+                   series, impl_->info.vmCount);
+    // Aliasing: the handle shares ownership of the file.
+    return workload::TracePtr(impl_, &impl_->seriesTraces[series]);
+}
+
+bool
+TraceFile::feedTo(sim::SimTime now, std::string *error)
+{
+    return impl_->feedTo(now.micros(), error);
 }
 
 std::uint64_t
 TraceFile::chunkLoads() const
 {
     return impl_->loads();
+}
+
+std::string
+TraceFile::error() const
+{
+    return impl_->firstError();
 }
 
 } // namespace vpm::replay

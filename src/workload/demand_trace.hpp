@@ -16,6 +16,7 @@
 #ifndef VPM_WORKLOAD_DEMAND_TRACE_HPP
 #define VPM_WORKLOAD_DEMAND_TRACE_HPP
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -40,6 +41,17 @@ struct DemandSpan
 {
     double utilization = 0.0;
     sim::SimTime validUntil;
+};
+
+/**
+ * A span published by a bulk feed instead of computed per query: the
+ * span the trace's spanAt(now) returns at the feed's current instant,
+ * with validUntilUs in microseconds (INT64_MAX: forever).
+ */
+struct SpanSlot
+{
+    double utilization = 0.0;
+    std::int64_t validUntilUs = 0;
 };
 
 /** A time-indexed utilization signal in [0, 1]. */
@@ -79,20 +91,14 @@ class DemandTrace
     virtual bool pointSpan() const { return false; }
 
     /**
-     * Hint that spanAt() will be called soon: a trace whose span lookup
-     * reads memory beyond its own object may start fetching it. Bulk
-     * samplers (FleetStore's demand-refresh kernel) call this a few VMs
-     * ahead. Must not change any observable state; the default does
-     * nothing.
+     * The slot a span feed keeps equal to spanAt(now) at every
+     * evaluation instant, or nullptr (the default) for a trace computed
+     * per query. Bulk samplers (FleetStore's demand-refresh kernel) read
+     * it once at registration and then read the slot instead of calling
+     * spanAt(); whoever owns the feed advances it before each refresh
+     * (replay::TraceFile::seriesTrace, DatacenterSim::setDemandFeed).
      */
-    virtual void prefetchSpan() const {}
-
-    /**
-     * True when prefetchSpan() does something. Bulk samplers read it once
-     * at registration and hint only such traces, so a fleet without any
-     * pays no per-VM branch on trace kind.
-     */
-    virtual bool hasSpanPrefetch() const { return false; }
+    virtual const SpanSlot *spanSlot() const { return nullptr; }
 };
 
 /** Shared handle to a trace; traces are immutable once built. */
@@ -151,11 +157,6 @@ class ScaledTrace : public DemandTrace
     /** Point iff the inner trace is: both paths scale the same inner
      *  utilization by the same factor, so they stay bit-identical. */
     bool pointSpan() const override { return inner_->pointSpan(); }
-    void prefetchSpan() const override { inner_->prefetchSpan(); }
-    bool hasSpanPrefetch() const override
-    {
-        return inner_->hasSpanPrefetch();
-    }
 
   private:
     TracePtr inner_;

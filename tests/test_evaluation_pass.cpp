@@ -14,9 +14,10 @@
  * The fleets cover one sampling shard and several refresh shards; stale
  * and negative host ids; asleep hosts; in-flight migrations; retired
  * VMs; arrivals through the provisioning engine; and step, constant,
- * diurnal point-span and streamed TraceFile demand, with a mid-run
- * setCurrentDemandMhz. Each fleet runs at pool sizes 1, 2 and 8, and
- * the results must match across pool sizes.
+ * diurnal point-span and streamed TraceFile demand (cursor views and the
+ * fed span table), with a mid-run setCurrentDemandMhz. Each fleet runs
+ * at pool sizes 1, 2 and 8, and the results must match across pool
+ * sizes.
  */
 
 #include <gtest/gtest.h>
@@ -240,7 +241,7 @@ std::shared_ptr<replay::TraceFile>
 writeTraceFile(const std::string &path, std::uint32_t series)
 {
     sim::Rng rng(17);
-    replay::TraceFileWriter writer(path, series, 10000, 4);
+    replay::TraceFileWriter writer(path, series, 10000, 600'000'000);
     for (std::uint32_t v = 0; v < series; ++v) {
         std::int64_t ts = 0;
         for (int i = 0; i < 30; ++i) {
@@ -348,17 +349,19 @@ EvaluationPassEquivalenceTest::run(unsigned threads)
 
     // Large: ids [0, 3100) step and constant traces, which keep the first
     // refresh range (about 3000 VMs) to a few expiries; [3100, 6000)
-    // streamed TraceFile views (bare and scaled) among steps; [6000,
-    // 9000) diurnal point spans among steps. One host per fleet carries
-    // big VMs and is overloaded at peak. Large hosts 56-63 start empty,
-    // and 60-63 go to sleep.
+    // streamed TraceFile views (bare and scaled) and table-fed series
+    // traces among steps; [6000, 9000) diurnal point spans among steps.
+    // One host per fleet carries big VMs and is overloaded at peak.
+    // Large hosts 56-63 start empty, and 60-63 go to sleep.
     const int vms = large ? 9000 : 40;
     const int loaded = large ? 56 : hosts;
     const int big_host = large ? 3 : 0;
     for (VmId v = 0; v < vms; ++v) {
         workload::TracePtr trace;
         const int group = !large ? v % 3 : v < 3100 ? 0 : v < 6000 ? 1 : 2;
-        if (group == 1 && large && v % 3 != 0) {
+        if (group == 1 && large && v % 6 == 3) {
+            trace = file->seriesTrace(static_cast<std::uint32_t>(v) % kSeries);
+        } else if (group == 1 && large && v % 3 != 0) {
             trace = file->vmTrace(static_cast<std::uint32_t>(v) % kSeries);
             if (v % 3 == 2)
                 trace = std::make_shared<workload::ScaledTrace>(trace, 0.8);
@@ -384,6 +387,11 @@ EvaluationPassEquivalenceTest::run(unsigned threads)
     DatacenterConfig config;
     config.evaluationInterval = kInterval;
     DatacenterSim dcsim(simulator, cluster, migration, config);
+    if (file) {
+        dcsim.setDemandFeed([&file](SimTime now, std::string *error) {
+            return file->feedTo(now, error);
+        });
+    }
 
     std::unique_ptr<ProvisioningEngine> provisioning;
     if (large) {
@@ -439,6 +447,7 @@ EvaluationPassEquivalenceTest::run(unsigned threads)
 
     const RunMetrics metrics = dcsim.runFor(SimTime::hours(large ? 10.0 : 6.0));
     reference.fold();
+    EXPECT_EQ(dcsim.feedError(), "");
 
     expectSameHistogram(dcsim.latencyHistogram(), reference.hist());
     expectSameSla(dcsim.sla(), reference.sla());

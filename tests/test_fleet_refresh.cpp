@@ -1,10 +1,11 @@
 /**
- * @file The demand-refresh kernel (FleetStore::refreshPlacedDemand), with
- * its look-ahead span prefetch, against a plain per-VM spanAt loop: the
- * demand and validity columns and the host flags must come out identical
- * for point, span and streamed traces, for id lists shorter and longer
- * than the look-ahead distance, and for any shard partition. Only the
- * streamed traces (bare or scaled) report a span prefetch.
+ * @file The demand-refresh kernel (FleetStore::refreshPlacedDemand)
+ * against a plain per-VM spanAt loop: the demand and validity columns and
+ * the host flags must come out identical for point, span, streamed-view
+ * and fed span-table traces, for short and long id lists, and for any
+ * shard partition. The kernel's table-fed VMs read their span slot; the
+ * reference reads the same series through a cursor view. Only the
+ * table-fed traces report a span slot.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +41,7 @@ std::shared_ptr<replay::TraceFile>
 writeTraceFile(const std::string &path)
 {
     sim::Rng rng(5);
-    replay::TraceFileWriter writer(path, kFileVms, 10000, 4);
+    replay::TraceFileWriter writer(path, kFileVms, 10000, 600'000'000);
     for (std::uint32_t v = 0; v < kFileVms; ++v) {
         std::int64_t ts = 0;
         for (int i = 0; i < 30; ++i) {
@@ -55,15 +56,17 @@ writeTraceFile(const std::string &path)
     return replay::TraceFile::open(path, 1, &error);
 }
 
-/** VM @p v's trace, a fresh object (so a fresh cursor) on every call. */
+/** VM @p v's trace, a fresh object (so a fresh cursor) on every call
+ *  except the shared table-fed one, which @p reference replaces with a
+ *  view of the same series. */
 workload::TracePtr
-makeTrace(int v, const replay::TraceFile &file)
+makeTrace(int v, const replay::TraceFile &file, bool reference)
 {
     const std::uint32_t series = static_cast<std::uint32_t>(v) % kFileVms;
     workload::DiurnalConfig diurnal;
     diurnal.seed = static_cast<std::uint64_t>(v) + 1;
     diurnal.period = sim::SimTime::hours(2.0);
-    switch (v % 6) {
+    switch (v % 7) {
     case 0: return std::make_shared<workload::DiurnalTrace>(diurnal);
     case 1:
         return std::make_shared<workload::ScaledTrace>(
@@ -76,6 +79,8 @@ makeTrace(int v, const replay::TraceFile &file)
                 {sim::SimTime::minutes(95.0 + v % 11), 0.4}});
     case 3: return std::make_shared<workload::ConstantTrace>(0.05 * (v % 9));
     case 4: return file.vmTrace(series);
+    case 5:
+        return reference ? file.vmTrace(series) : file.seriesTrace(series);
     default:
         return std::make_shared<workload::ScaledTrace>(file.vmTrace(series),
                                                        1.3);
@@ -106,18 +111,19 @@ referenceRefresh(FleetStore &fleet, const std::vector<VmId> &ids,
     }
 }
 
-TEST(FleetRefreshTest, LookAheadMatchesPerVmSpanLoop)
+TEST(FleetRefreshTest, KernelMatchesPerVmSpanLoop)
 {
     const std::string path =
         (std::filesystem::temp_directory_path() / "vpm_fleet_refresh.vpmtrc")
             .string();
-    const std::shared_ptr<replay::TraceFile> file = writeTraceFile(path);
-    ASSERT_NE(file, nullptr);
-
     for (const std::size_t n : {5u, 16u, 17u, 300u}) {
         for (const std::size_t shards : {1u, 2u, 8u}) {
             SCOPED_TRACE("n " + std::to_string(n) + ", shards " +
                          std::to_string(shards));
+            // A fresh file per case: its span table is fed from t = 0.
+            const std::shared_ptr<replay::TraceFile> file =
+                writeTraceFile(path);
+            ASSERT_NE(file, nullptr);
             FleetStore kernel;
             FleetStore reference;
             std::vector<workload::TracePtr> traces; // keeps both alive
@@ -130,11 +136,11 @@ TEST(FleetRefreshTest, LookAheadMatchesPerVmSpanLoop)
             // no host.
             const int vm_count = static_cast<int>(n) + 7;
             for (VmId v = 0; v < vm_count; ++v) {
-                traces.push_back(makeTrace(v, *file));
-                ASSERT_EQ(traces.back()->hasSpanPrefetch(), v % 6 >= 4)
+                traces.push_back(makeTrace(v, *file, false));
+                ASSERT_EQ(traces.back()->spanSlot() != nullptr, v % 7 == 5)
                     << "vm " << v;
                 kernel.registerVm(v, 2000.0, 1024.0, traces.back().get());
-                traces.push_back(makeTrace(v, *file));
+                traces.push_back(makeTrace(v, *file, true));
                 reference.registerVm(v, 2000.0, 1024.0,
                                      traces.back().get());
                 const HostId h = rng.bernoulli(0.1)
@@ -153,6 +159,10 @@ TEST(FleetRefreshTest, LookAheadMatchesPerVmSpanLoop)
 
             for (int tick = 0; tick < 40; ++tick) {
                 const std::int64_t now_us = kTickUs * tick;
+                std::string error;
+                ASSERT_TRUE(file->feedTo(sim::SimTime::micros(now_us),
+                                         &error))
+                    << error;
                 for (std::size_t s = 0; s < shards; ++s) {
                     const auto [begin, end] =
                         sim::ThreadPool::shardRange(n, shards, s);

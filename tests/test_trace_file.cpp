@@ -1,14 +1,17 @@
 /**
  * @file
- * vpm-trace-1 tests: writer/reader round-trip against a StepTrace
- * reference (fixed and randomized query orders), exact span semantics,
- * quantization, equal-level merging, backward seeks through the chunk
- * cache, the bounded-window contract, and malformed-file rejection.
+ * vpm-trace-2 tests: writer/reader round-trip against a StepTrace
+ * reference (fixed and randomized query orders, blocks shorter and
+ * longer than the breakpoint spacing), exact span semantics through both
+ * read paths (cursor views and the fed span table), quantization,
+ * equal-level merging, backward seeks, the bounded-window contract, and
+ * malformed-file rejection.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -64,8 +67,8 @@ TEST(TraceFileTest, RoundTripsAgainstStepTraceReference)
     const std::string path = tempPath("roundtrip");
     constexpr std::uint32_t kVms = 7;
     constexpr std::uint32_t kQuantum = 10000;
-    // Small chunks so every VM spans several of them.
-    TraceFileWriter writer(path, kVms, kQuantum, 16);
+    // Quarter-second blocks, so every VM spans many of them.
+    TraceFileWriter writer(path, kVms, kQuantum, 250'000);
     ASSERT_TRUE(writer.ok());
 
     SplitMix rng(77);
@@ -129,26 +132,28 @@ sameBits(double a, double b)
 }
 
 /**
- * Random query orders against a StepTrace reference, per chunk size 2-5:
- * multi-chunk VMs (random and merge-heavy levels), single-sample VMs and
- * empty VMs; probes before the first timestamp, on and beside every
- * breakpoint (so on every chunk's end_ts), and far past the end, visited
- * in random order (forward jumps over chunks, backward seeks within and
- * across chunks) and in both sorted sweeps, all through one cursor per
- * VM.
+ * Random query orders against a StepTrace reference, per block length
+ * (shorter than, around and longer than the breakpoint spacing): VMs
+ * with many breakpoints (random and merge-heavy levels), single-sample
+ * VMs and empty VMs; probes before the first timestamp, on and beside
+ * every breakpoint (so on block boundaries), and far past the end,
+ * visited in random order (forward jumps over blocks, backward seeks
+ * within and across blocks) and in both sorted sweeps, all through one
+ * cursor per VM.
  */
 TEST(TraceFileTest, RandomQueriesMatchStepTraceReference)
 {
     constexpr std::uint32_t kVms = 12;
     constexpr std::uint32_t kQuantum = 100;
-    for (std::uint32_t chunk_samples = 2; chunk_samples <= 5;
-         ++chunk_samples) {
-        SCOPED_TRACE("chunk samples " + std::to_string(chunk_samples));
-        const std::string path =
-            tempPath("random" + std::to_string(chunk_samples));
-        TraceFileWriter writer(path, kVms, kQuantum, chunk_samples);
+    const std::int64_t block_lengths[] = {20'000, 97'531, 1'000'000,
+                                          50'000'000};
+    for (std::size_t b = 0; b < std::size(block_lengths); ++b) {
+        const std::int64_t block_us = block_lengths[b];
+        SCOPED_TRACE("block us " + std::to_string(block_us));
+        const std::string path = tempPath("random" + std::to_string(b));
+        TraceFileWriter writer(path, kVms, kQuantum, block_us);
         ASSERT_TRUE(writer.ok());
-        SplitMix rng(1000 + chunk_samples);
+        SplitMix rng(1002 + b);
         std::vector<std::vector<workload::StepTrace::Step>> reference(kVms);
         for (std::uint32_t v = 0; v < kVms; ++v) {
             const std::uint64_t kind = rng.next() % 4; // 0 empty, 1 single
@@ -171,9 +176,9 @@ TEST(TraceFileTest, RandomQueriesMatchStepTraceReference)
         }
         std::string error;
         ASSERT_TRUE(writer.finish(&error)) << error;
-        // A one-byte window (8 slots) evicts chunks still pinned by
-        // cursors; a roomy one keeps every chunk cached.
-        const std::size_t window = chunk_samples % 2 == 0 ? 1 : 1u << 20;
+        // A one-byte window keeps only the last slice loaded; a roomy one
+        // keeps every slice cached.
+        const std::size_t window = b % 2 == 0 ? 1 : 1u << 20;
         std::shared_ptr<TraceFile> file = TraceFile::open(path, window,
                                                           &error);
         ASSERT_NE(file, nullptr) << error;
@@ -229,7 +234,7 @@ TEST(TraceFileTest, RandomQueriesMatchStepTraceReference)
 TEST(TraceFileTest, MergesEqualConsecutiveLevels)
 {
     const std::string path = tempPath("merge");
-    TraceFileWriter writer(path, 1, 100, 16);
+    TraceFileWriter writer(path, 1, 100, 3'000'000);
     ASSERT_TRUE(writer.ok());
     // 10 breakpoints, but only 3 distinct plateau levels after
     // quantization: 0.50 x4, 0.80 x3, 0.50 x3 -> 3 stored samples.
@@ -244,7 +249,7 @@ TEST(TraceFileTest, MergesEqualConsecutiveLevels)
     std::shared_ptr<TraceFile> file =
         TraceFile::open(path, 1u << 20, &error);
     ASSERT_NE(file, nullptr) << error;
-    EXPECT_EQ(file->vmSampleCount(0), 3u);
+    EXPECT_EQ(file->info().totalSamples, 3u);
     const workload::TracePtr trace = file->vmTrace(0);
     EXPECT_EQ(trace->utilizationAt(sim::SimTime::seconds(2.0)), 0.5);
     EXPECT_EQ(trace->utilizationAt(sim::SimTime::seconds(5.0)), 0.8);
@@ -254,13 +259,19 @@ TEST(TraceFileTest, MergesEqualConsecutiveLevels)
         trace->spanAt(sim::SimTime::seconds(1.0));
     EXPECT_EQ(span.utilization, 0.5);
     EXPECT_EQ(span.validUntil.micros(), 4000000);
+    // Three stored spans: the walk from 0 reaches forever in three steps.
+    int spans = 1;
+    for (sim::SimTime t; trace->spanAt(t).validUntil != sim::SimTime::max();
+         ++spans)
+        t = trace->spanAt(t).validUntil;
+    EXPECT_EQ(spans, 3);
     std::filesystem::remove(path);
 }
 
 TEST(TraceFileTest, QuantizesToTheConfiguredDenominator)
 {
     const std::string path = tempPath("quant");
-    TraceFileWriter writer(path, 1, 4, 16); // quarters only
+    TraceFileWriter writer(path, 1, 4, 1500); // quarters only
     ASSERT_TRUE(writer.ok());
     writer.append(0, 0, 0.10);       // -> 0.0
     writer.append(0, 1000, 0.60);    // -> 0.5
@@ -282,10 +293,10 @@ TEST(TraceFileTest, QuantizesToTheConfiguredDenominator)
     std::filesystem::remove(path);
 }
 
-TEST(TraceFileTest, BackwardSeeksReloadEarlierChunks)
+TEST(TraceFileTest, BackwardSeeksRestartAtBlockZero)
 {
     const std::string path = tempPath("backward");
-    TraceFileWriter writer(path, 1, 10000, 8); // 8-sample chunks
+    TraceFileWriter writer(path, 1, 10000, 8000); // 8 samples per block
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 256; ++i)
         writer.append(0, static_cast<std::int64_t>(i) * 1000,
@@ -297,7 +308,7 @@ TEST(TraceFileTest, BackwardSeeksReloadEarlierChunks)
         TraceFile::open(path, 1u << 20, &error);
     ASSERT_NE(file, nullptr) << error;
     const workload::TracePtr trace = file->vmTrace(0);
-    // Walk to the end, then probe strictly backwards through every chunk.
+    // Walk to the end, then probe strictly backwards through every block.
     EXPECT_EQ(trace->utilizationAt(sim::SimTime::micros(255000)),
               static_cast<double>(255 % 97) / 100.0);
     for (int i = 255; i >= 0; --i) {
@@ -312,7 +323,7 @@ TEST(TraceFileTest, TinyWindowStillServesManyConcurrentSeries)
 {
     const std::string path = tempPath("window");
     constexpr std::uint32_t kVms = 64;
-    TraceFileWriter writer(path, kVms, 10000, 8);
+    TraceFileWriter writer(path, kVms, 10000, 8000);
     ASSERT_TRUE(writer.ok());
     for (std::uint32_t v = 0; v < kVms; ++v)
         for (int i = 0; i < 64; ++i)
@@ -321,11 +332,10 @@ TEST(TraceFileTest, TinyWindowStillServesManyConcurrentSeries)
     std::string error;
     ASSERT_TRUE(writer.finish(&error)) << error;
 
-    // A 1-byte budget clamps to the 8-slot floor; interleaved access to
-    // 64 series thrashes the cache but must stay correct.
+    // A 1-byte budget keeps one slice; interleaved access to 64 series
+    // across eight blocks thrashes the cache but must stay correct.
     std::shared_ptr<TraceFile> file = TraceFile::open(path, 1, &error);
     ASSERT_NE(file, nullptr) << error;
-    EXPECT_EQ(file->cacheSlots(), 8u);
     std::vector<workload::TracePtr> traces;
     for (std::uint32_t v = 0; v < kVms; ++v)
         traces.push_back(file->vmTrace(v));
@@ -337,6 +347,7 @@ TEST(TraceFileTest, TinyWindowStillServesManyConcurrentSeries)
         }
     }
     EXPECT_GT(file->chunkLoads(), 0u);
+    EXPECT_EQ(file->error(), "");
     std::filesystem::remove(path);
 }
 
@@ -357,8 +368,21 @@ TEST(TraceFileTest, RejectsMissingAndMalformedFiles)
     EXPECT_EQ(TraceFile::open(path, 1u << 20, &error), nullptr);
     EXPECT_FALSE(error.empty());
 
-    // Truncate a valid file mid-index: open must refuse, not crash.
-    TraceFileWriter writer(path, 4, 10000, 8);
+    // A vpm-trace-1 file is refused by name.
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write("vpmtrc1\n", 8);
+        const std::uint32_t version = 1;
+        out.write(reinterpret_cast<const char *>(&version), sizeof version);
+        out << std::string(28, '\0');
+    }
+    error.clear();
+    EXPECT_EQ(TraceFile::open(path, 1u << 20, &error), nullptr);
+    EXPECT_NE(error.find("vpm-trace-1"), std::string::npos) << error;
+
+    // Truncate a valid file in its last block: open must refuse, not
+    // crash.
+    TraceFileWriter writer(path, 4, 10000, 8000);
     ASSERT_TRUE(writer.ok());
     for (std::uint32_t v = 0; v < 4; ++v)
         for (int i = 0; i < 32; ++i)
@@ -375,30 +399,116 @@ TEST(TraceFileTest, RejectsMissingAndMalformedFiles)
     std::filesystem::remove(path);
 }
 
-TEST(TraceFileTest, RejectsIndexLargerThanTheFile)
+TEST(TraceFileTest, RejectsBlockTableLargerThanTheFile)
 {
-    // A bare 40-byte header claiming 2^32 - 1 VMs: the index it implies
-    // (~100 GB) cannot fit, so open must refuse before sizing anything
-    // from the count.
-    const std::string path = tempPath("huge_index");
+    // A bare 56-byte header claiming 2^32 - 1 series and blocks: the
+    // block table it implies (~32 GB) cannot fit, so open must refuse
+    // before sizing anything from either count.
+    const std::string path = tempPath("huge_table");
     {
         std::ofstream out(path, std::ios::binary);
         const auto put = [&out](auto v) {
             out.write(reinterpret_cast<const char *>(&v), sizeof v);
         };
-        out.write("vpmtrc1\n", 8);
-        put(std::uint32_t{1});          // version
-        put(std::uint32_t{0xFFFFFFFF}); // vm_count
+        out.write("vpmtrc2\n", 8);
+        put(std::uint32_t{2});          // version
+        put(std::uint32_t{0xFFFFFFFF}); // series_count
         put(std::uint32_t{10000});      // quantum
-        put(std::uint32_t{512});        // samples_per_chunk
-        put(std::uint64_t{40});         // index_offset
+        put(std::uint32_t{64});         // group_series
+        put(std::int64_t{900});         // block_us
+        put(std::int64_t{1});           // unit_us
         put(std::uint64_t{0});          // total_samples
+        put(std::uint32_t{0xFFFFFFFF}); // block_count
+        put(std::uint32_t{0});          // reserved
     }
-    ASSERT_EQ(std::filesystem::file_size(path), 40u);
+    ASSERT_EQ(std::filesystem::file_size(path), 56u);
     std::string error;
     EXPECT_EQ(TraceFile::open(path, 1u << 20, &error), nullptr);
-    EXPECT_NE(error.find("index"), std::string::npos) << error;
+    EXPECT_NE(error.find("block table"), std::string::npos) << error;
     std::filesystem::remove(path);
+}
+
+/**
+ * The fed span table against a StepTrace reference: for each block
+ * length, feedTo() every 250 ms (so several feeds land inside one block
+ * and some blocks pass without a feed), then every series' slot and its
+ * seriesTrace()'s spanAt() at the fed instant must equal the reference
+ * span, bit for bit. Covers series whose first breakpoint is after 0,
+ * single-sample and empty series, and plateaus across many blocks.
+ */
+TEST(TraceFileTest, FedTableMatchesStepTraceReference)
+{
+    constexpr std::uint32_t kVms = 9;
+    constexpr std::uint32_t kQuantum = 1000;
+    for (const std::int64_t block_us :
+         {std::int64_t{70'000}, std::int64_t{1'000'000},
+          std::int64_t{20'000'000}}) {
+        SCOPED_TRACE("block us " + std::to_string(block_us));
+        const std::string path = tempPath("fed");
+        TraceFileWriter writer(path, kVms, kQuantum, block_us);
+        ASSERT_TRUE(writer.ok());
+        SplitMix rng(static_cast<std::uint64_t>(block_us));
+        std::vector<std::vector<workload::StepTrace::Step>> reference(kVms);
+        for (std::uint32_t v = 0; v < kVms; ++v) {
+            // 0 empty, 1 single sample, 2 plateaus seconds apart, else
+            // dense; the first breakpoint lies after 0 for odd series.
+            const int kind = static_cast<int>(v % 4);
+            const int breakpoints = kind == 0 ? 0 : kind == 1 ? 1 : 60;
+            std::int64_t ts = v % 2 == 1 ? 3'100'000 : 0;
+            for (int i = 0; i < breakpoints; ++i) {
+                const double util = rng.uniform();
+                writer.append(v, ts, util);
+                const double level = quantized(util, kQuantum);
+                if (reference[v].empty() || reference[v].back().level != level)
+                    reference[v].push_back({sim::SimTime::micros(ts), level});
+                ts += kind == 2 ? 4'000'000 + static_cast<std::int64_t>(
+                                                  rng.next() % 3'000'000)
+                                : 1 + static_cast<std::int64_t>(
+                                          rng.next() % 400'000);
+            }
+        }
+        std::string error;
+        ASSERT_TRUE(writer.finish(&error)) << error;
+        std::shared_ptr<TraceFile> file = TraceFile::open(path, 1, &error);
+        ASSERT_NE(file, nullptr) << error;
+
+        for (std::int64_t us = 0; us < 300'000'000; us += 250'000) {
+            const sim::SimTime now = sim::SimTime::micros(us);
+            ASSERT_TRUE(file->feedTo(now, &error)) << error;
+            for (std::uint32_t v = 0; v < kVms; ++v) {
+                const workload::DemandSpan want =
+                    reference[v].empty()
+                        ? workload::DemandSpan{0.0, sim::SimTime::max()}
+                        : workload::StepTrace(reference[v]).spanAt(
+                              std::max(now, reference[v].front().start));
+                const workload::TracePtr trace = file->seriesTrace(v);
+                const workload::SpanSlot *slot = trace->spanSlot();
+                ASSERT_NE(slot, nullptr);
+                ASSERT_TRUE(sameBits(slot->utilization, want.utilization))
+                    << "vm " << v << " t=" << us;
+                ASSERT_EQ(slot->validUntilUs, want.validUntil.micros())
+                    << "vm " << v << " t=" << us;
+                const workload::DemandSpan got = trace->spanAt(now);
+                ASSERT_TRUE(sameBits(got.utilization, want.utilization));
+                ASSERT_EQ(got.validUntil, want.validUntil);
+            }
+        }
+        // Off the fed span, spanAt() walks the file and stays exact.
+        for (std::uint32_t v = 2; v < kVms; v += 4) {
+            const workload::StepTrace expect(reference[v]);
+            const sim::SimTime early = reference[v][1].start;
+            const workload::DemandSpan got =
+                file->seriesTrace(v)->spanAt(early);
+            EXPECT_TRUE(sameBits(got.utilization,
+                                 expect.spanAt(early).utilization));
+            EXPECT_EQ(got.validUntil, expect.spanAt(early).validUntil);
+        }
+        // The feed only moves forward.
+        EXPECT_FALSE(file->feedTo(sim::SimTime::micros(5), &error));
+        EXPECT_NE(error.find("back in time"), std::string::npos) << error;
+        EXPECT_EQ(file->error(), "");
+        std::filesystem::remove(path);
+    }
 }
 
 } // namespace

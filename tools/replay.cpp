@@ -8,9 +8,10 @@
  *
  *     replay gen-trace --out <file.vpmtrc> [--vms <n>] [--hours <h>]
  *            [--seed <s>] [--load-scale <x>] [--sample-interval-s <s>]
- *            [--quantum <q>] [--chunk-samples <n>]
+ *            [--quantum <q>] [--block-s <s>]
  *         Synthesize an enterprise-mix fleet and write its demand series
- *         as a vpm-trace-1 file (the stand-in for a production recorder).
+ *         as a vpm-trace-2 file (the stand-in for a production recorder)
+ *         in blocks of --block-s seconds (default 900).
  *
  *     replay run (--spec <spec.json> | --trace <file> [spec flags])
  *            [--checkpoint <file.vpmckpt> --checkpoint-hours <h>]
@@ -70,7 +71,7 @@ printUsage(std::FILE *out)
         "usage: replay <subcommand> [options]\n"
         "  gen-trace --out <file> [--vms <n>] [--hours <h>] [--seed <s>]\n"
         "            [--load-scale <x>] [--sample-interval-s <s>]\n"
-        "            [--quantum <q>] [--chunk-samples <n>]\n"
+        "            [--quantum <q>] [--block-s <s>]\n"
         "  run       (--spec <json> | --trace <file> [spec flags])\n"
         "            [--checkpoint <file> --checkpoint-hours <h>]\n"
         "            [--json <out>] [--threads <n>]\n"
@@ -167,7 +168,8 @@ cmdGenTrace(int argc, char **argv)
     double load_scale = 1.0;
     double sample_interval_s = 900.0;
     std::uint32_t quantum = 10000;
-    std::uint32_t chunk_samples = 512;
+    std::int64_t block_s = vpm::replay::TraceFileWriter::kDefaultBlockUs /
+                           1'000'000;
 
     vpm::sim::FlagParser flags = subcommandFlags("gen-trace");
     flags.flag("--out", out_path)
@@ -177,7 +179,8 @@ cmdGenTrace(int argc, char **argv)
         .flag("--load-scale", load_scale, 1e-9)
         .flag("--sample-interval-s", sample_interval_s, 1e-9)
         .flag("--quantum", quantum, 1)
-        .flag("--chunk-samples", chunk_samples, 2)
+        .flag("--block-s", block_s, 1,
+              vpm::replay::TraceFileWriter::kMaxBlockUs / 1'000'000)
         .parseOrExit(argc, argv);
     if (out_path.empty())
         flags.fail("--out is required");
@@ -189,7 +192,8 @@ cmdGenTrace(int argc, char **argv)
         vpm::workload::makeEnterpriseMix(rng, vms, mix);
 
     vpm::replay::TraceFileWriter writer(
-        out_path, static_cast<std::uint32_t>(vms), quantum, chunk_samples);
+        out_path, static_cast<std::uint32_t>(vms), quantum,
+        block_s * 1'000'000);
     if (!writer.ok()) {
         std::fprintf(stderr, "replay: cannot write '%s'\n",
                      out_path.c_str());
@@ -292,7 +296,10 @@ cmdRun(int argc, char **argv)
     }
 
     if (!checkpoint_path.empty()) {
-        session->runTo(vpm::sim::SimTime::hours(checkpoint_hours));
+        if (!session->runTo(vpm::sim::SimTime::hours(checkpoint_hours))) {
+            std::fprintf(stderr, "replay: %s\n", session->error().c_str());
+            return 3;
+        }
         const vpm::replay::CheckpointData ckpt = session->capture();
         if (!vpm::replay::writeCheckpoint(ckpt, checkpoint_path, &error)) {
             std::fprintf(stderr, "replay: %s\n", error.c_str());
@@ -305,6 +312,10 @@ cmdRun(int argc, char **argv)
     }
 
     const vpm::mgmt::ScenarioResult result = session->finish();
+    if (!session->error().empty()) {
+        std::fprintf(stderr, "replay: %s\n", session->error().c_str());
+        return 3;
+    }
     const std::uint64_t digest = session->stateDigest();
     if (!json_path.empty()) {
         std::ofstream out(json_path);
@@ -359,6 +370,10 @@ cmdResume(int argc, char **argv)
                      static_cast<long long>(ckpt.timeUs));
 
     const vpm::mgmt::ScenarioResult result = session->finish();
+    if (!session->error().empty()) {
+        std::fprintf(stderr, "replay: %s\n", session->error().c_str());
+        return 3;
+    }
     const std::uint64_t digest = session->stateDigest();
     if (!json_path.empty()) {
         std::ofstream out(json_path);
@@ -478,11 +493,15 @@ cmdInspect(int argc, char **argv)
             return 3;
         }
         const vpm::replay::TraceFileInfo &info = trace->info();
-        std::printf("vpm-trace-1 '%s'\n", trace_path.c_str());
-        std::printf("  vms:               %u\n", info.vmCount);
-        std::printf("  quantum:           %u\n", info.quantum);
-        std::printf("  samples_per_chunk: %u\n", info.samplesPerChunk);
-        std::printf("  total_samples:     %llu\n",
+        std::printf("vpm-trace-2 '%s'\n", trace_path.c_str());
+        std::printf("  vms:           %u\n", info.vmCount);
+        std::printf("  quantum:       %u\n", info.quantum);
+        std::printf("  block_us:      %lld\n",
+                    static_cast<long long>(info.blockUs));
+        std::printf("  blocks:        %u\n", info.blockCount);
+        std::printf("  unit_us:       %lld\n",
+                    static_cast<long long>(info.unitUs));
+        std::printf("  total_samples: %llu\n",
                     static_cast<unsigned long long>(info.totalSamples));
         return 0;
     }
