@@ -7,6 +7,7 @@
 #include "power/idle_hierarchy.hpp"
 #include "simcore/byte_append.hpp"
 #include "simcore/logging.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/trace_context.hpp"
 
 namespace vpm::mgmt {
@@ -79,9 +80,44 @@ JointPolicyController::start()
     });
 }
 
+const JointPolicyController::Ladder &
+JointPolicyController::ladderFor(const power::IdleHierarchySpec &spec)
+{
+    for (const Ladder &ladder : ladders_) {
+        if (ladder.spec == &spec)
+            return ladder;
+    }
+    // Each level amortizes against its own baseline draw.
+    const double bound_s = config_.latencyBound.toSeconds();
+    const auto rungs = [bound_s](double baseline_watts,
+                                 const std::vector<power::IdleStateSpec> &
+                                     states) {
+        std::vector<double> out;
+        for (const power::IdleStateSpec &state : states) {
+            if (state.exitLatency.toSeconds() > bound_s)
+                break;
+            const std::optional<double> be = power::breakEvenSecondsFor(
+                baseline_watts, state.powerWatts,
+                state.roundTripEnergyJoules(),
+                state.roundTripLatency().toSeconds());
+            if (!be)
+                break;
+            out.push_back(*be);
+        }
+        return out;
+    };
+    Ladder ladder;
+    ladder.spec = &spec;
+    ladder.core = rungs(spec.corePowerC0Watts, spec.coreStates);
+    ladder.package = rungs(spec.uncorePowerC0Watts, spec.packageStates);
+    ladders_.push_back(std::move(ladder));
+    return ladders_.back();
+}
+
 void
 JointPolicyController::controlCycle()
 {
+    PROF_ZONE("mgmt.joint_cycle");
     ++cycles_;
     if (!active_)
         return;
@@ -91,7 +127,6 @@ JointPolicyController::controlCycle()
     }
 
     const double period_s = config_.period.toSeconds();
-    const double bound_s = config_.latencyBound.toSeconds();
     bool any_speed_change = false;
 
     for (const auto &host_ptr : cluster_.hosts()) {
@@ -186,33 +221,19 @@ JointPolicyController::controlCycle()
         busy = std::clamp(busy, 0, spec.coreCount);
 
         // Deepest state per level whose break-even fits the prediction
-        // and whose exit respects the latency bound. Each level amortizes
-        // against its own baseline draw.
+        // and whose exit respects the latency bound.
+        const Ladder &ladder = ladderFor(spec);
         int core_depth = 0;
-        for (std::size_t d = 1; d <= spec.coreStates.size(); ++d) {
-            const power::IdleStateSpec &state = spec.coreStates[d - 1];
-            if (state.exitLatency.toSeconds() > bound_s)
+        for (const double be : ladder.core) {
+            if (be > expected_idle_s)
                 break;
-            const std::optional<double> be = power::breakEvenSecondsFor(
-                spec.corePowerC0Watts, state.powerWatts,
-                state.roundTripEnergyJoules(),
-                state.roundTripLatency().toSeconds());
-            if (!be || *be > expected_idle_s)
-                break;
-            core_depth = static_cast<int>(d);
+            ++core_depth;
         }
         int pkg_depth = 0;
-        for (std::size_t d = 1; d <= spec.packageStates.size(); ++d) {
-            const power::IdleStateSpec &state = spec.packageStates[d - 1];
-            if (state.exitLatency.toSeconds() > bound_s)
+        for (const double be : ladder.package) {
+            if (be > expected_idle_s)
                 break;
-            const std::optional<double> be = power::breakEvenSecondsFor(
-                spec.uncorePowerC0Watts, state.powerWatts,
-                state.roundTripEnergyJoules(),
-                state.roundTripLatency().toSeconds());
-            if (!be || *be > expected_idle_s)
-                break;
-            pkg_depth = static_cast<int>(d);
+            ++pkg_depth;
         }
 
         // Only cycles that move a level mint a decision id, so the trace

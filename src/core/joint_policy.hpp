@@ -35,6 +35,10 @@
 
 #include "datacenter/datacenter_sim.hpp"
 
+namespace vpm::power {
+struct IdleHierarchySpec;
+}
+
 namespace vpm::mgmt {
 
 /** Joint policy knobs. */
@@ -142,6 +146,25 @@ class JointPolicyController
     ///@}
 
   private:
+    /**
+     * Break-even seconds per level of one shared idle spec under the
+     * latency bound, shallowest state first. A level's list stops at its
+     * first state whose exit latency exceeds the bound or that has no
+     * break-even, so a cycle descends while the prediction covers the
+     * next entry.
+     */
+    struct Ladder
+    {
+        const power::IdleHierarchySpec *spec = nullptr;
+        std::vector<double> core;
+        std::vector<double> package;
+    };
+
+    /** The ladder of @p spec, built on first use. Keyed by address:
+     *  equal specs share one object (IdleHierarchySpec::shared), and a
+     *  spec outlives the hierarchies of the cluster that point at it. */
+    const Ladder &ladderFor(const power::IdleHierarchySpec &spec);
+
     dc::Cluster &cluster_;
     dc::DatacenterSim &dcsim_;
     JointPolicyConfig config_;
@@ -160,6 +183,8 @@ class JointPolicyController
     /** Per-host ring of recent demand samples (speedWindowCycles wide),
      *  backing the windowed-peak speed choice. */
     std::vector<std::vector<double>> demandWindow_;
+
+    std::vector<Ladder> ladders_; ///< one per distinct spec seen
 };
 
 } // namespace vpm::mgmt

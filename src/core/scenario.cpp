@@ -8,6 +8,7 @@
 
 #include "power/idle_hierarchy.hpp"
 #include "simcore/logging.hpp"
+#include "telemetry/profiler.hpp"
 #include "workload/demand_trace.hpp"
 
 namespace vpm::mgmt {
@@ -145,6 +146,7 @@ Rig::Rig(sim::Simulator &simulator, dc::Cluster &cluster,
     dcsim_->addEvaluationHook([this, total_capacity, per_host_capacity,
                                per_host_peak,
                                probe = config.evaluationProbe] {
+        PROF_ZONE("mgmt.offered_load");
         const double demand = cluster_.totalVmDemandMhz();
         offeredLoad_.update(simulator_.now(), demand / total_capacity);
         idealPower_.update(simulator_.now(),

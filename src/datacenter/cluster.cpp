@@ -18,10 +18,19 @@ Cluster::addHost(const HostConfig &config,
     const HostId id = static_cast<HostId>(hosts_.size());
     char name[32];
     std::snprintf(name, sizeof(name), "host%03d", id);
-    powerSpecs_.push_back(power_spec);
+    // Distinct specs are few (one per host model), so a scan suffices.
+    const power::HostPowerSpec *spec = nullptr;
+    for (const power::HostPowerSpec &kept : powerSpecs_) {
+        if (kept.sameAs(power_spec)) {
+            spec = &kept;
+            break;
+        }
+    }
+    if (spec == nullptr)
+        spec = &powerSpecs_.emplace_back(power_spec);
     fleet_.registerHost(id, config.cpuCapacityMhz);
     hosts_.push_back(std::make_unique<Host>(simulator_, id, name, config,
-                                            powerSpecs_.back(), fleet_));
+                                            *spec, fleet_));
     ++placementEpoch_;
     return *hosts_.back();
 }

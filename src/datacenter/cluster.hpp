@@ -37,8 +37,10 @@ class Cluster
     /** @name Construction */
     ///@{
     /**
-     * Add a host. The power spec is copied and kept alive by the cluster,
-     * so heterogeneous clusters are supported.
+     * Add a host. The cluster keeps one copy of each distinct power spec
+     * (HostPowerSpec::sameAs) and every host of that spec refers to it, so
+     * heterogeneous clusters are supported and a homogeneous fleet holds
+     * one spec.
      * @return The new host (stable reference).
      */
     Host &addHost(const HostConfig &config,
@@ -159,6 +161,7 @@ class Cluster
     FleetStore fleet_;
     std::vector<std::unique_ptr<Host>> hosts_;
     std::vector<std::unique_ptr<Vm>> vms_;
+    /** One entry per distinct spec; a deque so references stay put. */
     std::deque<power::HostPowerSpec> powerSpecs_;
     std::uint64_t placementEpoch_ = 0;
 };

@@ -1,6 +1,8 @@
 #include "power/idle_hierarchy.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <mutex>
 #include <utility>
 
 #include "simcore/logging.hpp"
@@ -31,6 +33,11 @@ IdleHierarchySpec::validate() const
         sim::fatal("IdleHierarchySpec: C0 powers must be non-negative");
     if (coreStates.empty() && packageStates.empty())
         sim::fatal("IdleHierarchySpec: no idle states at any level");
+    if (coreStates.size() > kMaxStatesPerLevel ||
+        packageStates.size() > kMaxStatesPerLevel)
+        sim::fatal("IdleHierarchySpec: %zu core and %zu package states; "
+                   "at most %zu per level", coreStates.size(),
+                   packageStates.size(), kMaxStatesPerLevel);
 
     double prev = corePowerC0Watts;
     for (const IdleStateSpec &state : coreStates) {
@@ -87,13 +94,71 @@ IdleHierarchySpec::maxSavingsWatts() const
     return savings;
 }
 
-IdleHierarchy::IdleHierarchy(sim::Simulator &simulator,
-                             IdleHierarchySpec spec)
-    : simulator_(simulator), spec_(std::move(spec))
+namespace {
+
+bool
+sameBits(double a, double b)
 {
-    spec_.validate();
-    coreResidencyS_.assign(spec_.coreStates.size() + 1, 0.0);
-    packageResidencyS_.assign(spec_.packageStates.size() + 1, 0.0);
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool
+sameStates(const std::vector<IdleStateSpec> &a,
+           const std::vector<IdleStateSpec> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const IdleStateSpec &x = a[i];
+        const IdleStateSpec &y = b[i];
+        if (x.name != y.name || !sameBits(x.powerWatts, y.powerWatts) ||
+            x.entryLatency != y.entryLatency ||
+            x.exitLatency != y.exitLatency ||
+            !sameBits(x.entryEnergyJoules, y.entryEnergyJoules) ||
+            !sameBits(x.exitEnergyJoules, y.exitEnergyJoules) ||
+            x.requiredChildDepth != y.requiredChildDepth)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+IdleHierarchySpec::sameAs(const IdleHierarchySpec &other) const
+{
+    return coreCount == other.coreCount &&
+           sameBits(corePowerC0Watts, other.corePowerC0Watts) &&
+           sameBits(uncorePowerC0Watts, other.uncorePowerC0Watts) &&
+           sameStates(coreStates, other.coreStates) &&
+           sameStates(packageStates, other.packageStates);
+}
+
+std::shared_ptr<const IdleHierarchySpec>
+IdleHierarchySpec::shared(const IdleHierarchySpec &spec)
+{
+    // Weak entries: a spec lives exactly as long as its hierarchies, and
+    // a dead one is pruned when the next new spec is added. Fleets hold a
+    // handful of distinct specs, so a linear scan suffices.
+    static std::mutex mutex;
+    static std::vector<std::weak_ptr<const IdleHierarchySpec>> table;
+    spec.validate();
+    const std::lock_guard<std::mutex> lock(mutex);
+    for (const std::weak_ptr<const IdleHierarchySpec> &entry : table) {
+        std::shared_ptr<const IdleHierarchySpec> live = entry.lock();
+        if (live && live->sameAs(spec))
+            return live;
+    }
+    std::erase_if(table, [](const auto &entry) { return entry.expired(); });
+    auto fresh = std::make_shared<const IdleHierarchySpec>(spec);
+    table.push_back(fresh);
+    return fresh;
+}
+
+IdleHierarchy::IdleHierarchy(sim::Simulator &simulator,
+                             const IdleHierarchySpec &spec)
+    : spec_(IdleHierarchySpec::shared(spec)), simulator_(simulator)
+{
     lastAccrual_ = simulator_.now();
     coreSpanStart_ = lastAccrual_;
     packageSpanStart_ = lastAccrual_;
@@ -102,7 +167,7 @@ IdleHierarchy::IdleHierarchy(sim::Simulator &simulator,
 const std::string &
 IdleHierarchy::coreStateName(int depth) const
 {
-    return depth > 0 ? spec_.coreStates[static_cast<std::size_t>(depth - 1)]
+    return depth > 0 ? spec_->coreStates[static_cast<std::size_t>(depth - 1)]
                            .name
                      : kC0;
 }
@@ -111,7 +176,7 @@ const std::string &
 IdleHierarchy::packageStateName(int depth) const
 {
     return depth > 0
-               ? spec_.packageStates[static_cast<std::size_t>(depth - 1)]
+               ? spec_->packageStates[static_cast<std::size_t>(depth - 1)]
                      .name
                : kC0;
 }
@@ -123,7 +188,7 @@ IdleHierarchy::accrueResidency(sim::SimTime now)
     lastAccrual_ = now;
     if (!active_ || dt <= 0.0)
         return;
-    const int idle = spec_.coreCount - busyCores_;
+    const int idle = spec_->coreCount - busyCores_;
     coreResidencyS_[0] += static_cast<double>(busyCores_) * dt;
     coreResidencyS_[static_cast<std::size_t>(coreDepth_)] +=
         static_cast<double>(idle) * dt;
@@ -139,10 +204,10 @@ IdleHierarchy::gatedPackageDepth(int wanted, int busy, int core_depth) const
         return 0;
     int allowed = 0;
     const int limit = std::min(
-        wanted, static_cast<int>(spec_.packageStates.size()));
+        wanted, static_cast<int>(spec_->packageStates.size()));
     for (int d = 1; d <= limit; ++d) {
         if (core_depth <
-            spec_.packageStates[static_cast<std::size_t>(d - 1)]
+            spec_->packageStates[static_cast<std::size_t>(d - 1)]
                 .requiredChildDepth)
             break;
         allowed = d;
@@ -153,20 +218,20 @@ IdleHierarchy::gatedPackageDepth(int wanted, int busy, int core_depth) const
 void
 IdleHierarchy::refreshDerived(bool transitioned, double joules)
 {
-    const int idle = spec_.coreCount - busyCores_;
+    const int idle = spec_->coreCount - busyCores_;
     double savings = 0.0;
     sim::SimTime wake;
     if (active_ && coreDepth_ > 0 && idle > 0) {
         const IdleStateSpec &state =
-            spec_.coreStates[static_cast<std::size_t>(coreDepth_ - 1)];
+            spec_->coreStates[static_cast<std::size_t>(coreDepth_ - 1)];
         savings += static_cast<double>(idle) *
-                   (spec_.corePowerC0Watts - state.powerWatts);
+                   (spec_->corePowerC0Watts - state.powerWatts);
         wake = std::max(wake, state.exitLatency);
     }
     if (active_ && packageDepth_ > 0) {
         const IdleStateSpec &state =
-            spec_.packageStates[static_cast<std::size_t>(packageDepth_ - 1)];
-        savings += spec_.uncorePowerC0Watts - state.powerWatts;
+            spec_->packageStates[static_cast<std::size_t>(packageDepth_ - 1)];
+        savings += spec_->uncorePowerC0Watts - state.powerWatts;
         // Levels repower in parallel: resume costs the MAX exit latency
         // along the path, not the sum.
         wake = std::max(wake, state.exitLatency);
@@ -181,9 +246,9 @@ void
 IdleHierarchy::applyTarget(int busy, int core_depth, int pkg_depth,
                            bool charge_energy)
 {
-    busy = std::clamp(busy, 0, spec_.coreCount);
+    busy = std::clamp(busy, 0, spec_->coreCount);
     core_depth = std::clamp(core_depth, 0,
-                            static_cast<int>(spec_.coreStates.size()));
+                            static_cast<int>(spec_->coreStates.size()));
     pkg_depth = gatedPackageDepth(pkg_depth, busy, core_depth);
 
     const sim::SimTime now = simulator_.now();
@@ -192,8 +257,8 @@ IdleHierarchy::applyTarget(int busy, int core_depth, int pkg_depth,
     telemetry::EventJournal &journal = telemetry::global().journal();
     const bool journal_on = journal.enabled() && track_ >= 0;
 
-    const int idle_before = spec_.coreCount - busyCores_;
-    const int idle_after = spec_.coreCount - busy;
+    const int idle_before = spec_->coreCount - busyCores_;
+    const int idle_after = spec_->coreCount - busy;
     const int d0 = coreDepth_;
     const int d1 = core_depth;
 
@@ -234,11 +299,11 @@ IdleHierarchy::applyTarget(int busy, int core_depth, int pkg_depth,
         double move_joules = 0.0;
         if (charge_energy) {
             if (move.from > 0)
-                move_joules += spec_.coreStates[static_cast<std::size_t>(
+                move_joules += spec_->coreStates[static_cast<std::size_t>(
                                                     move.from - 1)]
                                    .exitEnergyJoules;
             if (move.to > 0)
-                move_joules += spec_.coreStates[static_cast<std::size_t>(
+                move_joules += spec_->coreStates[static_cast<std::size_t>(
                                                     move.to - 1)]
                                    .entryEnergyJoules;
             move_joules *= static_cast<double>(move.count);
@@ -263,12 +328,12 @@ IdleHierarchy::applyTarget(int busy, int core_depth, int pkg_depth,
         if (charge_energy) {
             if (packageDepth_ > 0)
                 pkg_joules +=
-                    spec_.packageStates[static_cast<std::size_t>(
+                    spec_->packageStates[static_cast<std::size_t>(
                                             packageDepth_ - 1)]
                         .exitEnergyJoules;
             if (pkg_depth > 0)
                 pkg_joules +=
-                    spec_.packageStates[static_cast<std::size_t>(
+                    spec_->packageStates[static_cast<std::size_t>(
                                             pkg_depth - 1)]
                         .entryEnergyJoules;
             joules += pkg_joules;
@@ -318,8 +383,8 @@ IdleHierarchy::descendFully()
     // Caller asserts the host is drained: the policy's busy count is a
     // stale demand estimate at this point, so override it — every core is
     // genuinely idle and the whole tree may bottom out.
-    applyTarget(0, static_cast<int>(spec_.coreStates.size()),
-                static_cast<int>(spec_.packageStates.size()), true);
+    applyTarget(0, static_cast<int>(spec_->coreStates.size()),
+                static_cast<int>(spec_->packageStates.size()), true);
 }
 
 void
@@ -360,9 +425,9 @@ IdleHierarchy::wouldChange(int busy, int core_depth, int pkg_depth) const
 {
     if (!active_)
         return false;
-    busy = std::clamp(busy, 0, spec_.coreCount);
+    busy = std::clamp(busy, 0, spec_->coreCount);
     core_depth = std::clamp(core_depth, 0,
-                            static_cast<int>(spec_.coreStates.size()));
+                            static_cast<int>(spec_->coreStates.size()));
     const int pkg = gatedPackageDepth(pkg_depth, busy, core_depth);
     return busy != busyCores_ || core_depth != coreDepth_ ||
            pkg != packageDepth_;
@@ -373,15 +438,15 @@ IdleHierarchy::fullyDescended() const
 {
     if (!active_ || busyCores_ > 0)
         return false;
-    if (coreDepth_ != static_cast<int>(spec_.coreStates.size()))
+    if (coreDepth_ != static_cast<int>(spec_->coreStates.size()))
         return false;
-    return packageDepth_ == static_cast<int>(spec_.packageStates.size());
+    return packageDepth_ == static_cast<int>(spec_->packageStates.size());
 }
 
 double
 IdleHierarchy::coreResidencySeconds(int depth) const
 {
-    if (depth < 0 || depth >= static_cast<int>(coreResidencyS_.size()))
+    if (depth < 0 || depth > static_cast<int>(spec_->coreStates.size()))
         return 0.0;
     return coreResidencyS_[static_cast<std::size_t>(depth)];
 }
@@ -389,7 +454,7 @@ IdleHierarchy::coreResidencySeconds(int depth) const
 double
 IdleHierarchy::packageResidencySeconds(int depth) const
 {
-    if (depth < 0 || depth >= static_cast<int>(packageResidencyS_.size()))
+    if (depth < 0 || depth > static_cast<int>(spec_->packageStates.size()))
         return 0.0;
     return packageResidencyS_[static_cast<std::size_t>(depth)];
 }

@@ -30,8 +30,11 @@
 #ifndef VPM_POWER_IDLE_HIERARCHY_HPP
 #define VPM_POWER_IDLE_HIERARCHY_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -107,6 +110,11 @@ struct IdleStateSpec
  */
 struct IdleHierarchySpec
 {
+    /** Most states one level may list. The runtime keeps one residency
+     *  accumulator per depth inline, so validate() refuses deeper trees;
+     *  real parts list at most C1..C10 and PC2..PC10. */
+    static constexpr std::size_t kMaxStatesPerLevel = 8;
+
     int coreCount = 0;
 
     /** Per-core draw when active-idle (C0, nothing scheduled), watts. */
@@ -122,8 +130,23 @@ struct IdleHierarchySpec
     std::vector<IdleStateSpec> packageStates;
 
     /** Fatal on structural nonsense (empty tree, non-descending powers,
-     *  out-of-range requiredChildDepth, non-positive core count). */
+     *  out-of-range requiredChildDepth, non-positive core count, more
+     *  than kMaxStatesPerLevel states at a level). */
     void validate() const;
+
+    /** Every field equal bit for bit: two such specs drive a hierarchy
+     *  through exactly the same arithmetic. */
+    bool sameAs(const IdleHierarchySpec &other) const;
+
+    /**
+     * The process-wide shared, immutable copy of @p spec: a validated
+     * copy the first time an equal spec is asked for, the same object
+     * afterwards for as long as some holder keeps it alive. Safe from any
+     * thread (a mutex guards the table). An equal spec already shared
+     * costs no allocation.
+     */
+    static std::shared_ptr<const IdleHierarchySpec>
+    shared(const IdleHierarchySpec &spec);
 
     /** Savings at full descent (every core and the package at their
      *  deepest states) versus the all-C0 idle draw, watts. */
@@ -132,6 +155,13 @@ struct IdleHierarchySpec
 
 /**
  * Runtime state of one host's idle tree.
+ *
+ * The spec is not copied: the hierarchy holds the shared copy from
+ * IdleHierarchySpec::shared(), so a fleet of hierarchies built from one
+ * spec points at one object. The hot state a governor tick reads (spec,
+ * active, busy cores, the two depths) leads the object, and the
+ * residency accumulators are inline arrays, so a hierarchy is a single
+ * allocation (see DESIGN.md "Per-host memory layout").
  *
  * The hierarchy is active while the host is On; the power FSM's Entering/
  * Asleep/Exiting phases pause it (pause() closes the residency spans and
@@ -150,12 +180,13 @@ struct IdleHierarchySpec
 class IdleHierarchy
 {
   public:
-    IdleHierarchy(sim::Simulator &simulator, IdleHierarchySpec spec);
+    IdleHierarchy(sim::Simulator &simulator, const IdleHierarchySpec &spec);
 
     IdleHierarchy(const IdleHierarchy &) = delete;
     IdleHierarchy &operator=(const IdleHierarchy &) = delete;
 
-    const IdleHierarchySpec &spec() const { return spec_; }
+    /** The shared spec (equal specs give hierarchies the same object). */
+    const IdleHierarchySpec &spec() const { return *spec_; }
 
     /** @name Policy commands (main thread only) */
     ///@{
@@ -284,13 +315,18 @@ class IdleHierarchy
     const std::string &coreStateName(int depth) const;
     const std::string &packageStateName(int depth) const;
 
-    sim::Simulator &simulator_;
-    IdleHierarchySpec spec_;
+    /** One accumulator per depth: [0] is C0, [d] the d-th listed state. */
+    using Residency =
+        std::array<double, IdleHierarchySpec::kMaxStatesPerLevel + 1>;
 
+    // Hot state first: a governor tick reads the spec, active_, the busy
+    // count and the two depths, all in the object's first cache line.
+    std::shared_ptr<const IdleHierarchySpec> spec_;
     bool active_ = true;
     int busyCores_ = 0;
     int coreDepth_ = 0;    ///< depth of the idle cores
     int packageDepth_ = 0;
+    std::int32_t track_ = -1;
 
     double savingsWatts_ = 0.0;
     sim::SimTime wakeLatency_;
@@ -298,17 +334,17 @@ class IdleHierarchy
     double transitionJoules_ = 0.0;
     std::uint64_t transitions_ = 0;
 
-    sim::SimTime lastAccrual_;
-    std::vector<double> coreResidencyS_;    ///< per depth, core-seconds
-    std::vector<double> packageResidencyS_; ///< per depth, pkg-seconds
+    sim::Simulator &simulator_;
+    std::function<void(const Update &)> onUpdate_;
 
+    sim::SimTime lastAccrual_;
     /** Seconds the current (core-idle, package) residency has held, fed
      *  into the journal records' dur_s on the next change. */
     sim::SimTime coreSpanStart_;
     sim::SimTime packageSpanStart_;
 
-    std::function<void(const Update &)> onUpdate_;
-    std::int32_t track_ = -1;
+    Residency coreResidencyS_{};    ///< per depth, core-seconds
+    Residency packageResidencyS_{}; ///< per depth, pkg-seconds
 
     static const std::string kC0;
 };

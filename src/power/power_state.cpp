@@ -1,5 +1,7 @@
 #include "power/power_state.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <unordered_set>
 #include <utility>
 
@@ -59,6 +61,30 @@ HostPowerSpec::deepestStateWithin(sim::SimTime max_exit_latency) const
             best = &state;
     }
     return best;
+}
+
+bool
+HostPowerSpec::sameAs(const HostPowerSpec &other) const
+{
+    const auto same_bits = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    };
+    if (model_ != other.model_ || curve_ != other.curve_ ||
+        states_.size() != other.states_.size())
+        return false;
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+        const SleepStateSpec &a = states_[i];
+        const SleepStateSpec &b = other.states_[i];
+        if (a.name != b.name ||
+            !same_bits(a.sleepPowerWatts, b.sleepPowerWatts) ||
+            a.entryLatency != b.entryLatency ||
+            a.exitLatency != b.exitLatency ||
+            !same_bits(a.entryPowerWatts, b.entryPowerWatts) ||
+            !same_bits(a.exitPowerWatts, b.exitPowerWatts))
+            return false;
+    }
+    return true;
 }
 
 } // namespace vpm::power

@@ -129,6 +129,13 @@ class HostPowerSpec
     const SleepStateSpec *
     deepestStateWithin(sim::SimTime max_exit_latency) const;
 
+    /**
+     * Same model name, the same curve object and every sleep state equal
+     * bit for bit: two such specs give every host the same draws and
+     * latencies, so a cluster keeps one copy of them.
+     */
+    bool sameAs(const HostPowerSpec &other) const;
+
   private:
     std::string model_;
     std::shared_ptr<const PowerCurve> curve_;

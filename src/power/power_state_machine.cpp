@@ -28,6 +28,9 @@ PowerStateMachine::PowerStateMachine(sim::Simulator &simulator,
     : simulator_(simulator), spec_(spec),
       phaseEnteredAt_(simulator.now())
 {
+    // A cluster host gets three observers: its own, its idle hierarchy's
+    // and the datacenter sim's. One block up front, not three regrowths.
+    observers_.reserve(3);
 }
 
 sim::SimTime
@@ -150,7 +153,7 @@ PowerStateMachine::setPhase(PowerPhase next)
     const PowerPhase from = phase_;
     const sim::SimTime now = simulator_.now();
     const sim::SimTime spent = now - phaseEnteredAt_;
-    timeInPhase_[from] += spent;
+    timeInPhase_[static_cast<std::size_t>(from)] += spent;
     phaseEnteredAt_ = now;
     phase_ = next;
 
@@ -246,9 +249,7 @@ PowerStateMachine::onExitComplete()
 sim::SimTime
 PowerStateMachine::timeInPhase(PowerPhase phase) const
 {
-    sim::SimTime total;
-    if (auto it = timeInPhase_.find(phase); it != timeInPhase_.end())
-        total = it->second;
+    sim::SimTime total = timeInPhase_[static_cast<std::size_t>(phase)];
     if (phase == phase_)
         total += simulator_.now() - phaseEnteredAt_;
     return total;

@@ -13,9 +13,9 @@
 #ifndef VPM_POWER_POWER_STATE_MACHINE_HPP
 #define VPM_POWER_POWER_STATE_MACHINE_HPP
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -218,7 +218,7 @@ class PowerStateMachine
     std::vector<double> wakeLatenciesSeconds_;
 
     sim::SimTime phaseEnteredAt_;
-    std::map<PowerPhase, sim::SimTime> timeInPhase_;
+    std::array<sim::SimTime, 4> timeInPhase_{}; ///< indexed by PowerPhase
     std::int32_t telemetryTrack_ = -1;
 
     std::vector<PhaseObserver> observers_;
