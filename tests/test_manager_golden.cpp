@@ -24,6 +24,9 @@
 #include "core/scenario.hpp"
 #include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
+#include "replay/checkpoint.hpp"
+#include "simcore/random.hpp"
+#include "workload/mix.hpp"
 
 namespace vpm::mgmt {
 namespace {
@@ -206,6 +209,42 @@ TEST(ManagerGoldenTest, OutcomesMatchRecordedMatrix)
          "cycles=289 migrations=17 balance=3 evacuations=4 abandoned=0"
          " cancelled=0 sleeps=4 wakes=0 parked=0 unparked=0 capDenied=0"
          " shortfall=0 haRestarts=0 energyKwh=20.275418785211556"},
+        // Every predictor family, so the manager's per-VM and aggregate
+        // forecasts are pinned beyond the default window-max.
+        {"last-value",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.predictor = PredictorKind::LastValue;
+         },
+         "cycles=289 migrations=142 balance=78 evacuations=12 abandoned=0"
+         " cancelled=0 sleeps=12 wakes=7 parked=0 unparked=0 capDenied=0"
+         " shortfall=7 haRestarts=0 energyKwh=23.371108458562766"},
+        {"ewma",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.predictor = PredictorKind::Ewma;
+         },
+         "cycles=289 migrations=70 balance=29 evacuations=8 abandoned=0"
+         " cancelled=0 sleeps=8 wakes=3 parked=0 unparked=0 capDenied=0"
+         " shortfall=3 haRestarts=0 energyKwh=23.194311588853104"},
+        {"linear-trend",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.predictor = PredictorKind::LinearTrend;
+         },
+         "cycles=289 migrations=132 balance=80 evacuations=12 abandoned=0"
+         " cancelled=1 sleeps=11 wakes=6 parked=0 unparked=0 capDenied=0"
+         " shortfall=7 haRestarts=0 energyKwh=23.307981312533975"},
+        {"periodic-profile",
+         [](ScenarioConfig &c) {
+             c.manager = makePolicy(PolicyKind::PmS3);
+             c.manager.predictor = PredictorKind::PeriodicProfile;
+             // Two days: the learned profile drives the second one.
+             c.duration = sim::SimTime::hours(48.0);
+         },
+         "cycles=577 migrations=219 balance=137 evacuations=16 abandoned=0"
+         " cancelled=0 sleeps=16 wakes=11 parked=0 unparked=0 capDenied=0"
+         " shortfall=11 haRestarts=0 energyKwh=46.522600391200356"},
     };
 
     for (const GoldenCase &golden : cases) {
@@ -216,6 +255,62 @@ TEST(ManagerGoldenTest, OutcomesMatchRecordedMatrix)
         golden.setup(config);
         EXPECT_EQ(outcomeLine(runScenario(config)), golden.expected)
             << "case " << golden.name;
+    }
+}
+
+/**
+ * FNV-1a digest of VpmManager::serializeState (the vpm-ckpt manager
+ * section) after a 26 h PM+S3 run of 8 hosts and 40 VMs with VM churn:
+ * arrivals fill predictor slots past the initial fleet and departures
+ * retire them. 26 h is one full day of 5-minute cycles plus two hours,
+ * so a periodic profile is complete and has been revisited.
+ */
+std::uint64_t
+managerStateDigest(PredictorKind kind)
+{
+    ScenarioConfig config;
+    config.manager = makePolicy(PolicyKind::PmS3);
+    config.manager.predictor = kind;
+    dc::ProvisioningConfig churn;
+    churn.arrivalsPerHour = 6.0;
+    churn.meanLifetime = sim::SimTime::hours(3.0);
+    config.provisioning = churn;
+
+    sim::Simulator simulator;
+    dc::Cluster cluster(simulator);
+    for (int h = 0; h < config.hostCount; ++h)
+        cluster.addHost(config.hostConfig, config.powerSpec);
+    sim::Rng rng(config.seed);
+    for (workload::VmWorkloadSpec &spec :
+         workload::makeEnterpriseMix(rng, config.vmCount, config.mix))
+        cluster.addVm(std::move(spec));
+    staticInitialPlacement(cluster);
+
+    Rig rig(simulator, cluster, config);
+    rig.dcsim().start();
+    simulator.runUntil(simulator.now() + sim::SimTime::hours(26.0));
+    std::vector<std::uint8_t> bytes;
+    rig.manager().serializeState(bytes);
+    return replay::fnv1a(bytes.data(), bytes.size());
+}
+
+TEST(ManagerGoldenTest, SerializedStateMatchesRecordedDigests)
+{
+    const struct
+    {
+        PredictorKind kind;
+        std::uint64_t digest;
+    } cases[] = {
+        {PredictorKind::LastValue, 0xa02484ea4ad86395ull},
+        {PredictorKind::Ewma, 0xb2b9e3ed862aa87cull},
+        {PredictorKind::WindowMax, 0x0e20742ad10d94fbull},
+        {PredictorKind::LinearTrend, 0xdeaf02230536631full},
+        {PredictorKind::PeriodicProfile, 0x289fa4155082089full},
+    };
+    for (const auto &golden : cases) {
+        const std::uint64_t digest = managerStateDigest(golden.kind);
+        EXPECT_EQ(digest, golden.digest)
+            << toString(golden.kind) << ": 0x" << std::hex << digest;
     }
 }
 
