@@ -1,6 +1,8 @@
 #include "core/manager.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <vector>
 
 #include "power/idle_hierarchy.hpp"
@@ -35,6 +37,23 @@ wakeable(const power::PowerStateMachine &fsm)
            (phase == power::PowerPhase::Entering && !fsm.wakePending());
 }
 
+/** The manager's predictor family; a periodic profile spans 24 h of
+ *  management cycles. Runs ahead of the constructor's other checks. */
+PredictorParams
+configuredPredictor(const VpmConfig &config)
+{
+    if (config.period <= sim::SimTime())
+        sim::fatal("VpmManager: period must be positive");
+    PredictorParams params;
+    params.kind = config.predictor;
+    if (config.predictor == PredictorKind::PeriodicProfile) {
+        const auto slots = static_cast<std::size_t>(
+            sim::SimTime::hours(24.0).micros() / config.period.micros());
+        params.slotsPerPeriod = std::max<std::size_t>(slots, 2);
+    }
+    return params;
+}
+
 } // namespace
 
 VpmManager::VpmManager(sim::Simulator &simulator, dc::Cluster &cluster,
@@ -42,11 +61,10 @@ VpmManager::VpmManager(sim::Simulator &simulator, dc::Cluster &cluster,
                        dc::DatacenterSim &dcsim, const VpmConfig &config)
     : simulator_(simulator), cluster_(cluster), migration_(migration),
       dcsim_(dcsim), config_(config),
+      predictors_(configuredPredictor(config), kAggregateRow + 1),
       forecastTracker_(toString(config.predictor)),
       expectedIdle_(config.expectedIdleSeed)
 {
-    if (config_.period <= sim::SimTime())
-        sim::fatal("VpmManager: period must be positive");
     const std::int64_t period_us = config_.period.micros();
     const std::int64_t eval_us =
         dcsim_.config().evaluationInterval.micros();
@@ -73,20 +91,6 @@ VpmManager::VpmManager(sim::Simulator &simulator, dc::Cluster &cluster,
         (config_.hostsPerRack == 0 || config_.racksPerPod == 0))
         sim::fatal("VpmManager: hierarchical mode needs positive rack and "
                    "pod widths");
-
-    aggregatePredictor_ = makeConfiguredPredictor();
-}
-
-std::unique_ptr<DemandPredictor>
-VpmManager::makeConfiguredPredictor() const
-{
-    if (config_.predictor == PredictorKind::PeriodicProfile) {
-        const auto slots = static_cast<std::size_t>(
-            sim::SimTime::hours(24.0).micros() / config_.period.micros());
-        return std::make_unique<PeriodicProfilePredictor>(
-            std::max<std::size_t>(slots, 2));
-    }
-    return makePredictor(config_.predictor);
 }
 
 void
@@ -159,9 +163,9 @@ VpmManager::hierarchicalCycle()
 
     // Aggregate-only prediction: the root row replaces the per-VM scan
     // and the per-VM predictor slots entirely.
-    aggregatePredictor_->observe(root.demandMhz);
+    predictors_.observe(kAggregateRow, root.demandMhz);
     forecastTracker_.observe(simulator_.now().micros(), root.demandMhz,
-                             aggregatePredictor_->predict());
+                             predictors_.predict(kAggregateRow));
     if (!config_.powerManage)
         return;
 
@@ -263,43 +267,48 @@ void
 VpmManager::observeDemand()
 {
     PROF_ZONE("mgmt.observe");
+    const dc::FleetStore &fleet = cluster_.fleet();
+    const std::size_t vm_count = fleet.vmCount();
+    predictors_.grow(vmRow(static_cast<dc::VmId>(vm_count)));
+    const dc::HostId *vm_host = fleet.vmHostData();
+    const double *demand = fleet.vmDemandData();
     double total = 0.0;
-    if (vmPredictors_.size() < cluster_.vmCount())
-        vmPredictors_.resize(cluster_.vmCount());
-    for (const auto &vm_ptr : cluster_.vms()) {
-        auto &slot = vmPredictors_[static_cast<std::size_t>(vm_ptr->id())];
-        if (vm_ptr->retired()) {
-            slot.reset();
+    for (std::size_t v = 0; v < vm_count; ++v) {
+        const std::size_t row = vmRow(static_cast<dc::VmId>(v));
+        if (vm_host[v] == dc::invalidHostId) {
+            // Pending arrivals count via the provisioning hook; a row
+            // that lost its host is a departure (only retirement
+            // unplaces a VM).
+            if (predictors_.active(row) &&
+                cluster_.vm(static_cast<dc::VmId>(v)).retired())
+                predictors_.reset(row);
             continue;
         }
-        if (!vm_ptr->placed())
-            continue; // pending arrivals count via the provisioning hook
-        if (!slot)
-            slot = makeConfiguredPredictor();
-        slot->observe(vm_ptr->currentDemandMhz());
-        total += vm_ptr->currentDemandMhz();
+        predictors_.observe(row, demand[v]);
+        total += demand[v];
     }
-    aggregatePredictor_->observe(total);
+    predictors_.observe(kAggregateRow, total);
     // Score last cycle's aggregate forecast against what actually arrived
     // and stage the fresh forecast for next cycle's scoring.
     forecastTracker_.observe(simulator_.now().micros(), total,
-                             aggregatePredictor_->predict());
+                             predictors_.predict(kAggregateRow));
 }
 
 double
-VpmManager::predictedVmMhz(const dc::Vm &vm) const
+VpmManager::predictedVmMhz(dc::VmId vm) const
 {
-    const auto id = static_cast<std::size_t>(vm.id());
-    if (id >= vmPredictors_.size() || !vmPredictors_[id])
-        return vm.currentDemandMhz();
-    return std::clamp(vmPredictors_[id]->predict(), 0.0, vm.cpuMhz());
+    const dc::FleetStore &fleet = cluster_.fleet();
+    const std::size_t row = vmRow(vm);
+    if (row >= predictors_.rows() || !predictors_.active(row))
+        return fleet.vmDemandMhz(vm);
+    return std::clamp(predictors_.predict(row), 0.0, fleet.vmCpuMhz(vm));
 }
 
 double
 VpmManager::requiredCapacityMhz() const
 {
-    double required =
-        aggregatePredictor_->predict() * (1.0 + config_.capacityBuffer);
+    double required = predictors_.predict(kAggregateRow) *
+                      (1.0 + config_.capacityBuffer);
     // Arrivals waiting for a host need full-size room right now.
     if (provisioning_)
         required += provisioning_->pendingDemandMhz();
@@ -309,11 +318,19 @@ VpmManager::requiredCapacityMhz() const
 double
 VpmManager::committedCapacityMhz() const
 {
+    // On and staying, or arriving: the phase byte decides all but an
+    // entering host, whose latched wake only its FSM knows.
+    const dc::FleetStore &fleet = cluster_.fleet();
     double total = 0.0;
-    for (const auto &host_ptr : cluster_.hosts()) {
-        const bool on_and_staying = host_ptr->isOn() && hostUsable(*host_ptr);
-        if (on_and_staying || arriving(host_ptr->powerFsm()))
-            total += host_ptr->cpuCapacityMhz();
+    for (std::size_t h = 0; h < fleet.hostCount(); ++h) {
+        const auto id = static_cast<dc::HostId>(h);
+        const auto phase = static_cast<power::PowerPhase>(fleet.hostPhase(id));
+        if (phase == power::PowerPhase::On
+                ? hostUsable(id)
+                : phase == power::PowerPhase::Exiting ||
+                      (phase == power::PowerPhase::Entering &&
+                       cluster_.host(id).powerFsm().wakePending()))
+            total += fleet.hostCpuCapacityMhz(id);
     }
     return total;
 }
@@ -324,18 +341,21 @@ VpmManager::restartStrandedVms()
     // VMs on a host that is Asleep or Entering are dead in the water
     // (crash, or a scripted fault); VMs on an Exiting host will be served
     // again within one boot, so leave them be.
+    const dc::FleetStore &fleet = cluster_.fleet();
+    const dc::HostId *vm_host = fleet.vmHostData();
     std::vector<dc::VmId> stranded;
-    for (const auto &vm_ptr : cluster_.vms()) {
-        if (!vm_ptr->placed() || vm_ptr->retired())
+    for (std::size_t v = 0; v < fleet.vmCount(); ++v) {
+        if (vm_host[v] == dc::invalidHostId)
+            continue; // unplaced or retired
+        const auto phase =
+            static_cast<power::PowerPhase>(fleet.hostPhase(vm_host[v]));
+        if (phase != power::PowerPhase::Asleep &&
+            phase != power::PowerPhase::Entering)
             continue;
-        if (migration_.involved(vm_ptr->id()))
+        const auto vm_id = static_cast<dc::VmId>(v);
+        if (migration_.involved(vm_id))
             continue; // the engine aborts and we catch it next cycle
-        const power::PowerPhase phase =
-            cluster_.host(vm_ptr->host()).powerFsm().phase();
-        if (phase == power::PowerPhase::Asleep ||
-            phase == power::PowerPhase::Entering) {
-            stranded.push_back(vm_ptr->id());
-        }
+        stranded.push_back(vm_id);
     }
     if (stranded.empty())
         return;
@@ -345,7 +365,7 @@ VpmManager::restartStrandedVms()
         const PlannedVm &planned = model.vm(vm_id);
         dc::HostId dest = dc::invalidHostId;
         for (const auto &host_ptr : cluster_.hosts()) {
-            if (!host_ptr->isOn() || !hostUsable(*host_ptr))
+            if (!host_ptr->isOn() || !hostUsable(host_ptr->id()))
                 continue;
             if (model.fits(planned, host_ptr->id(),
                            config_.targetUtilization)) {
@@ -428,7 +448,7 @@ VpmManager::ensurePlacementHeadroom()
         const dc::Vm &vm = cluster_.vm(vm_id);
         bool fits_somewhere = false;
         for (const auto &host_ptr : cluster_.hosts()) {
-            if (!host_ptr->isOn() || !hostUsable(*host_ptr))
+            if (!host_ptr->isOn() || !hostUsable(host_ptr->id()))
                 continue;
             if (cluster_.memoryFits(vm, *host_ptr)) {
                 fits_somewhere = true;
@@ -569,6 +589,43 @@ VpmManager::sleepHost(dc::Host &host, const power::SleepStateSpec &state)
     return true;
 }
 
+PlacementModel
+VpmManager::freshModel() const
+{
+    std::vector<PlannedHost> hosts;
+    hosts.reserve(cluster_.hostCount());
+    for (const auto &host_ptr : cluster_.hosts()) {
+        PlannedHost planned;
+        planned.id = host_ptr->id();
+        planned.cpuCapacityMhz = host_ptr->cpuCapacityMhz();
+        planned.memoryCapacityMb = host_ptr->memoryCapacityMb();
+        planned.usable = host_ptr->isOn() && hostUsable(planned.id);
+        planned.rack = topology_ ? topology_->rackOf(planned.id) : 0;
+        hosts.push_back(planned);
+    }
+
+    std::vector<PlannedVm> vms;
+    vms.reserve(cluster_.vmCount());
+    for (const auto &vm_ptr : cluster_.vms()) {
+        if (!vm_ptr->placed())
+            continue;
+        PlannedVm planned;
+        planned.id = vm_ptr->id();
+        planned.cpuMhz = predictedVmMhz(planned.id);
+        planned.memoryMb = vm_ptr->memoryMb();
+        // Plan a VM that is already heading somewhere at its destination
+        // (pinned), so its CPU and memory are not double-booked there.
+        const dc::HostId inbound = migration_.destinationOf(planned.id);
+        planned.movable = inbound == dc::invalidHostId;
+        planned.host = planned.movable ? vm_ptr->host() : inbound;
+        vms.push_back(planned);
+    }
+    PlacementModel model(std::move(hosts), std::move(vms));
+    if (!config_.antiAffinityGroups.empty())
+        model.setAntiAffinityGroups(config_.antiAffinityGroups);
+    return model;
+}
+
 PlacementModel &
 VpmManager::buildModel() const
 {
@@ -578,72 +635,88 @@ VpmManager::buildModel() const
         // Membership changed (or first use): rebuild from scratch. The
         // child zone counts how often this actually happens.
         PROF_ZONE("mgmt.model_rebuild");
-        std::vector<PlannedHost> hosts;
-        hosts.reserve(cluster_.hostCount());
-        for (const auto &host_ptr : cluster_.hosts()) {
-            PlannedHost planned;
-            planned.id = host_ptr->id();
-            planned.cpuCapacityMhz = host_ptr->cpuCapacityMhz();
-            planned.memoryCapacityMb = host_ptr->memoryCapacityMb();
-            planned.usable = host_ptr->isOn() && hostUsable(*host_ptr);
-            planned.rack = topology_ ? topology_->rackOf(planned.id) : 0;
-            hosts.push_back(planned);
-        }
-
-        std::vector<PlannedVm> vms;
-        vms.reserve(cluster_.vmCount());
-        for (const auto &vm_ptr : cluster_.vms()) {
-            if (!vm_ptr->placed())
-                continue;
-            PlannedVm planned;
-            planned.id = vm_ptr->id();
-            planned.cpuMhz = predictedVmMhz(*vm_ptr);
-            planned.memoryMb = vm_ptr->memoryMb();
-            // Plan a VM that is already heading somewhere at its
-            // destination (pinned), so its CPU and memory are not
-            // double-booked there.
-            const dc::HostId inbound =
-                migration_.destinationOf(vm_ptr->id());
-            planned.movable = inbound == dc::invalidHostId;
-            planned.host = planned.movable ? vm_ptr->host() : inbound;
-            vms.push_back(planned);
-        }
-        model_ = PlacementModel(std::move(hosts), std::move(vms));
-        if (!config_.antiAffinityGroups.empty())
-            model_.setAntiAffinityGroups(config_.antiAffinityGroups);
+        model_ = freshModel();
         modelEpoch_ = epoch;
         modelValid_ = true;
         return model_;
     }
 
-    // Same membership: refresh per-entity fields in place. Capacities and
-    // racks are immutable per entity; usable, predictions, placement and
-    // movability are live state. This also discards any pins or moves a
-    // previous planning pass applied, exactly like a fresh build would.
+    // Same membership: refresh per-entity fields in place from the store
+    // columns. Capacities and racks are immutable per entity; usable,
+    // predictions, placement and movability are live state. This also
+    // discards any pins or moves a previous planning pass applied.
+    const dc::FleetStore &fleet = cluster_.fleet();
     std::vector<PlannedHost> &hosts = model_.mutableHosts();
-    std::size_t hi = 0;
-    for (const auto &host_ptr : cluster_.hosts())
-        hosts[hi++].usable = host_ptr->isOn() && hostUsable(*host_ptr);
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+        const auto id = static_cast<dc::HostId>(h);
+        hosts[h].usable = fleet.hostIsOn(id) && hostUsable(id);
+    }
 
     std::vector<PlannedVm> &vms = model_.mutableVms();
+    const dc::HostId *vm_host = fleet.vmHostData();
     std::size_t vi = 0;
-    for (const auto &vm_ptr : cluster_.vms()) {
-        if (!vm_ptr->placed())
+    for (std::size_t v = 0; v < fleet.vmCount(); ++v) {
+        if (vm_host[v] == dc::invalidHostId)
             continue;
         PlannedVm &planned = vms[vi++];
-        planned.cpuMhz = predictedVmMhz(*vm_ptr);
-        const dc::HostId inbound = migration_.destinationOf(vm_ptr->id());
-        planned.movable = inbound == dc::invalidHostId;
-        planned.host = planned.movable ? vm_ptr->host() : inbound;
+        planned.cpuMhz = predictedVmMhz(static_cast<dc::VmId>(v));
+        planned.movable = true;
+        planned.host = vm_host[v];
     }
-    if (hi != hosts.size() || vi != vms.size())
-        sim::panic("VpmManager::buildModel: refresh walked %zu/%zu hosts "
-                   "and %zu/%zu VMs despite an unchanged epoch",
-                   hi, hosts.size(), vi, vms.size());
+    if (hosts.size() != fleet.hostCount() || vi != vms.size())
+        sim::panic("VpmManager::buildModel: %zu/%zu hosts and %zu/%zu VMs "
+                   "despite an unchanged epoch",
+                   fleet.hostCount(), hosts.size(), vi, vms.size());
+    // Then pin the VMs already heading somewhere at their destination,
+    // as freshModel() plans them. A queued VM may have retired since it
+    // was booked; it is in neither model.
+    for (const auto &[vm, inbound] : migration_.involvedVms()) {
+        if (vm_host[static_cast<std::size_t>(vm)] == dc::invalidHostId)
+            continue;
+        PlannedVm &planned = model_.mutableVm(vm);
+        planned.movable = false;
+        planned.host = inbound;
+    }
     model_.rebuildUsage();
     if (!config_.antiAffinityGroups.empty())
         model_.setAntiAffinityGroups(config_.antiAffinityGroups);
     return model_;
+}
+
+std::string
+VpmManager::auditModel() const
+{
+    const PlacementModel &model = buildModel();
+    const PlacementModel fresh = freshModel();
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    };
+    const auto differs = [](const char *entity, int id, const char *field) {
+        return std::string(entity) + " " + std::to_string(id) + ": " +
+               field + " differs from a fresh build";
+    };
+    if (model.hosts().size() != fresh.hosts().size() ||
+        model.vms().size() != fresh.vms().size())
+        return "host or VM count differs from a fresh build";
+    for (const PlannedHost &host : fresh.hosts()) {
+        if (model.host(host.id).usable != host.usable)
+            return differs("host", host.id, "usable");
+        if (!same(model.cpuUsedMhz(host.id), fresh.cpuUsedMhz(host.id)) ||
+            !same(model.memoryUsedMb(host.id), fresh.memoryUsedMb(host.id)))
+            return differs("host", host.id, "usage row");
+    }
+    for (std::size_t i = 0; i < fresh.vms().size(); ++i) {
+        const PlannedVm &vm = model.vms()[i];
+        const PlannedVm &want = fresh.vms()[i];
+        if (vm.id != want.id)
+            return differs("VM", want.id, "id");
+        if (!same(vm.cpuMhz, want.cpuMhz))
+            return differs("VM", want.id, "cpu");
+        if (vm.host != want.host || vm.movable != want.movable)
+            return differs("VM", want.id, "host or movable");
+    }
+    return "";
 }
 
 void
@@ -734,7 +807,7 @@ VpmManager::rebalanceAndConsolidate()
     const double required = requiredCapacityMhz();
     double staying_capacity = 0.0;
     for (const auto &host_ptr : cluster_.hosts()) {
-        if (host_ptr->isOn() && hostUsable(*host_ptr))
+        if (host_ptr->isOn() && hostUsable(host_ptr->id()))
             staying_capacity += host_ptr->cpuCapacityMhz();
     }
 
@@ -815,7 +888,7 @@ VpmManager::chooseEvacuationCandidate(const PlacementModel &model) const
     const dc::Host *best = lightest;
     double best_watts = savable_watts(*lightest);
     for (const auto &host_ptr : cluster_.hosts()) {
-        if (!host_ptr->isOn() || !hostUsable(*host_ptr))
+        if (!host_ptr->isOn() || !hostUsable(host_ptr->id()))
             continue;
         const double load = model.cpuUsedMhz(host_ptr->id());
         const double slack = 0.15 * host_ptr->cpuCapacityMhz();
@@ -1008,22 +1081,24 @@ appendHostTimeMap(std::vector<std::uint8_t> &out,
 void
 VpmManager::serializeState(std::vector<std::uint8_t> &out) const
 {
+    // Per VM row a presence flag and the active row's state; then the
+    // aggregate, always present.
     std::vector<double> scratch;
-    appendPod<std::uint64_t>(out, vmPredictors_.size());
-    for (const auto &predictor : vmPredictors_) {
-        appendPod<std::uint64_t>(out, predictor ? 1 : 0);
-        if (predictor) {
+    const std::size_t vm_rows = predictors_.rows() - vmRow(0);
+    appendPod<std::uint64_t>(out, vm_rows);
+    for (std::size_t v = 0; v < vm_rows; ++v) {
+        const std::size_t row = vmRow(static_cast<dc::VmId>(v));
+        appendPod<std::uint64_t>(out, predictors_.active(row) ? 1 : 0);
+        if (predictors_.active(row)) {
             scratch.clear();
-            predictor->appendState(scratch);
+            predictors_.appendState(row, scratch);
             appendDoubles(out, scratch);
         }
     }
-    appendPod<std::uint64_t>(out, aggregatePredictor_ ? 1 : 0);
-    if (aggregatePredictor_) {
-        scratch.clear();
-        aggregatePredictor_->appendState(scratch);
-        appendDoubles(out, scratch);
-    }
+    appendPod<std::uint64_t>(out, 1);
+    scratch.clear();
+    predictors_.appendState(kAggregateRow, scratch);
+    appendDoubles(out, scratch);
 
     appendHostSet(out, draining_);
     appendHostSet(out, maintenance_);

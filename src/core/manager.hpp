@@ -304,13 +304,22 @@ class VpmManager
     void applyPolicyDelta(const VpmConfig &next);
     ///@}
 
-  private:
     /**
-     * Build a predictor of the configured family. PeriodicProfile
-     * predictors are sized so one revolution equals 24 h of management
-     * cycles at this manager's period.
+     * Test-only: refresh the planning model as a planning pass would and
+     * compare it bit for bit with freshModel() — host usable flags and
+     * usage rows, VM CPU, host and movability. @return "" or the first
+     * mismatch with its host or VM id. Meaningful while the placement
+     * epoch is unchanged since the last build (else both are fresh).
      */
-    std::unique_ptr<DemandPredictor> makeConfiguredPredictor() const;
+    std::string auditModel() const;
+
+  private:
+    /** Bank row of the aggregate predictor; VM v owns row vmRow(v). */
+    static constexpr std::size_t kAggregateRow = 0;
+    static std::size_t vmRow(dc::VmId vm)
+    {
+        return static_cast<std::size_t>(vm) + 1;
+    }
 
     /** Feed predictors with this cycle's demand. */
     void observeDemand();
@@ -331,7 +340,7 @@ class VpmManager
     void sleepHierarchical(double required, double limit, double committed);
 
     /** Predicted demand of one VM, clamped to its size, in MHz. */
-    double predictedVmMhz(const dc::Vm &vm) const;
+    double predictedVmMhz(dc::VmId vm) const;
 
     /** Predicted aggregate demand with the capacity buffer, in MHz. */
     double requiredCapacityMhz() const;
@@ -366,6 +375,10 @@ class VpmManager
      * applied moves from a previous pass are overwritten.
      */
     PlacementModel &buildModel() const;
+
+    /** The planning model built from scratch: the reference that
+     *  buildModel()'s in-place refresh reproduces. */
+    PlacementModel freshModel() const;
 
     /** Pick the sleep state for @p host; nullptr means "stay on". */
     const power::SleepStateSpec *chooseSleepState(const dc::Host &host) const;
@@ -427,9 +440,9 @@ class VpmManager
     const dc::Topology *topology_ = nullptr;
     VpmConfig config_;
 
-    /** Per-VM predictors in dense VM-id slots (null = none yet). */
-    std::vector<std::unique_ptr<DemandPredictor>> vmPredictors_;
-    std::unique_ptr<DemandPredictor> aggregatePredictor_;
+    /** The aggregate row, then one row per VM id; a VM's row is active
+     *  from its first placed observation until it retires. */
+    PredictorBank predictors_;
     ForecastTracker forecastTracker_;
 
     /** Aggregate tree driving hierarchical mode (configured in start()). */
@@ -442,9 +455,9 @@ class VpmManager
 
     /** true iff the host can hold VMs and take new ones: it is in none
      *  of draining_, maintenance_ and parked_. */
-    bool hostUsable(const dc::Host &host) const
+    bool hostUsable(dc::HostId host) const
     {
-        const auto id = static_cast<std::size_t>(host.id());
+        const auto id = static_cast<std::size_t>(host);
         return id >= membership_.size() || membership_[id] == 0;
     }
 

@@ -228,6 +228,7 @@ class PlacementModel
         return hosts_;
     }
     std::vector<PlannedVm> &mutableVms() { return vms_; }
+    PlannedVm &mutableVm(VmId id) { return vms_[vmIndex(id)]; }
 
     /**
      * Recompute the per-host usage accumulators and the resident index

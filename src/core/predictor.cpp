@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "simcore/logging.hpp"
@@ -10,201 +11,187 @@
 
 namespace vpm::mgmt {
 
-std::unique_ptr<DemandPredictor>
-LastValuePredictor::clone() const
+PredictorBank::PredictorBank(const PredictorParams &params, std::size_t rows)
+    : params_(params), width_(0)
 {
-    return std::make_unique<LastValuePredictor>();
-}
-
-EwmaPredictor::EwmaPredictor(double alpha) : alpha_(alpha)
-{
-    if (alpha <= 0.0 || alpha > 1.0)
-        sim::fatal("EwmaPredictor: alpha %g outside (0, 1]", alpha);
+    const PredictorKind kind = params_.kind;
+    const bool periodic = kind == PredictorKind::PeriodicProfile;
+    const std::size_t least_window = kind == PredictorKind::WindowMax ? 1
+                                     : kind == PredictorKind::LinearTrend
+                                         ? 2
+                                         : 0;
+    if ((periodic || kind == PredictorKind::Ewma) &&
+        !(params_.alpha > 0.0 && params_.alpha <= 1.0))
+        sim::fatal("PredictorBank: %s alpha %g outside (0, 1]",
+                   toString(kind), params_.alpha);
+    if (least_window > 0 &&
+        (params_.window < least_window || params_.window > UINT32_MAX))
+        sim::fatal("PredictorBank: %s window %zu outside [%zu, 2^32)",
+                   toString(kind), params_.window, least_window);
+    if (periodic && params_.slotsPerPeriod < 2)
+        sim::fatal("PredictorBank: periodic-profile needs >= 2 slots");
+    if (periodic && params_.lookahead < 1)
+        sim::fatal("PredictorBank: periodic-profile look-ahead must be >= 1");
+    width_ = least_window > 0 ? params_.window
+             : periodic       ? params_.slotsPerPeriod
+                              : 0;
+    grow(rows);
 }
 
 void
-EwmaPredictor::observe(double value)
+PredictorBank::grow(std::size_t rows)
 {
-    if (!seeded_) {
-        value_ = value;
-        seeded_ = true;
-    } else {
-        value_ = alpha_ * value + (1.0 - alpha_) * value_;
+    if (rows <= active_.size())
+        return;
+    active_.resize(rows, 0);
+    count_.resize(rows, 0);
+    head_.resize(rows, 0);
+    value_.resize(rows, 0.0);
+    slots_.resize(rows * width_, 0.0);
+}
+
+void
+PredictorBank::reset(std::size_t row)
+{
+    active_[row] = 0;
+    count_[row] = 0;
+    head_[row] = 0;
+    value_[row] = 0.0;
+    std::fill_n(slots_.begin() + static_cast<std::ptrdiff_t>(row * width_),
+                width_, 0.0);
+}
+
+void
+PredictorBank::observe(std::size_t row, double value)
+{
+    active_[row] = 1;
+    const double alpha = params_.alpha;
+    double *slots = slots_.data() + row * width_;
+    switch (params_.kind) {
+      case PredictorKind::LastValue:
+        value_[row] = value;
+        return;
+      case PredictorKind::Ewma:
+        value_[row] = count_[row] == 0
+                          ? value
+                          : alpha * value + (1.0 - alpha) * value_[row];
+        count_[row] = 1;
+        return;
+      case PredictorKind::WindowMax:
+      case PredictorKind::LinearTrend:
+        // Fill slots 0..window-1 in order; once full, overwrite the
+        // oldest value and advance the head past it.
+        if (count_[row] < width_) {
+            slots[count_[row]++] = value;
+        } else {
+            slots[head_[row]] = value;
+            head_[row] = head_[row] + 1 == width_ ? 0 : head_[row] + 1;
+        }
+        return;
+      case PredictorKind::PeriodicProfile: {
+        double &slot = slots[count_[row] % width_];
+        if (count_[row] < width_)
+            slot = value; // first revolution seeds the profile
+        else
+            slot = alpha * value + (1.0 - alpha) * slot;
+        value_[row] = value;
+        ++count_[row];
+        return;
+      }
     }
-}
-
-std::unique_ptr<DemandPredictor>
-EwmaPredictor::clone() const
-{
-    return std::make_unique<EwmaPredictor>(alpha_);
-}
-
-WindowMaxPredictor::WindowMaxPredictor(std::size_t window) : window_(window)
-{
-    if (window == 0)
-        sim::fatal("WindowMaxPredictor: window must be >= 1");
-}
-
-void
-WindowMaxPredictor::observe(double value)
-{
-    values_.push_back(value);
-    if (values_.size() > window_)
-        values_.pop_front();
 }
 
 double
-WindowMaxPredictor::predict() const
+PredictorBank::predict(std::size_t row) const
 {
-    if (values_.empty())
-        return 0.0;
-    return *std::max_element(values_.begin(), values_.end());
-}
+    const std::size_t n = count_[row];
+    switch (params_.kind) {
+      case PredictorKind::LastValue:
+      case PredictorKind::Ewma:
+        return value_[row];
+      case PredictorKind::WindowMax: {
+        if (n == 0)
+            return 0.0;
+        // Oldest first, replacing only on a strictly greater value: the
+        // first maximum wins, as std::max_element picks it.
+        double best = windowAt(row, 0);
+        for (std::size_t i = 1; i < n; ++i)
+            if (best < windowAt(row, i))
+                best = windowAt(row, i);
+        return best;
+      }
+      case PredictorKind::LinearTrend: {
+        if (n == 0)
+            return 0.0;
+        if (n == 1)
+            return windowAt(row, 0);
 
-std::unique_ptr<DemandPredictor>
-WindowMaxPredictor::clone() const
-{
-    return std::make_unique<WindowMaxPredictor>(window_);
-}
+        // Least squares of value against index; forecast one step past
+        // the end.
+        const double nn = static_cast<double>(n);
+        double sum_x = 0.0, sum_y = 0.0, sum_xy = 0.0, sum_xx = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double x = static_cast<double>(i);
+            const double y = windowAt(row, i);
+            sum_x += x;
+            sum_y += y;
+            sum_xy += x * y;
+            sum_xx += x * x;
+        }
+        const double denom = nn * sum_xx - sum_x * sum_x;
+        if (denom == 0.0)
+            return windowAt(row, n - 1);
+        const double slope = (nn * sum_xy - sum_x * sum_y) / denom;
+        const double intercept = (sum_y - slope * sum_x) / nn;
+        return std::max(0.0, intercept + slope * nn);
+      }
+      case PredictorKind::PeriodicProfile: {
+        if (!profileComplete(row))
+            return value_[row];
 
-LinearTrendPredictor::LinearTrendPredictor(std::size_t window)
-    : window_(window)
-{
-    if (window < 2)
-        sim::fatal("LinearTrendPredictor: window must be >= 2");
-}
-
-void
-LinearTrendPredictor::observe(double value)
-{
-    values_.push_back(value);
-    if (values_.size() > window_)
-        values_.pop_front();
-}
-
-double
-LinearTrendPredictor::predict() const
-{
-    const std::size_t n = values_.size();
-    if (n == 0)
-        return 0.0;
-    if (n == 1)
-        return values_.front();
-
-    // Least squares of value against index; forecast one step past the end.
-    const double nn = static_cast<double>(n);
-    double sum_x = 0.0, sum_y = 0.0, sum_xy = 0.0, sum_xx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = static_cast<double>(i);
-        const double y = values_[i];
-        sum_x += x;
-        sum_y += y;
-        sum_xy += x * y;
-        sum_xx += x * x;
+        // Max of the learned profile over the upcoming slots, floored by
+        // the freshest observation so a today-only anomaly is never
+        // forecast away.
+        const double *profile = slots_.data() + row * width_;
+        double forecast = value_[row];
+        for (std::size_t ahead = 0; ahead < params_.lookahead; ++ahead)
+            forecast = std::max(forecast, profile[(n + ahead) % width_]);
+        return forecast;
+      }
     }
-    const double denom = nn * sum_xx - sum_x * sum_x;
-    if (denom == 0.0)
-        return values_.back();
-    const double slope = (nn * sum_xy - sum_x * sum_y) / denom;
-    const double intercept = (sum_y - slope * sum_x) / nn;
-    return std::max(0.0, intercept + slope * nn);
+    sim::panic("PredictorBank::predict: invalid PredictorKind %d",
+               static_cast<int>(params_.kind));
 }
 
-std::unique_ptr<DemandPredictor>
-LinearTrendPredictor::clone() const
-{
-    return std::make_unique<LinearTrendPredictor>(window_);
-}
-
-PeriodicProfilePredictor::PeriodicProfilePredictor(
-    std::size_t slots_per_period, double alpha,
-    std::size_t lookahead_slots)
-    : alpha_(alpha), lookahead_(lookahead_slots),
-      profile_(slots_per_period, 0.0)
-{
-    if (slots_per_period < 2)
-        sim::fatal("PeriodicProfilePredictor: need >= 2 slots, got %zu",
-                   slots_per_period);
-    if (alpha <= 0.0 || alpha > 1.0)
-        sim::fatal("PeriodicProfilePredictor: alpha %g outside (0, 1]",
-                   alpha);
-    if (lookahead_slots < 1)
-        sim::fatal("PeriodicProfilePredictor: look-ahead must be >= 1");
-}
-
-void
-PeriodicProfilePredictor::observe(double value)
-{
-    const std::size_t slot = count_ % profile_.size();
-    if (count_ < profile_.size()) {
-        profile_[slot] = value; // first revolution seeds the profile
-    } else {
-        profile_[slot] = alpha_ * value + (1.0 - alpha_) * profile_[slot];
-    }
-    last_ = value;
-    ++count_;
-}
-
-double
-PeriodicProfilePredictor::predict() const
-{
-    if (!profileComplete())
-        return last_;
-
-    // Max of the learned profile over the upcoming slots, floored by the
-    // freshest observation so a today-only anomaly is never forecast away.
-    double forecast = last_;
-    for (std::size_t ahead = 0; ahead < lookahead_; ++ahead) {
-        const std::size_t slot = (count_ + ahead) % profile_.size();
-        forecast = std::max(forecast, profile_[slot]);
-    }
-    return forecast;
-}
-
-std::unique_ptr<DemandPredictor>
-PeriodicProfilePredictor::clone() const
-{
-    return std::make_unique<PeriodicProfilePredictor>(profile_.size(),
-                                                      alpha_, lookahead_);
-}
-
-// Checkpoint-capture appends: every mutable member, fixed order, flags
-// as 0/1 doubles. Comparisons are byte-wise, so ordering is part of the
+// Checkpoint-capture appends: every mutable field, fixed order, flags as
+// 0/1 doubles. Comparisons are byte-wise, so ordering is part of the
 // vpm-ckpt-1 contract (DESIGN.md).
-
 void
-LastValuePredictor::appendState(std::vector<double> &out) const
+PredictorBank::appendState(std::size_t row, std::vector<double> &out) const
 {
-    out.push_back(last_);
-}
-
-void
-EwmaPredictor::appendState(std::vector<double> &out) const
-{
-    out.push_back(value_);
-    out.push_back(seeded_ ? 1.0 : 0.0);
-}
-
-void
-WindowMaxPredictor::appendState(std::vector<double> &out) const
-{
-    out.push_back(static_cast<double>(values_.size()));
-    out.insert(out.end(), values_.begin(), values_.end());
-}
-
-void
-LinearTrendPredictor::appendState(std::vector<double> &out) const
-{
-    out.push_back(static_cast<double>(values_.size()));
-    out.insert(out.end(), values_.begin(), values_.end());
-}
-
-void
-PeriodicProfilePredictor::appendState(std::vector<double> &out) const
-{
-    out.push_back(static_cast<double>(count_));
-    out.push_back(last_);
-    out.insert(out.end(), profile_.begin(), profile_.end());
+    const double count = static_cast<double>(count_[row]);
+    switch (params_.kind) {
+      case PredictorKind::LastValue:
+        out.push_back(value_[row]);
+        return;
+      case PredictorKind::Ewma:
+        out.push_back(value_[row]);
+        out.push_back(count);
+        return;
+      case PredictorKind::WindowMax:
+      case PredictorKind::LinearTrend:
+        out.push_back(count);
+        for (std::size_t i = 0; i < count_[row]; ++i)
+            out.push_back(windowAt(row, i));
+        return;
+      case PredictorKind::PeriodicProfile: {
+        out.push_back(count);
+        out.push_back(value_[row]);
+        const double *profile = slots_.data() + row * width_;
+        out.insert(out.end(), profile, profile + width_);
+        return;
+      }
+    }
 }
 
 const char *
@@ -223,26 +210,6 @@ toString(PredictorKind kind)
         return "periodic-profile";
     }
     sim::panic("toString: invalid PredictorKind %d", static_cast<int>(kind));
-}
-
-std::unique_ptr<DemandPredictor>
-makePredictor(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::LastValue:
-        return std::make_unique<LastValuePredictor>();
-      case PredictorKind::Ewma:
-        return std::make_unique<EwmaPredictor>();
-      case PredictorKind::WindowMax:
-        return std::make_unique<WindowMaxPredictor>();
-      case PredictorKind::LinearTrend:
-        return std::make_unique<LinearTrendPredictor>();
-      case PredictorKind::PeriodicProfile:
-        // Default geometry: a 24 h day of 5-minute management cycles.
-        return std::make_unique<PeriodicProfilePredictor>(288);
-    }
-    sim::panic("makePredictor: invalid PredictorKind %d",
-               static_cast<int>(kind));
 }
 
 ForecastTracker::ForecastTracker(std::string predictor_name)

@@ -4,191 +4,149 @@
  *
  * Every management decision — evacuate a host, wake one — is taken against
  * a forecast of near-future demand, because acting on stale demand with
- * slow power states is precisely the failure mode the paper attacks. Four
- * predictors are provided; the A1 ablation compares them. Aggressive
- * predictors (last-value) maximize savings but get caught by bursts;
- * conservative ones (window-max) protect SLA at some energy cost.
+ * slow power states is precisely the failure mode the paper attacks. Five
+ * predictor families are provided; the A1 ablation compares them.
+ * Aggressive predictors (last-value) maximize savings but get caught by
+ * bursts; conservative ones (window-max) protect SLA at some energy cost.
+ *
+ * The manager runs one forecaster per VM plus one for the aggregate, so
+ * the state lives in a PredictorBank: one family, one row per forecaster,
+ * every row's state in flat per-family columns.
  */
 
 #ifndef VPM_CORE_PREDICTOR_HPP
 #define VPM_CORE_PREDICTOR_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <vector>
-#include <memory>
 #include <string>
+#include <vector>
 
 namespace vpm::mgmt {
-
-/** Online scalar forecaster: feed one observation per management cycle. */
-class DemandPredictor
-{
-  public:
-    virtual ~DemandPredictor() = default;
-
-    /** Record the value observed this cycle. */
-    virtual void observe(double value) = 0;
-
-    /** Forecast for the next cycle. Defined after >= 1 observation. */
-    virtual double predict() const = 0;
-
-    /** Fresh instance of the same kind and configuration. */
-    virtual std::unique_ptr<DemandPredictor> clone() const = 0;
-
-    /**
-     * Append the predictor's full mutable state to @p out as raw doubles
-     * (scalars, then window/profile contents in order, flags as 0/1).
-     * Byte-stable: identical observation histories yield identical
-     * appends. Replay checkpoints compare these across a deterministically
-     * re-executed run; nothing ever loads them back, so the default (no
-     * state) is safe for stateless test doubles.
-     */
-    virtual void appendState(std::vector<double> &out) const
-    {
-        (void)out;
-    }
-};
-
-/** Naive persistence: tomorrow looks exactly like right now. */
-class LastValuePredictor final : public DemandPredictor
-{
-  public:
-    void observe(double value) override { last_ = value; }
-    double predict() const override { return last_; }
-    std::unique_ptr<DemandPredictor> clone() const override;
-    void appendState(std::vector<double> &out) const override;
-
-  private:
-    double last_ = 0.0;
-};
-
-/** Exponentially weighted moving average. */
-class EwmaPredictor final : public DemandPredictor
-{
-  public:
-    /** @param alpha Weight of the newest sample, in (0, 1]. */
-    explicit EwmaPredictor(double alpha = 0.3);
-
-    void observe(double value) override;
-    double predict() const override { return value_; }
-    std::unique_ptr<DemandPredictor> clone() const override;
-    void appendState(std::vector<double> &out) const override;
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool seeded_ = false;
-};
-
-/**
- * Maximum over a sliding window — the conservative choice: capacity is
- * provisioned for the worst recently seen, so bursts within the window
- * never cause a shortfall.
- */
-class WindowMaxPredictor final : public DemandPredictor
-{
-  public:
-    /** @param window Number of recent observations retained (>= 1). */
-    explicit WindowMaxPredictor(std::size_t window = 6);
-
-    void observe(double value) override;
-    double predict() const override;
-    std::unique_ptr<DemandPredictor> clone() const override;
-    void appendState(std::vector<double> &out) const override;
-
-  private:
-    std::size_t window_;
-    std::deque<double> values_;
-};
-
-/**
- * Least-squares linear extrapolation over a sliding window, clamped to be
- * non-negative. Tracks ramps (diurnal morning rise) better than
- * persistence.
- */
-class LinearTrendPredictor final : public DemandPredictor
-{
-  public:
-    /** @param window Number of recent observations fitted (>= 2). */
-    explicit LinearTrendPredictor(std::size_t window = 6);
-
-    void observe(double value) override;
-    double predict() const override;
-    std::unique_ptr<DemandPredictor> clone() const override;
-    void appendState(std::vector<double> &out) const override;
-
-  private:
-    std::size_t window_;
-    std::deque<double> values_;
-};
-
-/**
- * Time-of-day profile learner with look-ahead.
- *
- * Enterprise demand repeats daily. This predictor folds observations into
- * a circular per-slot EWMA profile (one slot per management cycle, one
- * revolution per period) and forecasts the *maximum* of the learned
- * profile over the next few slots. Once it has seen a full day it
- * anticipates the morning logon ramp — the proactive-wake behaviour the
- * paper sketches as the natural next step beyond reactive management.
- * Until one full revolution has been observed it behaves like
- * last-value.
- */
-class PeriodicProfilePredictor final : public DemandPredictor
-{
-  public:
-    /**
-     * @param slots_per_period Cycles per repetition period (e.g. 288 for
-     *        a 24 h day at 5 min cycles). Must be >= 2.
-     * @param alpha Per-slot EWMA weight in (0, 1].
-     * @param lookahead_slots How far ahead the forecast peeks (>= 1).
-     */
-    explicit PeriodicProfilePredictor(std::size_t slots_per_period,
-                                      double alpha = 0.3,
-                                      std::size_t lookahead_slots = 3);
-
-    void observe(double value) override;
-    double predict() const override;
-    std::unique_ptr<DemandPredictor> clone() const override;
-    void appendState(std::vector<double> &out) const override;
-
-    /** true once a full period has been observed (profile is trusted). */
-    bool profileComplete() const { return count_ >= profile_.size(); }
-
-  private:
-    double alpha_;
-    std::size_t lookahead_;
-    std::vector<double> profile_;
-    std::size_t count_ = 0;
-    double last_ = 0.0;
-};
 
 /** Predictor families selectable by policy configuration. */
 enum class PredictorKind
 {
-    LastValue,
-    Ewma,
+    LastValue, ///< naive persistence: the next cycle repeats this one
+    Ewma,      ///< exponentially weighted moving average
+    /** Maximum over a sliding window — the conservative choice: bursts
+     *  within the window never cause a shortfall. */
     WindowMax,
+    /** Least-squares line over a sliding window, extrapolated one step
+     *  and clamped non-negative; tracks ramps better than persistence. */
     LinearTrend,
+    /**
+     * Time-of-day profile learner: observations fold into a circular
+     * per-slot EWMA profile (one slot per management cycle, one
+     * revolution per period) and the forecast is the profile's maximum
+     * over the next few slots, floored by the freshest observation — the
+     * proactive wake the paper sketches as the step beyond reactive
+     * management. Behaves like last-value until a full period is seen.
+     */
     PeriodicProfile,
 };
 
 /** Human-readable name for tables. */
 const char *toString(PredictorKind kind);
 
-/** Factory with each family's default parameters. */
-std::unique_ptr<DemandPredictor> makePredictor(PredictorKind kind);
+/** A predictor family and its parameters; each family reads its own. */
+struct PredictorParams
+{
+    PredictorKind kind = PredictorKind::WindowMax;
+
+    /** Recent observations kept: window-max (>= 1), linear-trend (>= 2). */
+    std::size_t window = 6;
+
+    /** Weight of the newest sample in (0, 1]: ewma, and the per-slot
+     *  profile EWMA of periodic-profile. */
+    double alpha = 0.3;
+
+    /** periodic-profile: cycles per repetition period (>= 2). The default
+     *  is a 24 h day of 5-minute management cycles. */
+    std::size_t slotsPerPeriod = 288;
+
+    /** periodic-profile: how far ahead the forecast peeks (>= 1). */
+    std::size_t lookahead = 3;
+};
 
 /**
- * Forecast-quality bookkeeping around a DemandPredictor.
+ * Online scalar forecasters of one family, one row each: feed a row one
+ * observation per management cycle and it forecasts the next. A row is
+ * inactive until its first observation and again after reset(), which
+ * makes it fresh; rows never influence each other.
+ *
+ * Layout: flat columns indexed by row. `count` is a window's fill, a
+ * profile's observations, or ewma's seeded flag; `head` is a window
+ * ring's oldest slot; `value` is the last value or the ewma average; and
+ * each row owns `window` slots (a window ring) or `slotsPerPeriod` slots
+ * (a profile) of `slots`.
+ */
+class PredictorBank
+{
+  public:
+    /** Fatal when @p params is out of range for its family. */
+    explicit PredictorBank(const PredictorParams &params = {},
+                           std::size_t rows = 0);
+
+    std::size_t rows() const { return active_.size(); }
+
+    /** Grow to at least @p rows rows; new rows are fresh and inactive. */
+    void grow(std::size_t rows);
+
+    /** true once the row observed something since its last reset. */
+    bool active(std::size_t row) const { return active_[row] != 0; }
+
+    /** Record the value observed this cycle; activates the row. */
+    void observe(std::size_t row, double value);
+
+    /** Forecast for the next cycle. */
+    double predict(std::size_t row) const;
+
+    /** Return the row to the fresh, inactive state (its VM retired). */
+    void reset(std::size_t row);
+
+    /**
+     * Append the row's mutable state to @p out: last-value {last}; ewma
+     * {average, seeded 0/1}; window kinds {count, values oldest first};
+     * periodic-profile {observations, last, profile}. Byte-stable given
+     * identical histories; replay checkpoints compare these (the
+     * vpm-ckpt manager section), nothing loads them back.
+     */
+    void appendState(std::size_t row, std::vector<double> &out) const;
+
+    /** periodic-profile: true once the row has seen a full period. */
+    bool profileComplete(std::size_t row) const
+    {
+        return count_[row] >= params_.slotsPerPeriod;
+    }
+
+  private:
+    /** The i-th oldest value of a window row (i < count). */
+    double windowAt(std::size_t row, std::size_t i) const
+    {
+        const std::size_t slot = head_[row] + i;
+        return slots_[row * width_ +
+                      (slot < width_ ? slot : slot - width_)];
+    }
+
+    PredictorParams params_;
+    std::size_t width_; ///< slots per row
+    std::vector<std::uint8_t> active_;
+    std::vector<std::uint64_t> count_;
+    std::vector<std::uint32_t> head_;
+    std::vector<double> value_;
+    std::vector<double> slots_;
+};
+
+/**
+ * Forecast-quality bookkeeping around a forecaster.
  *
  * Each cycle the owner reports the demand actually observed together with
  * the forecast just produced for the NEXT cycle; the tracker compares the
  * previous cycle's forecast against the new actual, journals the pair as a
  * telemetry Forecast event, and keeps running error statistics. This is
  * how "the predictor said X, reality said Y" becomes visible in traces
- * without every predictor knowing about telemetry.
+ * without the predictors knowing about telemetry.
  */
 class ForecastTracker
 {

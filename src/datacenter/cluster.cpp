@@ -1,13 +1,28 @@
 #include "datacenter/cluster.hpp"
 
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "power/idle_hierarchy.hpp"
 #include "simcore/logging.hpp"
 #include "telemetry/profiler.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace vpm::dc {
+
+namespace {
+
+/** A cluster host's name, which is also its journal track's name. */
+std::string
+hostName(std::int32_t id)
+{
+    char name[32];
+    std::snprintf(name, sizeof(name), "host%03d", id);
+    return name;
+}
+
+} // namespace
 
 Cluster::Cluster(sim::Simulator &simulator) : simulator_(simulator) {}
 
@@ -16,8 +31,6 @@ Cluster::addHost(const HostConfig &config,
                  const power::HostPowerSpec &power_spec)
 {
     const HostId id = static_cast<HostId>(hosts_.size());
-    char name[32];
-    std::snprintf(name, sizeof(name), "host%03d", id);
     // Distinct specs are few (one per host model), so a scan suffices.
     const power::HostPowerSpec *spec = nullptr;
     for (const power::HostPowerSpec &kept : powerSpecs_) {
@@ -29,8 +42,9 @@ Cluster::addHost(const HostConfig &config,
     if (spec == nullptr)
         spec = &powerSpecs_.emplace_back(power_spec);
     fleet_.registerHost(id, config.cpuCapacityMhz);
-    hosts_.push_back(std::make_unique<Host>(simulator_, id, name, config,
-                                            *spec, fleet_));
+    hosts_.push_back(std::make_unique<Host>(simulator_, id, hostName(id),
+                                            config, *spec, fleet_));
+    telemetry::global().journal().registerHostTrackLazily(id, &hostName);
     ++placementEpoch_;
     return *hosts_.back();
 }

@@ -64,10 +64,14 @@ Host::init(const power::HostPowerSpec &power_spec)
         updatePowerDraw();
     });
 
-    // Journal this host's power timeline under its cluster id/name, and
-    // mirror the meter into a per-host watts gauge when per-tick metric
-    // rows are collected (the only consumer of per-host gauges).
-    fsm_.setTelemetryTrack(id_, name_);
+    // Journal this host's power timeline under its id (a cluster names
+    // its hosts' tracks itself, lazily; a standalone host names its own),
+    // and mirror the meter into a per-host watts gauge when per-tick
+    // metric rows are collected (the only consumer of per-host gauges).
+    if (ownedStore_)
+        fsm_.setTelemetryTrack(id_, name_);
+    else
+        fsm_.setTelemetryTrack(id_);
     telemetry::Telemetry &tel = telemetry::global();
     if (tel.enabled() && tel.config().seriesRowsEnabled)
         meter_.attachTelemetry(

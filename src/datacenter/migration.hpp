@@ -92,6 +92,12 @@ class MigrationEngine
      */
     HostId destinationOf(VmId vm) const;
 
+    /** Every VM in flight or queued, with its destination (unordered). */
+    const std::unordered_map<VmId, HostId> &involvedVms() const
+    {
+        return involved_;
+    }
+
     /**
      * Duration of migrating @p vm if it started right now, under the cost
      * model including its current activity (busy VMs re-dirty pages

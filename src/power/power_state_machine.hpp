@@ -182,6 +182,10 @@ class PowerStateMachine
      */
     void setTelemetryTrack(std::int32_t track, std::string_view name);
 
+    /** Set the track alone, for an owner that names it in the journal
+     *  itself (a cluster names its hosts' tracks lazily). */
+    void setTelemetryTrack(std::int32_t track) { telemetryTrack_ = track; }
+
     std::int32_t telemetryTrack() const { return telemetryTrack_; }
     ///@}
 

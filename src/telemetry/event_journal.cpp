@@ -121,14 +121,38 @@ EventJournal::allocateTrack(TrackDomain domain, std::string_view name)
     return track;
 }
 
+void
+EventJournal::registerHostTrackLazily(std::int32_t host,
+                                       HostTrackNamer namer)
+{
+    const std::lock_guard<std::mutex> lock(trackMutex_);
+    lazyHosts_ = std::max(lazyHosts_, host + 1);
+    lazyHostNamer_ = namer;
+    // A stored name would shadow the lazy one: replace it, as a
+    // registerTrack() of the same name would.
+    const auto it = trackNames_.find(trackKey(TrackDomain::Host, host));
+    if (it != trackNames_.end())
+        it->second = namer(host);
+}
+
 const std::string &
 EventJournal::trackName(TrackDomain domain, std::int32_t track) const
 {
     const std::lock_guard<std::mutex> lock(trackMutex_);
-    const auto it = trackNames_.find(trackKey(domain, track));
-    if (it == trackNames_.end())
-        return kEmpty;
-    return it->second;
+    const std::uint64_t key = trackKey(domain, track);
+    const auto it = trackNames_.find(key);
+    if (it != trackNames_.end())
+        return it->second;
+    if (domain == TrackDomain::Host && track >= 0 && track < lazyHosts_)
+        return trackNames_.emplace(key, lazyHostNamer_(track)).first->second;
+    return kEmpty;
+}
+
+std::size_t
+EventJournal::trackCount() const
+{
+    const std::lock_guard<std::mutex> lock(trackMutex_);
+    return trackNames_.size();
 }
 
 std::uint64_t

@@ -192,9 +192,25 @@ class EventJournal
      */
     std::int32_t allocateTrack(TrackDomain domain, std::string_view name);
 
+    /** Makes a host track's display name from its id. */
+    using HostTrackNamer = std::string (*)(std::int32_t host);
+
+    /**
+     * Name host track @p host lazily: trackName() asks @p namer on the
+     * first lookup and keeps the answer, so naming a fleet stores nothing
+     * per host until something asks for a name. Hosts must be named
+     * densely from 0 (every lower id is named too), and one namer — the
+     * last one given — serves them all. Like registerTrack(), it replaces
+     * a name already stored for @p host, and it works while disabled.
+     */
+    void registerHostTrackLazily(std::int32_t host, HostTrackNamer namer);
+
     /** Display name of a track ("" when never registered). */
     const std::string &trackName(TrackDomain domain,
                                  std::int32_t track) const;
+
+    /** Names stored; a lazily named host counts once it was looked up. */
+    std::size_t trackCount() const;
     ///@}
 
     /** @name Recording (all early-out when disabled) */
@@ -296,14 +312,20 @@ class EventJournal
     std::unordered_map<std::string, LabelId> labelIndex_{{std::string(), 0}};
 
     /**
-     * Guards trackNames_ and nextAllocatedTrack_: concurrent fleet builds
-     * (replay branches, sweep cells) name their hosts' tracks in the one
-     * global journal. Setup and export only; record() never takes it. A
-     * name reference handed out stays valid (map nodes do not move), but
-     * re-registering that track replaces the string it refers to.
+     * Guards the track names, the lazy host range and
+     * nextAllocatedTrack_: concurrent fleet builds (replay branches,
+     * sweep cells) name their hosts' tracks in the one global journal.
+     * Setup and export only; record() never takes it. A name reference
+     * handed out stays valid (map nodes do not move), but re-registering
+     * that track replaces the string it refers to.
      */
     mutable std::mutex trackMutex_;
-    std::unordered_map<std::uint64_t, std::string> trackNames_;
+    /** Registered names, plus lazy host names already looked up. */
+    mutable std::unordered_map<std::uint64_t, std::string> trackNames_;
+    /** Host tracks [0, lazyHosts_) without a stored name are named by
+     *  lazyHostNamer_ on first lookup. */
+    std::int32_t lazyHosts_ = 0;
+    HostTrackNamer lazyHostNamer_ = nullptr;
     std::int32_t nextAllocatedTrack_ = 1 << 20;
 };
 

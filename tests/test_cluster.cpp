@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "datacenter/cluster.hpp"
 #include "power/server_models.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/demand_trace.hpp"
 
 namespace vpm::dc {
@@ -22,6 +25,43 @@ makeSpec(const std::string &name, double cpu_mhz, double mem_mb)
     spec.memoryMb = mem_mb;
     spec.trace = std::make_shared<workload::ConstantTrace>(0.5);
     return spec;
+}
+
+TEST(ClusterTrackTest, HostTracksStoreNothingInTheJournal)
+{
+    // Telemetry is off: a fleet of hosts leaves the journal's track table
+    // as it was, yet each host's track still answers to its name.
+    const telemetry::EventJournal &journal = telemetry::global().journal();
+    const std::size_t before = journal.trackCount();
+    sim::Simulator simulator;
+    Cluster fleet(simulator);
+    const power::HostPowerSpec spec = power::enterpriseBlade2013();
+    for (int i = 0; i < 10000; ++i)
+        fleet.addHost(HostConfig{}, spec);
+    EXPECT_EQ(journal.trackCount(), before);
+    EXPECT_EQ(journal.trackName(telemetry::TrackDomain::Host, 9999),
+              fleet.host(9999).name());
+}
+
+TEST(ClusterTrackTest, JournalEnabledAfterTheHostsNamesTheirRecords)
+{
+    sim::Simulator simulator;
+    Cluster fleet(simulator);
+    const power::HostPowerSpec spec = power::enterpriseBlade2013();
+    for (int i = 0; i < 4; ++i)
+        fleet.addHost(HostConfig{}, spec);
+    telemetry::TelemetryConfig config;
+    config.enabled = true;
+    config.seriesRowsEnabled = false;
+    telemetry::global().configure(config);
+    // A manager decision about a host whose power state machine has not
+    // recorded anything yet.
+    telemetry::global().journal().wakeDecision(5, 2, "capacity-shortfall");
+    std::ostringstream out;
+    telemetry::writeJournalJsonl(telemetry::global().journal(), out);
+    telemetry::global().configure(telemetry::TelemetryConfig{});
+    EXPECT_NE(out.str().find("\"track\":\"host002\""), std::string::npos)
+        << out.str();
 }
 
 class ClusterTest : public ::testing::Test

@@ -287,6 +287,32 @@ TEST(EventJournalTest, TrackNamesSurviveReconfiguration)
     EXPECT_EQ(journal.trackName(TrackDomain::Host, track), "synthetic");
 }
 
+std::string
+shortHostName(std::int32_t host)
+{
+    return "h" + std::to_string(host);
+}
+
+TEST(EventJournalTest, LazyHostTracksAreNamedOnFirstLookup)
+{
+    EventJournal journal; // disabled
+    for (std::int32_t h = 0; h < 10000; ++h)
+        journal.registerHostTrackLazily(h, &shortHostName);
+    EXPECT_EQ(journal.trackCount(), 0u);
+
+    journal.configure(8, true); // enabled after the hosts were named
+    EXPECT_EQ(journal.trackName(TrackDomain::Host, 42), "h42");
+    EXPECT_EQ(journal.trackCount(), 1u);
+    EXPECT_EQ(journal.trackName(TrackDomain::Host, 10000), "");
+    EXPECT_EQ(journal.trackName(TrackDomain::Vm, 42), "");
+
+    // The last registration wins, lazy or not, as with registerTrack().
+    journal.registerTrack(TrackDomain::Host, 7, "custom");
+    EXPECT_EQ(journal.trackName(TrackDomain::Host, 7), "custom");
+    journal.registerHostTrackLazily(7, &shortHostName);
+    EXPECT_EQ(journal.trackName(TrackDomain::Host, 7), "h7");
+}
+
 // ----------------------------------------------------------------- facade
 
 TEST(TelemetryTest, DisabledEmitsNothingAndAllocatesNothing)
